@@ -142,8 +142,6 @@ def _parse_policy(spec) -> TruncationPolicy:
         raise ConfigError(f"policy must be an object with 'eps'/'depth', got {spec!r}")
     eps = spec.get("eps", 1e-8)
     depth = spec.get("depth")
-    if depth is not None and not isinstance(depth, (int, list)):
-        raise ConfigError(f"policy depth must be an int or list, got {depth!r}")
     if isinstance(depth, list):
         depth = tuple(depth)
     if not isinstance(eps, (int, float)):
@@ -237,7 +235,12 @@ def cmd_transform(args) -> int:
         raise ConfigError(f"chain must list steps from {sorted(valid)}, got {args.chain!r}")
     depth = None
     if args.depth is not None:
-        depth = tuple(int(v) for v in args.depth.split(","))
+        try:
+            depth = tuple(int(v) for v in args.depth.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"--depth must be a comma list of integers, got {args.depth!r}"
+            )
         if len(depth) == 1:
             depth = depth[0]
     policy = TruncationPolicy(eps=args.eps, depth=depth)

@@ -47,11 +47,22 @@ class TruncationPolicy:
 
     ``depth`` overrides the derived per-axis depth when given (an int is
     broadcast to all axes); otherwise the depth is derived from ``eps``
-    via :func:`truncation_depth`.
+    via :func:`truncation_depth`.  Both are checked at construction: a
+    non-finite or non-positive ``eps`` and a non-integer (or bool) depth
+    raise ConfigError before any work starts.
     """
 
     eps: float = 1e-8
     depth: tuple = None
+
+    def __post_init__(self):
+        _check_eps(self.eps)
+        d = self.depth
+        entries = d if isinstance(d, (tuple, list)) else (d,)
+        if d is not None and not all(_is_int(v) for v in entries):
+            raise ConfigError(
+                f"truncation depth must be an int or a list of ints, got {d!r}"
+            )
 
     def resolve(self, theta: ThetaTuple) -> tuple:
         if self.depth is None:
@@ -69,6 +80,15 @@ class TruncationPolicy:
         return d
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_eps(eps) -> None:
+    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be a positive finite number, got {eps!r}")
+
+
 def truncation_depth(theta: ThetaTuple, eps: float, window: Window = None) -> tuple:
     """Smallest per-axis depth M with ``2^N * exp(-lambda_min * M) <= eps``.
 
@@ -78,8 +98,7 @@ def truncation_depth(theta: ThetaTuple, eps: float, window: Window = None) -> tu
     retained scale.  ``window`` is accepted for signature symmetry with the
     other transform helpers; the bound does not depend on it.
     """
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
-        raise ConfigError(f"eps must be a positive finite number, got {eps!r}")
+    _check_eps(eps)
     lam = theta.min_eigenvalue
     need = (theta.N * math.log(2.0) - math.log(eps)) / lam
     depth = max(0, math.ceil(need))

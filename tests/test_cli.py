@@ -222,6 +222,24 @@ def test_transform_depth_too_deep_exits_3(tmp_path, field_and_theta):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+def test_transform_non_integer_depth_exits_2(tmp_path, field_and_theta, capsys):
+    path, theta, _ = field_and_theta
+    out = tmp_path / "o"
+    assert main(["transform", "--input", path, "--theta", theta,
+                 "--chain", "L,M,Minv", "--depth", "a,b", "--out", str(out)]) == 2
+    assert "--depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+def test_transform_bad_eps_exits_2_before_writing(tmp_path, field_and_theta, eps):
+    path, theta, _ = field_and_theta
+    out = tmp_path / "o"
+    assert main(["transform", "--input", path, "--theta", theta,
+                 "--chain", "L", f"--eps={eps}", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_transform_batch_rep_via_manifest(tmp_path):
     # batch replications have no per-file sidecar; geometry must come
     # from the manifest.json next to them
@@ -406,6 +424,16 @@ def test_fou_noncommuting_mixing_exits_2(tmp_path):
         "replications": 2,
     })
     assert main(["fou", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("depth", [True, [True, 2], 1.5, [1.5, 2]])
+def test_fou_non_integer_policy_depth_exits_2(tmp_path, depth):
+    theta = theta_file(tmp_path, [np.array([[1.0]]), np.array([[1.2]])])
+    cfg = fou_config(tmp_path, theta, H=[[0.4, 0.6]],
+                     window={"lo": [-1, -1], "hi": [1, 1]}, policy={"depth": depth})
+    out = tmp_path / "run"
+    assert main(["fou", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_fou_threads_byte_identical(tmp_path):

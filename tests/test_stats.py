@@ -6,9 +6,14 @@ on batches whose pass/fail status is known by construction.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from fieldcorrespond import (
     ConfigError,
@@ -71,6 +76,27 @@ def test_bonferroni_monotone():
         cur = bonferroni_threshold(3.0, m)
         assert cur > prev
         prev = cur
+
+
+@pytest.mark.parametrize("z_max", [1.0, 2.0, 3.0, 4.5, 6.0, 40.0])
+def test_bonferroni_matches_scipy(z_max):
+    for m in (2, 3, 10, 1000, 10**5, 10**6, 10**8):
+        ref = norm.isf(2.0 * norm.sf(z_max) / (2.0 * m))
+        assert bonferroni_threshold(z_max, m) == pytest.approx(ref, rel=1e-12)
+
+
+def test_runtime_imports_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, fieldcorrespond, fieldcorrespond.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +282,50 @@ def test_empirical_moments_flags_degenerate():
     fields = [FieldWindow(w, np.array([[1.0]])) for _ in range(5)]
     summary = empirical_moments(fields)
     assert summary.degenerate
+
+
+def loo_cov_se(flat):
+    """Jackknife SE of the sample covariance by an explicit leave-one-out loop."""
+    r = flat.shape[0]
+    loo = np.stack(
+        [np.atleast_2d(np.cov(np.delete(flat, k, axis=0).T, ddof=1)) for k in range(r)]
+    )
+    return np.sqrt((r - 1) / r * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("reps,sites,n", [(3, 1, 1), (7, 2, 2), (40, 3, 2), (200, 5, 1)])
+def test_empirical_moments_cov_se_matches_loo_loop(rng, reps, sites, n):
+    w = Window((0,), (sites - 1,))
+    vals = 2.0 + rng.normal(size=(reps, sites, n)) * rng.uniform(0.5, 3.0, size=(sites, n))
+    summary = empirical_moments([FieldWindow(w, v) for v in vals])
+    np.testing.assert_allclose(
+        summary.cov_se, loo_cov_se(vals.reshape(reps, -1)), rtol=1e-10, atol=0.0
+    )
+
+
+def test_empirical_moments_constant_column_has_zero_cov_se(rng):
+    w = Window((0,), (2,))
+    vals = rng.normal(size=(30, 3, 1))
+    vals[:, 1, 0] = 0.5
+    summary = empirical_moments([FieldWindow(w, v) for v in vals])
+    oracle = loo_cov_se(vals.reshape(30, -1))
+    np.testing.assert_allclose(summary.cov_se, oracle, rtol=1e-10, atol=0.0)
+    assert np.all(summary.cov_se[1] == 0.0) and np.all(summary.cov_se[:, 1] == 0.0)
+    assert summary.degenerate
+
+
+def test_empirical_moments_handles_wide_inputs(rng):
+    # R * q * q = 5.12e8 floats, past what a leave-one-out tensor could hold.
+    reps, q = 20_000, 160
+    w = Window((0,), (q - 1,))
+    vals = rng.normal(size=(reps, q, 1))
+    summary = empirical_moments([FieldWindow(w, v) for v in vals])
+    assert summary.cov.shape == summary.cov_se.shape == (q, q)
+    flat = vals.reshape(reps, q)
+    np.testing.assert_allclose(summary.cov, np.cov(flat.T, ddof=1), rtol=1e-10, atol=1e-14)
+    # For unit-variance Gaussian data, Var(x_i x_j) = 1 off the diagonal.
+    off = summary.cov_se[~np.eye(q, dtype=bool)]
+    assert np.all(np.abs(off * math.sqrt(reps) - 1.0) < 0.2)
 
 
 # ---------------------------------------------------------------------------

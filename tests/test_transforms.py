@@ -117,6 +117,9 @@ def test_truncation_depth_rejects_bad_eps():
     for eps in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ConfigError, match="eps"):
             truncation_depth(theta, eps)
+        # A policy checks eps at construction, even when a depth overrides it.
+        with pytest.raises(ConfigError, match="eps"):
+            TruncationPolicy(eps=eps, depth=3)
 
 
 def test_truncation_depth_warns_when_huge():
@@ -137,10 +140,18 @@ def test_policy_resolve_broadcast_and_checks():
     theta = ThetaTuple([np.eye(1), np.eye(1)])
     assert TruncationPolicy(depth=4).resolve(theta) == (4, 4)
     assert TruncationPolicy(depth=(2, 5)).resolve(theta) == (2, 5)
+    assert TruncationPolicy(depth=np.int64(3)).resolve(theta) == (3, 3)
+    assert TruncationPolicy(depth=[np.int32(2), 4]).resolve(theta) == (2, 4)
     with pytest.raises(ConfigError, match="length"):
         TruncationPolicy(depth=(1, 2, 3)).resolve(theta)
     with pytest.raises(ConfigError, match="non-negative"):
         TruncationPolicy(depth=-1).resolve(theta)
+
+
+@pytest.mark.parametrize("depth", [True, (True, 2), 1.5, (2, 1.5), "3"])
+def test_policy_rejects_non_integer_depth(depth):
+    with pytest.raises(ConfigError, match="depth"):
+        TruncationPolicy(depth=depth)
 
 
 def test_policy_default_uses_eps():
