@@ -12,7 +12,9 @@ For n = 1 both reduce to ordinary inner products.
 Matrix exponentials of symmetric matrices are computed through the
 symmetric eigendecomposition (Q diag(e^lambda) Q^T), never through a
 Pade approximation, so the result is symmetric positive definite by
-construction.
+construction.  A commuting tuple shares one orthonormal eigenbasis Q with
+per-axis spectra W (N x n), so e^{t*Theta} = Q diag(exp(sum_j t_j W_j)) Q^T
+for every index t at once; ``joint_eigenbasis`` finds it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ from .errors import CommutationError, DimensionMismatchError
 SYMMETRY_RTOL = 1e-12
 # Relative commutator-defect threshold below which a tuple counts as commuting.
 COMMUTATION_RTOL = 1e-10
+# Largest off-diagonal part E_j of Q^T Theta_j Q (Frobenius norm, relative
+# to the largest |eigenvalue| of Theta_j) that the joint eigenbasis may
+# leave.  Dropping E_j moves e^{t*Theta} by at most sum_j |t_j| ||E_j||
+# relative to its norm, and the transforms' overflow guard keeps
+# sum_j |t_j| max|W_j| below log(finfo.max) ~ 709.8, so the error stays
+# under 7.1e-11.  Eigenvalues closer than this (same scale) form a cluster.
+EIGENBASIS_RTOL = 1e-13
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -101,6 +110,35 @@ def commutation_defect(mats: Sequence[np.ndarray]) -> float:
     return worst
 
 
+def joint_eigenbasis(mats: Sequence[np.ndarray]) -> tuple:
+    """Shared eigenbasis ``(Q, W, defect)`` of symmetric matrices.
+
+    Successive refinement: ``eigh`` of the first matrix, then ``eigh`` of
+    each later matrix restricted to every cluster of equal eigenvalues
+    found so far, so that a degenerate sum such as
+    ``diag(1, 2) + diag(2, 1)`` cannot pick a wrong basis.  ``W[j]`` is the
+    diagonal of ``Q^T mats[j] Q`` and ``defect`` the largest relative
+    Frobenius norm of its off-diagonal part; it is at rounding level for a
+    commuting tuple and large for a non-commuting one.
+    """
+    n = mats[0].shape[0]
+    q = np.eye(n)
+    clusters = [np.arange(n)]
+    for m in mats:
+        parts = [(idx, *np.linalg.eigh(q[:, idx].T @ m @ q[:, idx])) for idx in clusters]
+        tol = EIGENBASIS_RTOL * max(float(np.max(np.abs(w))) for _, w, _ in parts)
+        clusters = []
+        for idx, w, v in parts:
+            q[:, idx] = q[:, idx] @ v
+            clusters += np.split(idx, np.flatnonzero(np.diff(w) > tol) + 1)
+    rot = np.einsum("ai,jab,bk->jik", q, np.stack(mats), q)
+    w = np.diagonal(rot, axis1=1, axis2=2).copy()
+    off = rot - w[:, :, np.newaxis] * np.eye(n)
+    scale = np.max(np.abs(w), axis=1)
+    defect = float(np.max(np.linalg.norm(off, axis=(1, 2)) / scale))
+    return q, w, defect
+
+
 def check_commuting(theta: "ThetaTuple") -> tuple[bool, float]:
     """Return ``(commuting, max relative commutator defect)`` for the tuple."""
     defect = theta.commutation_defect
@@ -121,10 +159,11 @@ class ThetaTuple:
 
     Symmetry and positive definiteness are enforced at construction; the
     commuting flag is evaluated once (true iff every pairwise relative
-    commutator defect is at most 1e-10) and exposed as a property.
-    Instances are immutable; the matrix exponentials ``exp(t)`` of integer
-    contractions are memoized because the transforms evaluate them at
-    every site of a window.
+    commutator defect is at most 1e-10) and exposed as a property, and so
+    is the joint eigenbasis that the window transforms apply.  Instances
+    are immutable; ``exp(t)`` memoizes the matrix exponential of a single
+    integer contraction for the few callers that need whole matrices (the
+    AR(1) drift, the mixing check, edge-decay norms).
     """
 
     def __init__(self, mats: Sequence[np.ndarray]):
@@ -154,10 +193,10 @@ class ThetaTuple:
         self._stacked.setflags(write=False)
         self._min_eig = min(eigs)
         self._defect = commutation_defect(mats)
+        self._q, self._w, self._basis_defect = joint_eigenbasis(mats)
+        self._q.setflags(write=False)
+        self._w.setflags(write=False)
         self._exp_cache: dict = {}
-        # Scratch cache used by the transforms for per-window exponential
-        # stacks; keyed on (lo, hi, sign).
-        self._stack_cache: dict = {}
 
     @property
     def n(self) -> int:
@@ -187,6 +226,22 @@ class ThetaTuple:
     @property
     def min_eigenvalue(self) -> float:
         return self._min_eig
+
+    def eigenbasis(self, what: str = "operation") -> tuple:
+        """Read-only ``(Q, W)`` with ``Theta_j = Q diag(W[j]) Q^T``.
+
+        Raises CommutationError when the tuple is not commuting, or when
+        no single basis diagonalizes it to ``EIGENBASIS_RTOL`` (a tuple
+        within the 1e-10 commutator tolerance need not be).
+        """
+        self.require_commuting(what)
+        if self._basis_defect > EIGENBASIS_RTOL:
+            raise CommutationError(
+                f"{what} needs a joint eigenbasis; the best one found leaves a "
+                f"relative off-diagonal defect {self._basis_defect:.3e} above "
+                f"{EIGENBASIS_RTOL:g}"
+            )
+        return self._q, self._w
 
     def exp(self, t: Sequence[int]) -> np.ndarray:
         """Memoized ``mat_exp_sym(star_index(t, self))`` for integer indices."""

@@ -44,7 +44,14 @@ from .stats import (
     self_similarity_check,
     stationarity_check,
 )
-from .transforms import TruncationPolicy, lamperti, lamperti_inv, m_forward, m_inverse_truncated
+from .transforms import (
+    TRANSFORMS_VERSION,
+    TruncationPolicy,
+    lamperti,
+    lamperti_inv,
+    m_forward,
+    m_inverse_truncated,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -269,6 +276,7 @@ def cmd_transform(args) -> int:
                            else [policy.depth])},
             "output_window": x.window.to_dict(),
             "clock": x.clock,
+            "transforms": TRANSFORMS_VERSION,
         },
     )
     print(f"transform: {','.join(steps)} -> window {x.window} ({x.clock} clock)")
@@ -298,6 +306,7 @@ def cmd_ar1_verify(args) -> int:
             "g": str(args.g) if args.g else "extracted",
             "theta": theta_ref,
             "tolerance": args.tolerance,
+            "transforms": TRANSFORMS_VERSION,
         },
     )
     status = "PASS" if report["pass"] else "FAIL"

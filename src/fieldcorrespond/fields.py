@@ -270,10 +270,15 @@ def write_csv(x: FieldWindow, csv_path) -> None:
 
 
 def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldWindow:
-    """Read a field CSV whose dimensions are known from elsewhere."""
+    """Read a field CSV whose dimensions are known from elsewhere.
+
+    Every window site must appear exactly once, with integer site cells
+    and finite values; a malformed, duplicate or non-finite row raises
+    DimensionMismatchError naming its file line, a site outside the window
+    raises WindowError.
+    """
     nn = window.N
-    vals = np.zeros(window.shape + (n,))
-    seen = np.zeros(window.shape, dtype=bool)
+    sites, rows, lines = [], [], []
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         expected = [f"t_{j + 1}" for j in range(nn)] + [f"x_{k + 1}" for k in range(n)]
@@ -281,21 +286,51 @@ def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldW
             raise DimensionMismatchError(
                 f"CSV header {header} does not match expected {expected}"
             )
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
             if len(cells) != nn + n:
-                raise DimensionMismatchError(f"bad CSV row: {line!r}")
-            t = tuple(int(c) for c in cells[:nn])
-            idx = window.index(t)
-            vals[idx] = [float(c) for c in cells[nn:]]
-            seen[idx] = True
-    if not seen.all():
-        missing = int(seen.size - seen.sum())
-        raise WindowError(f"CSV is missing {missing} of {seen.size} window sites")
-    return FieldWindow(window, vals, clock)
+                raise DimensionMismatchError(f"bad CSV line {lineno}: {line!r}")
+            try:
+                sites.append([int(c) for c in cells[:nn]])
+                rows.append([float(c) for c in cells[nn:]])
+            except ValueError:
+                raise DimensionMismatchError(
+                    f"CSV line {lineno} has a non-integer site or non-numeric "
+                    f"value: {line!r}"
+                ) from None
+            lines.append(lineno)
+    offset = np.array(sites, dtype=np.int64).reshape(-1, nn) - window.lo
+    outside = np.any((offset < 0) | (offset >= window.shape), axis=1)
+    if outside.any():
+        window.index(sites[int(np.argmax(outside))])  # raises WindowError
+    flat = np.ravel_multi_index(offset.T, window.shape)
+    # A stable sort keeps each repeated site's rows in file order.
+    order = np.argsort(flat, kind="stable")
+    repeats = np.flatnonzero(np.diff(flat[order]) == 0)
+    if repeats.size:
+        k = repeats[np.argmin(order[repeats + 1])]
+        later, first = order[k + 1], order[k]
+        raise DimensionMismatchError(
+            f"CSV line {lines[later]} repeats site {tuple(sites[later])} of "
+            f"line {lines[first]}"
+        )
+    if flat.size < window.volume:
+        raise WindowError(
+            f"CSV is missing {window.volume - flat.size} of {window.volume} window sites"
+        )
+    parsed = np.array(rows, dtype=float).reshape(-1, n)
+    bad = ~np.isfinite(parsed).all(axis=1)
+    if bad.any():
+        raise DimensionMismatchError(
+            f"CSV holds non-finite values at {int(bad.sum())} sites, first on "
+            f"line {lines[int(np.argmax(bad))]}"
+        )
+    vals = np.empty((window.volume, n))
+    vals[flat] = parsed
+    return FieldWindow(window, vals.reshape(window.shape + (n,)), clock)
 
 
 def save_field(x: FieldWindow, csv_path) -> None:

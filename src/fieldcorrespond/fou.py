@@ -24,9 +24,18 @@ from .ar1 import Ar1System, stationary_solution
 from .errors import CommutationError, ConfigError
 from .fields import FieldWindow, Window
 from .gaussian import HurstSpec, SampleBatch, SheetSampler, as_mixing
-from .transforms import TruncationPolicy, lamperti_inv
+from .transforms import (
+    TRANSFORMS_VERSION,
+    TruncationPolicy,
+    lamperti_inv,
+    lamperti_inv_batch,
+)
 
 MIXING_COMMUTE_RTOL = 1e-10
+# Replications drawn and pulled back together by the second kind: large
+# enough that per-call overhead vanishes, small enough that the draws and
+# temporaries of one block stay far below the size of the whole batch.
+PULLBACK_BLOCK = 1024
 
 
 def derive_theta(hurst: HurstSpec) -> ThetaTuple:
@@ -158,7 +167,9 @@ def fou_batch(cfg: FouConfig, threads: int = 1) -> SampleBatch:
     The per-configuration Gram factorization is computed once and shared
     read-only across replications; each replication keeps its own
     (seed, replication, component) streams, so the thread count cannot
-    change the output.
+    change the output.  The second kind pulls replications back in blocks
+    of ``PULLBACK_BLOCK``; replication r equals ``fou_second_kind(cfg, r)``
+    byte for byte.
     """
     if cfg.kind == "first":
         depth, sampler = _first_kind_parts(cfg)
@@ -167,13 +178,16 @@ def fou_batch(cfg: FouConfig, threads: int = 1) -> SampleBatch:
             g = sampler.sample(cfg.seed, r)
             return stationary_solution(Ar1System(cfg.theta, g, cfg.policy), cfg.window)
 
+        fields = map_indexed(one, cfg.replications, threads)
     else:
         sampler = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential")
-
-        def one(r: int) -> FieldWindow:
-            return lamperti_inv(sampler.sample(cfg.seed, r), cfg.theta)
-
-    fields = map_indexed(one, cfg.replications, threads)
+        fields = []
+        for start in range(0, cfg.replications, PULLBACK_BLOCK):
+            draws = map_indexed(
+                lambda r: sampler.sample(cfg.seed, start + r),
+                min(PULLBACK_BLOCK, cfg.replications - start), threads,
+            )
+            fields += lamperti_inv_batch(draws, cfg.theta)
     config = {
         "H": cfg.hurst.H.tolist(),
         "A": cfg.mixing.tolist(),
@@ -185,5 +199,6 @@ def fou_batch(cfg: FouConfig, threads: int = 1) -> SampleBatch:
         "theta": cfg.theta.to_dict(),
         "policy": {"eps": cfg.policy.eps,
                    "depth": list(cfg.policy.resolve(cfg.theta))},
+        "transforms": TRANSFORMS_VERSION,
     }
     return SampleBatch(seed=int(cfg.seed), fields=fields, config=config)

@@ -29,7 +29,6 @@ import numpy as np
 
 from ._jsonio import dump_json, load_json
 from ._parallel import map_indexed
-from .algebra import spectral_norm
 from .errors import ConfigError, DimensionMismatchError, NumericRangeError
 from .fields import FieldWindow, Window, read_csv, write_csv
 
@@ -118,21 +117,23 @@ def build_cov_matrix(points, H) -> np.ndarray:
 def factor_covariance(cov: np.ndarray) -> np.ndarray:
     """Factor L with L @ L.T = cov, via eigendecomposition with clipping.
 
-    Eigenvalues below ``-INDEFINITE_RTOL * norm`` raise; the small negative
-    ones that rank-deficient grids produce are clipped to zero.  Rows of L
-    for exactly-zero-variance sites are zeroed so those samples come out
-    exactly 0.
+    Eigenvalues below ``-INDEFINITE_RTOL * norm`` (norm: the largest
+    |eigenvalue|) raise; the small negative ones that rank-deficient grids
+    produce are clipped to zero.  Rows of L for exactly-zero-variance sites
+    are zeroed so those samples come out exactly 0.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DimensionMismatchError(f"covariance must be square, got {cov.shape}")
-    asym = spectral_norm(cov - cov.T)
-    scale = spectral_norm(cov)
+    w, q = np.linalg.eigh(cov)
+    scale = float(max(-w[0], w[-1]))
+    # The Frobenius norm bounds the spectral norm, so this O(V^2) test is at
+    # least as strict as one in the spectral norm.
+    asym = float(np.linalg.norm(cov - cov.T))
     if asym > 1e-12 * max(scale, 1e-300):
         raise DimensionMismatchError(
             f"covariance is not symmetric (asymmetry {asym:.3e})"
         )
-    w, q = np.linalg.eigh(cov)
     if scale > 0.0 and w[0] < -INDEFINITE_RTOL * scale:
         raise NumericRangeError(
             f"matrix is indefinite beyond tolerance: eigenvalue {w[0]:.6e} "

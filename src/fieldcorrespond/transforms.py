@@ -14,9 +14,17 @@ Four maps, all pure functions of (field, theta):
                       (unit increment of G at j), with the lower limit
                       fixed at lo - depth for the requested output window.
 
-Both accumulation maps require a commuting tuple.  Each transform returns
-the largest output window computable from the input data; nothing is ever
-zero-extended implicitly.
+All four maps require a commuting tuple and go through its joint
+eigenbasis Theta_j = Q diag(W_j) Q^T: the values are rotated once
+(v @ Q), multiplied by the outer product over axes of the 1-D weights
+exp(sign * t_j * W_j), accumulated where the map sums, and rotated back
+(@ Q^T).  No per-site matrix exponential is formed.  Overflow is decided
+before any weight is computed: a window is refused when
+sum_j max(|lo_j|, |hi_j|) * max|W_j| exceeds log(finfo.max), which keeps
+every weight and every partial product of weights finite and non-zero.
+
+Each transform returns the largest output window computable from the
+input data; nothing is ever zero-extended implicitly.
 """
 
 from __future__ import annotations
@@ -35,6 +43,12 @@ from .errors import (
     WindowError,
 )
 from .fields import FieldWindow, Window, unit_increment_field
+
+# Version tag of the transform arithmetic, recorded in run outputs: the
+# bytes of transformed fields change with it.
+TRANSFORMS_VERSION = "eigenbasis-v1"
+# Largest exponent whose exp() is finite in double precision.
+LOG_MAX = math.log(np.finfo(float).max)
 
 # Depth above which the derived truncation is almost certainly a sign of a
 # near-singular tuple (tiny smallest eigenvalue).
@@ -117,22 +131,45 @@ def tail_bound_value(theta: ThetaTuple, depth) -> float:
     return float(2.0 ** theta.N * math.exp(-theta.min_eigenvalue * min(depth)))
 
 
-def _exp_stack(theta: ThetaTuple, window: Window, sign: int) -> np.ndarray:
-    """Stacked exponentials e^{sign * t * Theta} for all window sites."""
-    key = (window.lo, window.hi, sign)
-    cached = theta._stack_cache.get(key)
-    if cached is None:
-        with np.errstate(over="ignore"):
-            mats = [theta.exp(tuple(sign * v for v in t)) for t in window.sites()]
-        cached = np.stack(mats)
-        if not np.all(np.isfinite(cached)):
-            raise NumericRangeError(
-                f"matrix exponentials overflow on window {window}; "
-                f"shrink the window or the tuple's eigenvalues"
-            )
-        cached.setflags(write=False)
-        theta._stack_cache[key] = cached
-    return cached
+def _rotate(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``v @ q`` over the last axis as elementwise products and sums.
+
+    Every output element is computed by the same operations whatever the
+    leading shape, so a batch of fields and each field alone give the same
+    bytes.
+    """
+    out = v[..., 0, np.newaxis] * q[0]
+    for k in range(1, q.shape[0]):
+        out += v[..., k, np.newaxis] * q[k]
+    return out
+
+
+def _weighted(v: np.ndarray, theta: ThetaTuple, window: Window, sign: int,
+              what: str) -> tuple:
+    """Eigenbasis coordinates ``v @ Q`` times exp(sign * t_j * W_j) on every axis j.
+
+    ``v`` has shape (..., *window.shape, n); returns the weighted
+    coordinates and Q.  Overflow is decided from the window corners before
+    any weight is computed.
+    """
+    q, w = theta.eigenbasis(what)
+    reach = sum(
+        max(abs(l), abs(h)) * float(np.max(np.abs(wj)))
+        for l, h, wj in zip(window.lo, window.hi, w)
+    )
+    if reach > LOG_MAX:
+        raise NumericRangeError(
+            f"{what}: matrix exponentials overflow on window {window} "
+            f"(exponent bound {reach:.6g} exceeds {LOG_MAX:.6g}); "
+            f"shrink the window or the tuple's eigenvalues"
+        )
+    z = _rotate(v, q)
+    for j, (l, h) in enumerate(zip(window.lo, window.hi)):
+        shape = [1] * window.N + [theta.n]
+        shape[j] = h - l + 1
+        t = np.arange(l, h + 1, dtype=float)
+        z *= np.exp(sign * t[:, np.newaxis] * w[j]).reshape(shape)
+    return z, q
 
 
 def _check_pair(x: FieldWindow, theta: ThetaTuple, clock: str, what: str) -> None:
@@ -158,18 +195,11 @@ def _append_transform(x: FieldWindow, record: dict) -> dict:
     return meta
 
 
-def _apply_sitewise(x: FieldWindow, theta: ThetaTuple, sign: int) -> np.ndarray:
-    e = _exp_stack(theta, x.window, sign)
-    flat = x.values.reshape(-1, x.n)
-    out = np.einsum("sab,sb->sa", e, flat)
-    return out.reshape(x.values.shape)
-
-
 def lamperti(x: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldWindow:
     """Exponential-clock image Y_{e^t} = e^{t*Theta} X_t, same window."""
     _check_pair(x, theta, "integer", "lamperti")
-    theta.require_commuting("lamperti")
-    vals = _apply_sitewise(x, theta, +1)
+    z, q = _weighted(x.values, theta, x.window, +1, "lamperti")
+    vals = _rotate(z, q.T)
     meta = _append_transform(
         x,
         {"transform": "L", "theta_ref": theta_ref or "inline",
@@ -180,15 +210,32 @@ def lamperti(x: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldW
 
 def lamperti_inv(y: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldWindow:
     """Integer-clock image X_t = e^{-t*Theta} Y_{e^t}, same window."""
-    _check_pair(y, theta, "exponential", "lamperti_inv")
-    theta.require_commuting("lamperti_inv")
-    vals = _apply_sitewise(y, theta, -1)
-    meta = _append_transform(
-        y,
-        {"transform": "Linv", "theta_ref": theta_ref or "inline",
-         "depth": None, "tail_bound": None},
-    )
-    return FieldWindow(y.window, vals, "integer", meta)
+    return lamperti_inv_batch([y], theta, theta_ref)[0]
+
+
+def lamperti_inv_batch(ys, theta: ThetaTuple, theta_ref: str = None) -> list:
+    """``lamperti_inv`` of fields on one window, in one pass over all of them.
+
+    Field r of the result equals ``lamperti_inv(ys[r], theta, theta_ref)``
+    byte for byte, metadata included.
+    """
+    if not ys:
+        return []
+    for y in ys:
+        _check_pair(y, theta, "exponential", "lamperti_inv")
+        if y.window != ys[0].window:
+            raise WindowError(
+                f"lamperti_inv_batch needs one window, got {ys[0].window} and {y.window}"
+            )
+    z, q = _weighted(np.stack([y.values for y in ys]), theta, ys[0].window, -1,
+                     "lamperti_inv")
+    vals = _rotate(z, q.T)
+    record = {"transform": "Linv", "theta_ref": theta_ref or "inline",
+              "depth": None, "tail_bound": None}
+    return [
+        FieldWindow(y.window, v, "integer", _append_transform(y, dict(record)))
+        for y, v in zip(ys, vals)
+    ]
 
 
 def _signed_accumulate(arr: np.ndarray, axis: int, j_lo: int) -> np.ndarray:
@@ -224,17 +271,15 @@ def m_forward(y: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> Field
     interior t.
     """
     _check_pair(y, theta, "exponential", "m_forward")
-    theta.require_commuting("m_forward")
     if any(l > 0 or h < 0 for l, h in zip(y.window.lo, y.window.hi)):
         raise WindowError(
             f"m_forward needs lo <= 0 <= hi on every axis, got window {y.window}"
         )
     dy = unit_increment_field(y)
-    e = _exp_stack(theta, dy.window, -1)
-    w = np.einsum("sab,sb->sa", e, dy.values.reshape(-1, y.n))
-    w = w.reshape(dy.values.shape)
+    w, q = _weighted(dy.values, theta, dy.window, -1, "m_forward")
     for axis in range(y.N):
         w = _signed_accumulate(w, axis, dy.window.lo[axis])
+    w = _rotate(w, q.T)
     meta = _append_transform(
         y,
         {"transform": "M", "theta_ref": theta_ref or "inline",
@@ -260,7 +305,6 @@ def m_inverse_truncated(
     depth and the a-priori relative tail bound.
     """
     _check_pair(g, theta, "integer", "m_inverse_truncated")
-    theta.require_commuting("m_inverse_truncated")
     policy = policy or TruncationPolicy()
     depth = policy.resolve(theta)
     if out_window is None:
@@ -284,14 +328,11 @@ def m_inverse_truncated(
         slice(a - b, a - b + s)
         for a, b, s in zip(sub.lo, dg.window.lo, sub.shape)
     )
-    dvals = dg.values[slices]
-    e = _exp_stack(theta, sub, +1)
-    w = np.einsum("sab,sb->sa", e, dvals.reshape(-1, g.n))
-    w = w.reshape(sub.shape + (g.n,))
+    w, q = _weighted(dg.values[slices], theta, sub, +1, "m_inverse_truncated")
     for axis in range(g.N):
         w = np.cumsum(w, axis=axis)
     drop = tuple(slice(d, None) for d in depth)
-    vals = w[drop]
+    vals = _rotate(w[drop], q.T)
     meta = _append_transform(
         g,
         {

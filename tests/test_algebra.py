@@ -11,11 +11,13 @@ import scipy.linalg
 
 from fieldcorrespond import (
     COMMUTATION_RTOL,
+    EIGENBASIS_RTOL,
     CommutationError,
     DimensionMismatchError,
     ThetaTuple,
     check_commuting,
     commutation_defect,
+    joint_eigenbasis,
     mat_exp_sym,
     min_eigenvalue,
     spectral_norm,
@@ -227,3 +229,65 @@ def test_from_dict_validates():
         ThetaTuple.from_dict({"n": 1, "N": 2, "mats": [[1.0]]})
     with pytest.raises(DimensionMismatchError, match="length"):
         ThetaTuple.from_dict({"n": 2, "N": 1, "mats": [[1.0, 0.0, 1.0]]})
+
+
+# ---------------------------------------------------------------------------
+# Joint eigenbasis
+
+
+def assert_joint_basis(mats, q, w, atol=1e-13):
+    n = mats[0].shape[0]
+    np.testing.assert_allclose(q.T @ q, np.eye(n), atol=atol)
+    for m, wj in zip(mats, w):
+        np.testing.assert_allclose((q * wj) @ q.T, m, atol=atol * np.max(np.abs(m)))
+
+
+def test_joint_eigenbasis_degenerate_sum():
+    # R diag(1,2) R^T + R diag(2,1) R^T = 3I: a basis from the sum would be
+    # arbitrary.
+    c, s = np.cos(0.3), np.sin(0.3)
+    r = np.array([[c, -s], [s, c]])
+    mats = [(r * lam) @ r.T for lam in ([1.0, 2.0], [2.0, 1.0])]
+    mats = [(m + m.T) / 2.0 for m in mats]
+    q, w, defect = joint_eigenbasis(mats)
+    assert defect <= EIGENBASIS_RTOL
+    assert_joint_basis(mats, q, w)
+    assert sorted(map(tuple, np.round(w.T, 12))) == [(1.0, 2.0), (2.0, 1.0)]
+    q, w, defect = joint_eigenbasis([np.diag([1.0, 2.0]), np.diag([2.0, 1.0])])
+    assert defect == 0.0
+
+
+def test_joint_eigenbasis_clustered_spectra(rng):
+    # Each matrix alone has a repeated eigenvalue; only the tuple fixes Q.
+    q0, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    spectra = [[0.5, 0.5, 0.5, 1.2], [0.7, 0.7, 1.1, 1.1], [0.3, 0.8, 0.3, 0.8]]
+    mats = [(q0 * np.array(lam)) @ q0.T for lam in spectra]
+    mats = [(m + m.T) / 2.0 for m in mats]
+    q, w, defect = joint_eigenbasis(mats)
+    assert defect <= EIGENBASIS_RTOL
+    assert_joint_basis(mats, q, w)
+    assert sorted(map(tuple, np.round(w.T, 12))) == sorted(map(tuple, np.array(spectra).T))
+
+
+def test_joint_eigenbasis_scalar_tuple():
+    mats = [0.3 * np.eye(3), 0.7 * np.eye(3)]
+    q, w, defect = joint_eigenbasis(mats)
+    assert defect == 0.0
+    np.testing.assert_array_equal(w, [[0.3] * 3, [0.7] * 3])
+
+
+def test_joint_eigenbasis_defect_flags_noncommuting():
+    mats = [np.diag([1.0, 2.0]), np.array([[1.5, 0.5], [0.5, 1.5]])]
+    assert joint_eigenbasis(mats)[2] > 0.1
+
+
+def test_eigenbasis_readonly_and_requires_commuting(rng):
+    theta = random_commuting_theta(rng, 3, 3)
+    q, w = theta.eigenbasis()
+    assert w.shape == (3, 3)
+    assert_joint_basis(theta.mats, q, w)
+    with pytest.raises(ValueError):
+        q[0, 0] = 1.0
+    bad = ThetaTuple([np.diag([1.0, 2.0]), np.array([[1.5, 0.5], [0.5, 1.5]])])
+    with pytest.raises(CommutationError, match="commuting"):
+        bad.eigenbasis("test op")

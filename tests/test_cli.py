@@ -189,6 +189,7 @@ def test_transform_lamperti_roundtrip(tmp_path, field_and_theta):
     np.testing.assert_allclose(back.values, x.values, rtol=1e-9, atol=1e-12)
     res = json.loads((out1 / "resolved_config.json").read_text())
     assert res["chain"] == ["L"]
+    assert res["transforms"] == "eigenbasis-v1"
 
 
 def test_transform_records_sidecar_chain(tmp_path, field_and_theta):
@@ -237,6 +238,22 @@ def test_transform_bad_eps_exits_2_before_writing(tmp_path, field_and_theta, eps
     out = tmp_path / "o"
     assert main(["transform", "--input", path, "--theta", theta,
                  "--chain", "L", f"--eps={eps}", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["-2,-2,0.5", "-2,-1,nan", "-2,-1.5,0.5"])
+def test_transform_bad_input_rows_exit_3(tmp_path, field_and_theta, capsys, row):
+    # duplicate site, non-finite value, non-integer site
+    path, theta, _ = field_and_theta
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[2] = row
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main(["transform", "--input", path, "--theta", theta,
+                 "--chain", "L", "--out", str(out)]) == 3
+    assert "line 3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -319,6 +336,8 @@ def test_ar1_verify_passes(tmp_path, ar1_files, capsys):
     report = json.loads((out / "ar1_report.json").read_text())
     assert report["pass"] is True
     assert "PASS" in capsys.readouterr().out
+    res = json.loads((out / "resolved_config.json").read_text())
+    assert res["transforms"] == "eigenbasis-v1"
 
 
 def test_ar1_verify_extract_noise(tmp_path, ar1_files):

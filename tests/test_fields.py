@@ -275,6 +275,35 @@ def test_csv_missing_site(tmp_path, rng):
         read_csv(path, x.window, 1)
 
 
+def csv_with_row(tmp_path, rng, row_index, new_row):
+    """A 2 x 2 field CSV whose data row ``row_index`` is replaced."""
+    x = random_field(rng, Window((0, 0), (1, 1)), 2)
+    path = tmp_path / "f.csv"
+    write_csv(x, path)
+    lines = path.read_text().splitlines()
+    lines[1 + row_index] = new_row
+    path.write_text("\n".join(lines) + "\n")
+    return path, x.window
+
+
+@pytest.mark.parametrize(
+    "new_row,match",
+    [
+        ("0,0,0.5,0.25", "line 5 repeats site \\(0, 0\\) of line 2"),
+        ("1,1,nan,0.25", "non-finite values at 1 sites, first on line 5"),
+        ("1,1,0.5,-inf", "non-finite values at 1 sites, first on line 5"),
+        ("1,1,0.5,1e999", "non-finite values"),
+        ("1.0,1,0.5,0.25", "line 5 has a non-integer site"),
+        ("a,1,0.5,0.25", "line 5 has a non-integer site"),
+        ("1,1,0.5,abc", "line 5 has a non-integer site or non-numeric value"),
+    ],
+)
+def test_csv_rejects_bad_rows(tmp_path, rng, new_row, match):
+    path, window = csv_with_row(tmp_path, rng, 3, new_row)
+    with pytest.raises(DimensionMismatchError, match=match):
+        read_csv(path, window, 2)
+
+
 def test_save_load_field_sidecar(tmp_path, rng):
     w = Window((0, -1), (2, 1))
     x = random_field(rng, w, 2, clock="exponential").with_meta({"seed": 11})

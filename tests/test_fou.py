@@ -222,6 +222,25 @@ def test_fou_batch_manifest_and_threads():
     assert man["seed"] == 8 and man["R"] == 6
     assert man["policy"]["depth"] == [5]
     assert man["clock"] == "integer"
+    assert man["transforms"] == "eigenbasis-v1"
+
+
+def test_fou_batch_second_kind_equals_single_replications(monkeypatch):
+    # The batch pulls replications back in blocks (here 16, so 50 spans a
+    # partial last block); each must equal the one-replication route byte
+    # for byte, metadata included.
+    import fieldcorrespond.fou as fou_module
+
+    monkeypatch.setattr(fou_module, "PULLBACK_BLOCK", 16)
+    cfg = FouConfig(kind="second", hurst=HurstSpec([[0.3, 0.7], [0.6, 0.4]]),
+                    mixing=np.diag([1.0, 0.5]), window=Window((-2, -1), (2, 2)),
+                    seed=21, replications=50)
+    batch = fou_batch(cfg, threads=3)
+    assert batch.replications == 50
+    for r, f in enumerate(batch.fields):
+        one = fou_second_kind(cfg, r)
+        assert f.values.tobytes() == one.values.tobytes()
+        assert f.meta == one.meta
 
 
 def test_fou_batch_save_load(tmp_path):

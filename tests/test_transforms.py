@@ -17,16 +17,21 @@ from fieldcorrespond import (
     ConfigError,
     DimensionMismatchError,
     FieldWindow,
+    HurstSpec,
     NumericRangeError,
     ThetaTuple,
     TruncationPolicy,
     Window,
     WindowError,
+    derive_theta,
     lamperti,
     lamperti_inv,
+    lamperti_inv_batch,
     m_forward,
     m_inverse_truncated,
+    mat_exp_sym,
     spectral_norm,
+    star_index,
     tail_bound_value,
     truncation_depth,
     unit_increment,
@@ -440,3 +445,129 @@ def test_inverse_then_forward_recovers_anchored_noise(rng, N, n):
     sub = tuple(slice(1, None) for _ in range(N))
     scale = max(1.0, np.max(np.abs(g.values)))
     assert np.max(np.abs(g2.values - g.values[sub])) <= 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
+# Eigenbasis route against per-site exponentials
+
+
+def sitewise(values, window, theta, sign):
+    """e^{sign * t * Theta} v_t at every site, one mat_exp_sym per site."""
+    out = np.zeros_like(values)
+    for t in window.sites():
+        idx = window.index(t)
+        e = mat_exp_sym(star_index(tuple(sign * v for v in t), theta))
+        out[idx] = e @ values[idx]
+    return out
+
+
+def assert_rel_close(got, ref, rtol):
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def clustered_theta(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    mats = [(q * np.array(lam)) @ q.T for lam in ([0.5, 0.5, 1.2], [0.7, 1.1, 1.1])]
+    return ThetaTuple([(m + m.T) / 2.0 for m in mats])
+
+
+def degenerate_sum_theta(rng):
+    # Theta_1 + Theta_2 = 3I in a rotated basis.
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    mats = [(q * np.array(lam)) @ q.T for lam in ([1.0, 2.0], [2.0, 1.0])]
+    return ThetaTuple([(m + m.T) / 2.0 for m in mats])
+
+
+EIGEN_CASES = {
+    "degenerate-sum": degenerate_sum_theta,
+    "clustered": clustered_theta,
+    "scalar": lambda rng: derive_theta(HurstSpec([[0.3, 0.7], [0.3, 0.7]])),
+    "random": lambda rng: random_commuting_theta(rng, 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+def test_eigenbasis_transforms_match_sitewise_oracle(rng, case):
+    theta = EIGEN_CASES[case](rng)
+    w = Window((-3, -2), (2, 3))
+    x = random_field(rng, w, theta.n)
+    y = lamperti(x, theta)
+    assert_rel_close(y.values, sitewise(x.values, w, theta, +1), 1e-12)
+    assert_rel_close(lamperti_inv(y, theta).values, sitewise(y.values, w, theta, -1), 1e-12)
+    # M and Minv: the unit increments are reweighted site by site.
+    g = m_forward(y, theta)
+    dy, dg = unit_increment_field(y), unit_increment_field(g)
+    assert_rel_close(dg.values, sitewise(dy.values, dy.window, theta, -1), 1e-12)
+    back = m_inverse_truncated(g, theta, TruncationPolicy(depth=0),
+                               out_window=Window((-2, -1), (2, 3)))
+    db = unit_increment_field(back)
+    dg_sub = dg.values[1:, 1:]
+    assert_rel_close(db.values, sitewise(dg_sub, db.window, theta, +1), 1e-12)
+
+
+def test_nearly_commuting_tuple_matches_oracle_or_raises(rng):
+    # Commuting within 1e-10 does not guarantee one shared basis: the
+    # transforms must either agree with per-site exponentials to 1e-10 or
+    # refuse.  Both outcomes occur across these angles.
+    x = random_field(rng, Window((-20, -20), (20, 20)), 2)
+    outcomes = set()
+    for angle in (1e-15, 1e-13, 1e-12, 1e-10):
+        c, s = math.cos(angle), math.sin(angle)
+        r = np.array([[c, -s], [s, c]])
+        m = (r * [1.5, 0.7]) @ r.T
+        theta = ThetaTuple([np.diag([1.0, 2.0]), (m + m.T) / 2.0])
+        assert theta.commuting and 0.0 < theta.commutation_defect <= 1e-10
+        try:
+            y = lamperti(x, theta)
+        except CommutationError as exc:
+            assert "joint eigenbasis" in str(exc)
+            outcomes.add("raised")
+            continue
+        assert_rel_close(y.values, sitewise(x.values, x.window, theta, +1), 1e-10)
+        outcomes.add("matched")
+    assert outcomes == {"matched", "raised"}
+
+
+@pytest.mark.parametrize("window", [Window((0,), (25,)), Window((-10, 0), (5, 20))])
+def test_overflow_guard_boundary(window):
+    # The guard refuses exactly when sum_j max(|lo_j|, |hi_j|) * max|W_j|
+    # exceeds log(finfo.max); just below it every weight is finite.
+    log_max = math.log(np.finfo(float).max)
+    edge = log_max / sum(max(abs(l), abs(h)) for l, h in zip(window.lo, window.hi))
+    x = FieldWindow(window, np.ones(window.shape + (1,)))
+    below = ThetaTuple([np.array([[edge * (1 - 1e-12)]])] * window.N)
+    y = lamperti(x, below)
+    assert np.all(np.isfinite(y.values))
+    if window.N == 1:
+        assert y.values.max() > 0.999 * np.finfo(float).max
+    above = ThetaTuple([np.array([[edge * (1 + 1e-12)]])] * window.N)
+    for op in (lamperti, lambda f, th: lamperti_inv(
+            FieldWindow(f.window, f.values, "exponential"), th)):
+        with pytest.raises(NumericRangeError, match="overflow"):
+            op(x, above)
+
+
+def test_transforms_form_no_sitewise_exponentials(rng, monkeypatch):
+    theta = random_commuting_theta(rng, 2, 2)
+
+    def refuse(self, t):
+        raise AssertionError("per-site matrix exponential")
+
+    monkeypatch.setattr(ThetaTuple, "exp", refuse)
+    g = random_field(rng, Window((-4, -4), (2, 2)), 2)
+    x = lamperti_inv(m_inverse_truncated(g, theta, TruncationPolicy(depth=1)), theta)
+    m_forward(lamperti(x, theta), theta)
+
+
+def test_lamperti_inv_batch_matches_single_calls(rng):
+    theta = random_commuting_theta(rng, 2, 3)
+    w = Window((-2, 0), (1, 2))
+    ys = [random_field(rng, w, 3, clock="exponential").with_meta({"replication": r})
+          for r in range(4)]
+    for y, b in zip(ys, lamperti_inv_batch(ys, theta, "t.json")):
+        one = lamperti_inv(y, theta, "t.json")
+        assert b.values.tobytes() == one.values.tobytes()
+        assert b.meta == one.meta and b.clock == "integer"
+    other = random_field(rng, Window((0, 0), (1, 1)), 3, clock="exponential")
+    with pytest.raises(WindowError, match="one window"):
+        lamperti_inv_batch([ys[0], other], theta)
