@@ -32,10 +32,10 @@ SYMMETRY_RTOL = 1e-12
 COMMUTATION_RTOL = 1e-10
 # Largest off-diagonal part E_j of Q^T Theta_j Q (Frobenius norm, relative
 # to the largest |eigenvalue| of Theta_j) that the joint eigenbasis may
-# leave.  Dropping E_j moves e^{t*Theta} by at most sum_j |t_j| ||E_j||
-# relative to its norm, and the transforms' overflow guard keeps
-# sum_j |t_j| max|W_j| below log(finfo.max) ~ 709.8, so the error stays
-# under 7.1e-11.  Eigenvalues closer than this (same scale) form a cluster.
+# leave.  Dropping E_j moves e^{t*Theta} by about sum_j |t_j| ||E_j||
+# relative to its norm, under 1e-10 while sum_j |t_j| max|W_j| (the size of
+# the exponents) stays below 1000.  Eigenvalues closer than this (same
+# scale) form a cluster.
 EIGENBASIS_RTOL = 1e-13
 
 
@@ -111,20 +111,27 @@ def commutation_defect(mats: Sequence[np.ndarray]) -> float:
 
 
 def joint_eigenbasis(mats: Sequence[np.ndarray]) -> tuple:
-    """Shared eigenbasis ``(Q, W, defect)`` of symmetric matrices.
+    """Shared eigenbasis ``(Q, W, defect)`` of nonzero symmetric matrices.
 
-    Successive refinement: ``eigh`` of the first matrix, then ``eigh`` of
-    each later matrix restricted to every cluster of equal eigenvalues
-    found so far, so that a degenerate sum such as
-    ``diag(1, 2) + diag(2, 1)`` cannot pick a wrong basis.  ``W[j]`` is the
-    diagonal of ``Q^T mats[j] Q`` and ``defect`` the largest relative
-    Frobenius norm of its off-diagonal part; it is at rounding level for a
-    commuting tuple and large for a non-commuting one.
+    Starts from ``eigh`` of the fixed combination
+    ``C = sum_j pi^-j mats[j] / ||mats[j]||``.  Two joint eigenvalues that
+    differ in some matrix differ in C by about as much relative to its
+    norm, so each eigenvector comes out accurate to rounding relative to
+    the gaps that matter, however close the eigenvalues of any single
+    matrix are; and no rational relation holds between powers of 1/pi, so
+    a degenerate sum such as ``diag(1, 2) + diag(2, 1)`` does not tie in
+    C.  Each matrix is then diagonalized on every cluster of equal
+    eigenvalues left (successive refinement), which splits the ties C
+    cannot see.  ``W[j]`` is the diagonal of ``Q^T mats[j] Q`` and
+    ``defect`` the largest relative Frobenius norm of its off-diagonal
+    part; it is at rounding level for a commuting tuple and large for a
+    non-commuting one.
     """
     n = mats[0].shape[0]
+    mix = sum(np.pi ** -j * m / np.linalg.norm(m) for j, m in enumerate(mats))
     q = np.eye(n)
     clusters = [np.arange(n)]
-    for m in mats:
+    for m in [mix, *mats]:
         parts = [(idx, *np.linalg.eigh(q[:, idx].T @ m @ q[:, idx])) for idx in clusters]
         tol = EIGENBASIS_RTOL * max(float(np.max(np.abs(w))) for _, w, _ in parts)
         clusters = []

@@ -14,6 +14,7 @@ the tag only matters for interpretation and for the transforms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,7 +279,8 @@ def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldW
     raises WindowError.
     """
     nn = window.N
-    sites, rows, lines = [], [], []
+    vals = np.zeros(window.shape + (n,))
+    seen = np.zeros(window.shape, dtype=bool)
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         expected = [f"t_{j + 1}" for j in range(nn)] + [f"x_{k + 1}" for k in range(n)]
@@ -294,43 +296,26 @@ def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldW
             if len(cells) != nn + n:
                 raise DimensionMismatchError(f"bad CSV line {lineno}: {line!r}")
             try:
-                sites.append([int(c) for c in cells[:nn]])
-                rows.append([float(c) for c in cells[nn:]])
+                t = tuple(int(c) for c in cells[:nn])
+                row = [float(c) for c in cells[nn:]]
             except ValueError:
                 raise DimensionMismatchError(
                     f"CSV line {lineno} has a non-integer site or non-numeric "
                     f"value: {line!r}"
                 ) from None
-            lines.append(lineno)
-    offset = np.array(sites, dtype=np.int64).reshape(-1, nn) - window.lo
-    outside = np.any((offset < 0) | (offset >= window.shape), axis=1)
-    if outside.any():
-        window.index(sites[int(np.argmax(outside))])  # raises WindowError
-    flat = np.ravel_multi_index(offset.T, window.shape)
-    # A stable sort keeps each repeated site's rows in file order.
-    order = np.argsort(flat, kind="stable")
-    repeats = np.flatnonzero(np.diff(flat[order]) == 0)
-    if repeats.size:
-        k = repeats[np.argmin(order[repeats + 1])]
-        later, first = order[k + 1], order[k]
-        raise DimensionMismatchError(
-            f"CSV line {lines[later]} repeats site {tuple(sites[later])} of "
-            f"line {lines[first]}"
-        )
-    if flat.size < window.volume:
-        raise WindowError(
-            f"CSV is missing {window.volume - flat.size} of {window.volume} window sites"
-        )
-    parsed = np.array(rows, dtype=float).reshape(-1, n)
-    bad = ~np.isfinite(parsed).all(axis=1)
-    if bad.any():
-        raise DimensionMismatchError(
-            f"CSV holds non-finite values at {int(bad.sum())} sites, first on "
-            f"line {lines[int(np.argmax(bad))]}"
-        )
-    vals = np.empty((window.volume, n))
-    vals[flat] = parsed
-    return FieldWindow(window, vals.reshape(window.shape + (n,)), clock)
+            if not all(math.isfinite(v) for v in row):
+                raise DimensionMismatchError(
+                    f"CSV line {lineno} has a non-finite value: {line!r}"
+                )
+            idx = window.index(t)
+            if seen[idx]:
+                raise DimensionMismatchError(f"CSV line {lineno} repeats site {t}")
+            vals[idx] = row
+            seen[idx] = True
+    if not seen.all():
+        missing = int(seen.size - seen.sum())
+        raise WindowError(f"CSV is missing {missing} of {seen.size} window sites")
+    return FieldWindow(window, vals, clock)
 
 
 def save_field(x: FieldWindow, csv_path) -> None:

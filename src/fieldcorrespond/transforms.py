@@ -16,12 +16,13 @@ Four maps, all pure functions of (field, theta):
 
 All four maps require a commuting tuple and go through its joint
 eigenbasis Theta_j = Q diag(W_j) Q^T: the values are rotated once
-(v @ Q), multiplied by the outer product over axes of the 1-D weights
-exp(sign * t_j * W_j), accumulated where the map sums, and rotated back
-(@ Q^T).  No per-site matrix exponential is formed.  Overflow is decided
-before any weight is computed: a window is refused when
-sum_j max(|lo_j|, |hi_j|) * max|W_j| exceeds log(finfo.max), which keeps
-every weight and every partial product of weights finite and non-zero.
+(v @ Q), multiplied at every site t by the weights
+exp(sum_j sign * t_j * W_j), accumulated where the map sums, and rotated
+back (@ Q^T).  The exponent field is built by broadcasting the per-axis
+spectra and exponentiated once per call, shared by every field of a
+batch; no per-site matrix exponential is formed.  A window on which
+some weight overflows is refused with NumericRangeError before any value
+is rotated; weights that underflow to 0 are harmless.
 
 Each transform returns the largest output window computable from the
 input data; nothing is ever zero-extended implicitly.
@@ -47,9 +48,6 @@ from .fields import FieldWindow, Window, unit_increment_field
 # Version tag of the transform arithmetic, recorded in run outputs: the
 # bytes of transformed fields change with it.
 TRANSFORMS_VERSION = "eigenbasis-v1"
-# Largest exponent whose exp() is finite in double precision.
-LOG_MAX = math.log(np.finfo(float).max)
-
 # Depth above which the derived truncation is almost certainly a sign of a
 # near-singular tuple (tiny smallest eigenvalue).
 DEPTH_WARN_LIMIT = 10_000
@@ -146,30 +144,29 @@ def _rotate(v: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _weighted(v: np.ndarray, theta: ThetaTuple, window: Window, sign: int,
               what: str) -> tuple:
-    """Eigenbasis coordinates ``v @ Q`` times exp(sign * t_j * W_j) on every axis j.
+    """Eigenbasis coordinates ``v @ Q`` times exp(sign * t * W) at every site t.
 
     ``v`` has shape (..., *window.shape, n); returns the weighted
-    coordinates and Q.  Overflow is decided from the window corners before
-    any weight is computed.
+    coordinates and Q.  The exponent field sum_j sign * t_j * W_j is built
+    by broadcasting and exponentiated once for all leading entries of
+    ``v``; a weight that overflows raises NumericRangeError, one that
+    underflows to 0 is kept.
     """
     q, w = theta.eigenbasis(what)
-    reach = sum(
-        max(abs(l), abs(h)) * float(np.max(np.abs(wj)))
-        for l, h, wj in zip(window.lo, window.hi, w)
-    )
-    if reach > LOG_MAX:
-        raise NumericRangeError(
-            f"{what}: matrix exponentials overflow on window {window} "
-            f"(exponent bound {reach:.6g} exceeds {LOG_MAX:.6g}); "
-            f"shrink the window or the tuple's eigenvalues"
-        )
-    z = _rotate(v, q)
+    expo = 0.0
     for j, (l, h) in enumerate(zip(window.lo, window.hi)):
         shape = [1] * window.N + [theta.n]
         shape[j] = h - l + 1
         t = np.arange(l, h + 1, dtype=float)
-        z *= np.exp(sign * t[:, np.newaxis] * w[j]).reshape(shape)
-    return z, q
+        expo = expo + (sign * t[:, np.newaxis] * w[j]).reshape(shape)
+    with np.errstate(over="ignore"):
+        weights = np.exp(expo)
+    if not np.all(np.isfinite(weights)):
+        raise NumericRangeError(
+            f"{what}: matrix exponentials overflow on window {window}; "
+            f"shrink the window or the tuple's eigenvalues"
+        )
+    return _rotate(v, q) * weights, q
 
 
 def _check_pair(x: FieldWindow, theta: ThetaTuple, clock: str, what: str) -> None:

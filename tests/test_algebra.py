@@ -11,19 +11,18 @@ import scipy.linalg
 
 from fieldcorrespond import (
     COMMUTATION_RTOL,
-    EIGENBASIS_RTOL,
     CommutationError,
     DimensionMismatchError,
     ThetaTuple,
     check_commuting,
     commutation_defect,
-    joint_eigenbasis,
     mat_exp_sym,
     min_eigenvalue,
     spectral_norm,
     star_apply,
     star_index,
 )
+from fieldcorrespond.algebra import EIGENBASIS_RTOL, joint_eigenbasis
 
 from conftest import random_commuting_theta, random_spd
 

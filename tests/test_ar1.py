@@ -127,6 +127,29 @@ def test_scalar_moving_average_oracle(rng):
         assert x.at((t,))[0] == pytest.approx(ref, abs=1e-12)
 
 
+def test_stationary_solution_wide_spectrum(rng):
+    # Eigenvalues {0.05, 2.0} at the default eps give depth 383: the far
+    # weights e^{-383 * 2.0} underflow to 0, which is harmless because those
+    # terms lie below the tail bound anyway.
+    c, s = math.cos(0.6), math.sin(0.6)
+    r = np.array([[c, -s], [s, c]])
+    m = (r * [0.05, 2.0]) @ r.T
+    theta = ThetaTuple([(m + m.T) / 2.0])
+    (depth,) = TruncationPolicy().resolve(theta)
+    assert depth * 2.0 > math.log(np.finfo(float).max)
+    out = Window((0,), (4,))
+    g = random_field(rng, Window((-depth - 1,), (4,)), 2)
+    x = stationary_solution(Ar1System(theta, g, TruncationPolicy()), out)
+    assert np.all(np.isfinite(x.values))
+    for t in range(5):
+        ref = sum(
+            scipy.linalg.expm((j - t) * theta.mats[0]) @ (g.at((j,)) - g.at((j - 1,)))
+            for j in range(-depth, t + 1)
+        )
+        np.testing.assert_allclose(x.at((t,)), ref, rtol=1e-12, atol=1e-12)
+    assert verify_ar1(x, g, theta)["pass"]
+
+
 def test_ar1_identity_formula(rng):
     # X_t = drift + unit increment of G, directly from the definitions.
     theta = random_commuting_theta(rng, 2, 2, lo=0.7, hi=1.2)

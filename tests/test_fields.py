@@ -289,10 +289,10 @@ def csv_with_row(tmp_path, rng, row_index, new_row):
 @pytest.mark.parametrize(
     "new_row,match",
     [
-        ("0,0,0.5,0.25", "line 5 repeats site \\(0, 0\\) of line 2"),
-        ("1,1,nan,0.25", "non-finite values at 1 sites, first on line 5"),
-        ("1,1,0.5,-inf", "non-finite values at 1 sites, first on line 5"),
-        ("1,1,0.5,1e999", "non-finite values"),
+        ("0,0,0.5,0.25", "line 5 repeats site \\(0, 0\\)"),
+        ("1,1,nan,0.25", "line 5 has a non-finite value"),
+        ("1,1,0.5,-inf", "line 5 has a non-finite value"),
+        ("1,1,0.5,1e999", "line 5 has a non-finite value"),
         ("1.0,1,0.5,0.25", "line 5 has a non-integer site"),
         ("a,1,0.5,0.25", "line 5 has a non-integer site"),
         ("1,1,0.5,abc", "line 5 has a non-integer site or non-numeric value"),

@@ -125,6 +125,20 @@ def test_first_kind_satisfies_ar1(rng):
         assert np.max(np.abs(res.values)) <= 1e-12
 
 
+def test_first_kind_wide_spectrum():
+    # The derived depth (383 at eps=1e-8) times the largest eigenvalue (2.0)
+    # exceeds log(finfo.max); only weights that underflow reach that far.
+    h = HurstSpec([[0.3], [0.6]])
+    theta = ThetaTuple([np.diag([0.05, 2.0])])
+    cfg = FouConfig(kind="first", hurst=h, mixing=np.eye(2),
+                    window=Window((0,), (5,)), theta=theta, seed=4)
+    assert cfg.policy.resolve(theta)[0] * 2.0 > math.log(np.finfo(float).max)
+    x = fou_field(cfg, 0)
+    assert np.all(np.isfinite(x.values))
+    res = ar1_residual(x, fou_noise(cfg, 0), theta)
+    assert np.max(np.abs(res.values)) <= 1e-12
+
+
 def test_fou_noise_only_first_kind():
     cfg = FouConfig(kind="second", hurst=HurstSpec([[0.5]]), mixing=np.eye(1),
                     window=Window((0,), (2,)))

@@ -26,7 +26,6 @@ from fieldcorrespond import (
     derive_theta,
     lamperti,
     lamperti_inv,
-    lamperti_inv_batch,
     m_forward,
     m_inverse_truncated,
     mat_exp_sym,
@@ -37,6 +36,7 @@ from fieldcorrespond import (
     unit_increment,
     unit_increment_field,
 )
+from fieldcorrespond.transforms import lamperti_inv_batch
 
 from conftest import (
     anchored_field,
@@ -528,23 +528,43 @@ def test_nearly_commuting_tuple_matches_oracle_or_raises(rng):
     assert outcomes == {"matched", "raised"}
 
 
-@pytest.mark.parametrize("window", [Window((0,), (25,)), Window((-10, 0), (5, 20))])
-def test_overflow_guard_boundary(window):
-    # The guard refuses exactly when sum_j max(|lo_j|, |hi_j|) * max|W_j|
-    # exceeds log(finfo.max); just below it every weight is finite.
+def as_exponential(x):
+    return FieldWindow(x.window, x.values, "exponential")
+
+
+@pytest.mark.parametrize("window", [Window((-7,), (25,)), Window((-10, 0), (5, 20))])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_overflow_guard_boundary(window, sign):
+    # A scalar tuple w puts the largest weight at exp(w * reach); the guard
+    # refuses exactly when that exponent passes log(finfo.max).
     log_max = math.log(np.finfo(float).max)
-    edge = log_max / sum(max(abs(l), abs(h)) for l, h in zip(window.lo, window.hi))
+    reach = max(sign * sum(t) for t in window.sites())
+    op = lamperti if sign > 0 else (lambda f, th: lamperti_inv(as_exponential(f), th))
     x = FieldWindow(window, np.ones(window.shape + (1,)))
-    below = ThetaTuple([np.array([[edge * (1 - 1e-12)]])] * window.N)
-    y = lamperti(x, below)
+    below = ThetaTuple([np.array([[log_max / reach * (1 - 1e-12)]])] * window.N)
+    y = op(x, below)
     assert np.all(np.isfinite(y.values))
-    if window.N == 1:
-        assert y.values.max() > 0.999 * np.finfo(float).max
-    above = ThetaTuple([np.array([[edge * (1 + 1e-12)]])] * window.N)
-    for op in (lamperti, lambda f, th: lamperti_inv(
-            FieldWindow(f.window, f.values, "exponential"), th)):
-        with pytest.raises(NumericRangeError, match="overflow"):
-            op(x, above)
+    assert y.values.max() > 0.999 * np.finfo(float).max
+    above = ThetaTuple([np.array([[log_max / reach * (1 + 1e-12)]])] * window.N)
+    with pytest.raises(NumericRangeError, match="overflow"):
+        op(x, above)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_close_eigenvalues_match_sitewise_oracle(rng, swap):
+    # Theta_1 has eigenvalues 1e-6 apart; its eigenvectors alone are fixed
+    # only to ~1e-10, which must not leak into the basis, in either order.
+    c, s = math.cos(0.4), math.sin(0.4)
+    r = np.array([[c, -s], [s, c]])
+    mats = [(r * lam) @ r.T for lam in ([0.7, 0.700001], [1.0, 2.0])]
+    mats = [(m + m.T) / 2.0 for m in mats]
+    theta = ThetaTuple(mats[::-1] if swap else mats)
+    w = Window((-6, -5), (5, 6))
+    x = random_field(rng, w, 2)
+    y = lamperti(x, theta)
+    assert_rel_close(y.values, sitewise(x.values, w, theta, +1), 1e-12)
+    assert_rel_close(lamperti_inv(as_exponential(x), theta).values,
+                     sitewise(x.values, w, theta, -1), 1e-12)
 
 
 def test_transforms_form_no_sitewise_exponentials(rng, monkeypatch):
