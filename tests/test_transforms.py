@@ -478,7 +478,20 @@ def degenerate_sum_theta(rng):
     return ThetaTuple([(m + m.T) / 2.0 for m in mats])
 
 
+def close_eigenvalues_theta(swap):
+    # Theta_1 has eigenvalues 1e-6 apart, so its eigenvectors alone are
+    # fixed only to ~1e-10; that must not leak into the basis, in either
+    # order of the tuple.
+    c, s = math.cos(0.4), math.sin(0.4)
+    r = np.array([[c, -s], [s, c]])
+    mats = [(r * lam) @ r.T for lam in ([0.7, 0.700001], [1.0, 2.0])]
+    mats = [(m + m.T) / 2.0 for m in mats]
+    return ThetaTuple(mats[::-1] if swap else mats)
+
+
 EIGEN_CASES = {
+    "close-eigenvalues": lambda rng: close_eigenvalues_theta(False),
+    "close-eigenvalues-swapped": lambda rng: close_eigenvalues_theta(True),
     "degenerate-sum": degenerate_sum_theta,
     "clustered": clustered_theta,
     "scalar": lambda rng: derive_theta(HurstSpec([[0.3, 0.7], [0.3, 0.7]])),
@@ -548,23 +561,6 @@ def test_overflow_guard_boundary(window, sign):
     above = ThetaTuple([np.array([[log_max / reach * (1 + 1e-12)]])] * window.N)
     with pytest.raises(NumericRangeError, match="overflow"):
         op(x, above)
-
-
-@pytest.mark.parametrize("swap", [False, True])
-def test_close_eigenvalues_match_sitewise_oracle(rng, swap):
-    # Theta_1 has eigenvalues 1e-6 apart; its eigenvectors alone are fixed
-    # only to ~1e-10, which must not leak into the basis, in either order.
-    c, s = math.cos(0.4), math.sin(0.4)
-    r = np.array([[c, -s], [s, c]])
-    mats = [(r * lam) @ r.T for lam in ([0.7, 0.700001], [1.0, 2.0])]
-    mats = [(m + m.T) / 2.0 for m in mats]
-    theta = ThetaTuple(mats[::-1] if swap else mats)
-    w = Window((-6, -5), (5, 6))
-    x = random_field(rng, w, 2)
-    y = lamperti(x, theta)
-    assert_rel_close(y.values, sitewise(x.values, w, theta, +1), 1e-12)
-    assert_rel_close(lamperti_inv(as_exponential(x), theta).values,
-                     sitewise(x.values, w, theta, -1), 1e-12)
 
 
 def test_transforms_form_no_sitewise_exponentials(rng, monkeypatch):
