@@ -9,8 +9,10 @@ resolved-config snapshot into --out, and use exit codes
     3  numeric or window error
     4  verification failure
 
-Thread count comes from --threads or the FIELD_CORRESPOND_THREADS
-environment variable and never changes any output bytes.
+A thread count from --threads or the FIELD_CORRESPOND_THREADS environment
+variable is still accepted, validated and recorded in resolved_config.json
+so that existing scripts keep working, but it has no effect: every command
+runs on one thread.
 """
 
 from __future__ import annotations
@@ -215,9 +217,7 @@ def cmd_simulate(args) -> int:
     if seed is None or reps is None:
         raise ConfigError("simulate needs 'seed' and 'replications' (config or flags)")
     mixing = _parse_mixing(cfg.get("A"), hurst.n)
-    batch = sample_sheet_batch(
-        mixing, hurst, window, clock, int(seed), int(reps), threads
-    )
+    batch = sample_sheet_batch(mixing, hurst, window, clock, int(seed), int(reps))
     out = _outdir(args)
     batch.save(out)
     _write_resolved(
@@ -252,14 +252,19 @@ def cmd_transform(args) -> int:
             depth = depth[0]
     policy = TruncationPolicy(eps=args.eps, depth=depth)
     for step in steps:
-        if step == "L":
-            x = lamperti(x, theta, theta_ref)
-        elif step == "Linv":
-            x = lamperti_inv(x, theta, theta_ref)
-        elif step == "M":
-            x = m_forward(x, theta, theta_ref)
-        else:
-            x = m_inverse_truncated(x, theta, policy, theta_ref=theta_ref)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if step == "L":
+                x = lamperti(x, theta, theta_ref)
+            elif step == "Linv":
+                x = lamperti_inv(x, theta, theta_ref)
+            elif step == "M":
+                x = m_forward(x, theta, theta_ref)
+            else:
+                x = m_inverse_truncated(x, theta, policy, theta_ref=theta_ref)
+        if not np.all(np.isfinite(x.values)):
+            raise NumericRangeError(
+                f"transform step {step} leaves the double range on window {x.window}"
+            )
     out = _outdir(args)
     save_field(x, out / "transformed.csv")
     _write_resolved(
@@ -287,15 +292,16 @@ def cmd_ar1_verify(args) -> int:
     threads = _threads(args)
     x = _load_field_arg(args.x)
     theta, theta_ref = _parse_theta(args.theta)
-    out = _outdir(args)
     if args.extract_noise:
         g = noise_from_stationary(x, theta)
-        save_field(g, out / "noise.csv")
     elif args.g:
         g = _load_field_arg(args.g)
     else:
         raise ConfigError("ar1-verify needs --g FIELD or --extract-noise")
     report = verify_ar1(x, g, theta, args.tolerance)
+    out = _outdir(args)
+    if args.extract_noise:
+        save_field(g, out / "noise.csv")
     dump_json(report, out / "ar1_report.json")
     _write_resolved(
         out,
@@ -362,7 +368,7 @@ def _build_fou_config(args) -> FouConfig:
 def cmd_fou(args) -> int:
     threads = _threads(args)
     cfg = _build_fou_config(args)
-    batch = fou_batch(cfg, threads)
+    batch = fou_batch(cfg)
     out = _outdir(args)
     batch.save(out)
     _write_resolved(
@@ -440,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--threads", default=None,
-                        help=f"worker threads (default ${ENV_THREADS} or 1)")
+                        help=f"thread count, recorded but without effect "
+                             f"(default ${ENV_THREADS} or 1)")
 
     sp = sub.add_parser("simulate", help="sample a fractional sheet batch")
     sp.add_argument("--config", required=True)

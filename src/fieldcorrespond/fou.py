@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import map_indexed
 from .algebra import ThetaTuple, spectral_norm
 from .ar1 import Ar1System, stationary_solution
 from .errors import CommutationError, ConfigError
 from .fields import FieldWindow, Window
-from .gaussian import HurstSpec, SampleBatch, SheetSampler, as_mixing
+from .gaussian import SAMPLER_VERSION, HurstSpec, SampleBatch, SheetSampler, as_mixing
 from .transforms import (
     TRANSFORMS_VERSION,
     TruncationPolicy,
@@ -109,19 +108,14 @@ class FouConfig:
                 )
             object.__setattr__(self, "theta", derived)
 
-    @property
-    def effective_theta(self) -> ThetaTuple:
-        return self.theta
 
-
-def _first_kind_parts(cfg: FouConfig):
+def _first_kind_sampler(cfg: FouConfig) -> SheetSampler:
     depth = cfg.policy.resolve(cfg.theta)
     ext = Window(
         tuple(l - d - 1 for l, d in zip(cfg.window.lo, depth)),
         cfg.window.hi,
     )
-    sampler = SheetSampler(cfg.mixing, cfg.hurst, ext, "integer")
-    return depth, sampler
+    return SheetSampler(cfg.mixing, cfg.hurst, ext, "integer")
 
 
 def fou_noise(cfg: FouConfig, replication: int = 0) -> FieldWindow:
@@ -132,16 +126,14 @@ def fou_noise(cfg: FouConfig, replication: int = 0) -> FieldWindow:
     """
     if cfg.kind != "first":
         raise ConfigError("fou_noise is defined for first-kind configurations")
-    _, sampler = _first_kind_parts(cfg)
-    return sampler.sample(cfg.seed, replication)
+    return _first_kind_sampler(cfg).sample(cfg.seed, replication)
 
 
 def fou_first_kind(cfg: FouConfig, replication: int = 0) -> FieldWindow:
     """One first-kind replication on cfg.window (integer clock)."""
     if cfg.kind != "first":
         raise ConfigError(f"configuration has kind={cfg.kind!r}, expected 'first'")
-    _, sampler = _first_kind_parts(cfg)
-    g = sampler.sample(cfg.seed, replication)
+    g = _first_kind_sampler(cfg).sample(cfg.seed, replication)
     system = Ar1System(cfg.theta, g, cfg.policy)
     return stationary_solution(system, cfg.window)
 
@@ -161,32 +153,30 @@ def fou_field(cfg: FouConfig, replication: int = 0) -> FieldWindow:
     return fou_second_kind(cfg, replication)
 
 
-def fou_batch(cfg: FouConfig, threads: int = 1) -> SampleBatch:
+def fou_batch(cfg: FouConfig) -> SampleBatch:
     """R replications of the configured construction.
 
-    The per-configuration Gram factorization is computed once and shared
-    read-only across replications; each replication keeps its own
-    (seed, replication, component) streams, so the thread count cannot
-    change the output.  The second kind pulls replications back in blocks
+    The per-axis Gram factors are computed once and shared across
+    replications; each replication keeps its own (seed, replication,
+    component) streams.  The second kind pulls replications back in blocks
     of ``PULLBACK_BLOCK``; replication r equals ``fou_second_kind(cfg, r)``
     byte for byte.
     """
     if cfg.kind == "first":
-        depth, sampler = _first_kind_parts(cfg)
-
-        def one(r: int) -> FieldWindow:
-            g = sampler.sample(cfg.seed, r)
-            return stationary_solution(Ar1System(cfg.theta, g, cfg.policy), cfg.window)
-
-        fields = map_indexed(one, cfg.replications, threads)
+        sampler = _first_kind_sampler(cfg)
+        fields = [
+            stationary_solution(
+                Ar1System(cfg.theta, sampler.sample(cfg.seed, r), cfg.policy),
+                cfg.window,
+            )
+            for r in range(cfg.replications)
+        ]
     else:
         sampler = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential")
         fields = []
         for start in range(0, cfg.replications, PULLBACK_BLOCK):
-            draws = map_indexed(
-                lambda r: sampler.sample(cfg.seed, start + r),
-                min(PULLBACK_BLOCK, cfg.replications - start), threads,
-            )
+            stop = min(start + PULLBACK_BLOCK, cfg.replications)
+            draws = [sampler.sample(cfg.seed, r) for r in range(start, stop)]
             fields += lamperti_inv_batch(draws, cfg.theta)
     config = {
         "H": cfg.hurst.H.tolist(),
@@ -200,5 +190,6 @@ def fou_batch(cfg: FouConfig, threads: int = 1) -> SampleBatch:
         "policy": {"eps": cfg.policy.eps,
                    "depth": list(cfg.policy.resolve(cfg.theta))},
         "transforms": TRANSFORMS_VERSION,
+        "sampler": SAMPLER_VERSION,
     }
     return SampleBatch(seed=int(cfg.seed), fields=fields, config=config)

@@ -9,15 +9,17 @@ which reduces to min(t, s) for N = 1, H = 1/2 and vanishes whenever some
 t_j = 0.  A multivariate sheet stacks n independent scalar sheets
 component-wise and mixes them with a constant matrix A.
 
-Sampling factorizes the Gram matrix of the requested sites through the
-symmetric eigendecomposition, clipping small negative eigenvalues (exact
-rank deficiency occurs at H_j = 1).  Zero-variance sites produce exact
-zeros, never jitter.
+On a rectangular window the Gram matrix of a scalar sheet is the
+Kronecker product of its 1-D Gram matrices, one per axis.  Sampling
+factors each 1-D Gram through the symmetric eigendecomposition, clipping
+small negative eigenvalues (exact rank deficiency occurs at H_j = 1), and
+applies the factors to a standard normal array by mode products, so no
+matrix over the whole window is ever formed.  Zero-variance sites produce
+exact zeros, never jitter.
 
 Randomness contract: every draw is keyed by (seed, replication index,
 component index) through ``numpy.random.SeedSequence`` spawn keys, so any
-subset of replications can be reproduced byte-identically and thread
-scheduling can never reorder streams.
+subset of replications can be reproduced byte-identically.
 """
 
 from __future__ import annotations
@@ -28,12 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonio import dump_json, load_json
-from ._parallel import map_indexed
 from .errors import ConfigError, DimensionMismatchError, NumericRangeError
 from .fields import FieldWindow, Window, read_csv, write_csv
 
-# Largest site count for one Gram-matrix factorization.
+# Largest site count for one Gram-matrix factorization (one window axis
+# when sampling).
 GRID_CAP = 4096
+# Tag of the sampling algorithm, recorded in batch manifests: a change
+# that alters the draws for a given seed gets a new tag.
+SAMPLER_VERSION = "kron-v1"
 # Exponential-clock sites e^{t_j} overflow the usable double range well
 # before |t_j| reaches 300; the model keeps a conservative margin.
 EXP_CLOCK_LIMIT = 30
@@ -150,12 +155,6 @@ def substream(seed: int, replication: int, component: int) -> np.random.Generato
     return np.random.default_rng(ss)
 
 
-def sample_gaussian_field(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One centered Gaussian vector with the given covariance."""
-    l = factor_covariance(cov)
-    return l @ rng.standard_normal(l.shape[0])
-
-
 def sheet_points(window: Window, clock: str) -> np.ndarray:
     """Window sites as real sampling points, (volume, N), lexicographic."""
     pts = np.array(list(window.sites()), dtype=float)
@@ -182,7 +181,11 @@ def as_mixing(a, n: int) -> np.ndarray:
 
 
 class SheetSampler:
-    """Reusable sampler: factors each component's Gram matrix once."""
+    """Reusable sampler: factors each component's per-axis Gram matrices once.
+
+    ``_factors[j][k]`` is the factor of the 1-D Gram of component k along
+    axis j; the Kronecker product over j factors the Gram of the window.
+    """
 
     def __init__(self, mixing, hurst: HurstSpec, window: Window, clock: str):
         if window.N != hurst.N:
@@ -193,29 +196,28 @@ class SheetSampler:
         self.hurst = hurst
         self.window = window
         self.clock = clock
-        pts = sheet_points(window, clock)
-        self._factors = [
-            factor_covariance(build_cov_matrix(pts, hurst.row(k)))
-            for k in range(hurst.n)
-        ]
+        self._factors = []
+        for j, (lo, hi) in enumerate(zip(window.lo, window.hi)):
+            pts = sheet_points(Window((lo,), (hi,)), clock)
+            self._factors.append(np.stack([
+                factor_covariance(build_cov_matrix(pts, hurst.H[k, j:j + 1]))
+                for k in range(hurst.n)
+            ]))
 
     def sample(self, seed: int, replication: int = 0) -> FieldWindow:
-        m = self.window.volume
-        b = np.empty((m, self.hurst.n))
-        for k, l in enumerate(self._factors):
-            z = substream(seed, replication, k).standard_normal(m)
-            b[:, k] = l @ z
-        vals = (b @ self.mixing.T).reshape(self.window.shape + (self.hurst.n,))
+        n, volume = self.hurst.n, self.window.volume
+        x = np.empty((n, volume))
+        for k in range(n):
+            x[k] = substream(seed, replication, k).standard_normal(volume)
+        # Mode product along the leading window axis of every component,
+        # then rotate that axis to the back; after N steps the axes are in
+        # order again.
+        for m, f in zip(self.window.shape, self._factors):
+            x = np.matmul(f, x.reshape(n, m, -1)).transpose(0, 2, 1)
+        vals = x.reshape(n, volume).T @ self.mixing.T
         meta = {"seed": int(seed), "replication": int(replication)}
-        return FieldWindow(self.window, vals, self.clock, meta)
-
-
-def sample_multivariate_sheet(
-    mixing, hurst: HurstSpec, window: Window, clock: str, seed: int,
-    replication: int = 0,
-) -> FieldWindow:
-    """One mixed sheet draw G = A B on the window (see module docstring)."""
-    return SheetSampler(mixing, hurst, window, clock).sample(seed, replication)
+        return FieldWindow(self.window, vals.reshape(self.window.shape + (n,)),
+                           self.clock, meta)
 
 
 @dataclass(frozen=True)
@@ -245,13 +247,13 @@ class SampleBatch:
 
 def sample_sheet_batch(
     mixing, hurst: HurstSpec, window: Window, clock: str, seed: int,
-    replications: int, threads: int = 1,
+    replications: int,
 ) -> SampleBatch:
     """Batch of independent sheet draws; deterministic in (seed, config)."""
     if replications < 1:
         raise ConfigError(f"replications must be >= 1, got {replications}")
     sampler = SheetSampler(mixing, hurst, window, clock)
-    fields = map_indexed(lambda r: sampler.sample(seed, r), replications, threads)
+    fields = [sampler.sample(seed, r) for r in range(replications)]
     config = {
         "H": hurst.H.tolist(),
         "A": sampler.mixing.tolist(),
@@ -259,6 +261,7 @@ def sample_sheet_batch(
         "clock": clock,
         "n": hurst.n,
         "N": hurst.N,
+        "sampler": SAMPLER_VERSION,
     }
     return SampleBatch(seed=int(seed), fields=fields, config=config)
 

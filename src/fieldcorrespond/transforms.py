@@ -101,14 +101,13 @@ def _check_eps(eps) -> None:
         raise ConfigError(f"eps must be a positive finite number, got {eps!r}")
 
 
-def truncation_depth(theta: ThetaTuple, eps: float, window: Window = None) -> tuple:
+def truncation_depth(theta: ThetaTuple, eps: float) -> tuple:
     """Smallest per-axis depth M with ``2^N * exp(-lambda_min * M) <= eps``.
 
     ``lambda_min`` is the smallest eigenvalue over the tuple.  The bound
     counts the 2^N - 1 discarded boundary corner terms, each carrying an
     operator-norm factor at most ``exp(-lambda_min * M)`` relative to the
-    retained scale.  ``window`` is accepted for signature symmetry with the
-    other transform helpers; the bound does not depend on it.
+    retained scale.
     """
     _check_eps(eps)
     lam = theta.min_eigenvalue

@@ -63,6 +63,7 @@ def test_simulate_writes_batch(tmp_path, capsys):
     assert (out / "resolved_config.json").exists()
     man = json.loads((out / "manifest.json").read_text())
     assert man["seed"] == 11 and man["R"] == 5
+    assert man["sampler"] == "kron-v1"
     assert "wrote 5 replications" in capsys.readouterr().out
 
 
@@ -298,6 +299,19 @@ def test_ar1_verify_fou_batch_rep(tmp_path):
     assert report["pass"] is True
 
 
+def test_transform_overflow_exits_3_before_writing(tmp_path, capsys):
+    # e^{5} * 1e307 overflows: a clean exit 3, not a crash while writing.
+    x = FieldWindow(Window((0,), (5,)), np.full((6, 1), 1e307))
+    path = tmp_path / "big.csv"
+    save_field(x, path)
+    theta = theta_file(tmp_path, [np.array([[1.0]])])
+    out = tmp_path / "o"
+    assert main(["transform", "--input", str(path), "--theta", theta,
+                 "--chain", "L", "--out", str(out)]) == 3
+    assert "double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_bad_theta_file_exits_2(tmp_path, field_and_theta):
     path, _, _ = field_and_theta
     assert main(["transform", "--input", path,
@@ -366,6 +380,19 @@ def test_ar1_verify_corrupted_exits_4(tmp_path, ar1_files, capsys):
     assert "verification failure" in err
 
 
+def test_ar1_verify_bad_noise_header_exits_3_before_writing(tmp_path, ar1_files):
+    x_path, g_path, th_path, _ = ar1_files
+    with open(g_path) as fh:
+        lines = fh.read().splitlines()
+    lines[0] = "t_1,bad_1"
+    with open(g_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = tmp_path / "rep"
+    assert main(["ar1-verify", "--x", x_path, "--g", g_path,
+                 "--theta", th_path, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_ar1_verify_needs_noise_source(tmp_path, ar1_files):
     x_path, _, th_path, _ = ar1_files
     assert main(["ar1-verify", "--x", x_path, "--theta", th_path,
@@ -398,6 +425,7 @@ def test_fou_first_kind_runs(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "first"
     assert man["policy"]["depth"] == [5]
+    assert man["sampler"] == "kron-v1"
     assert (out / "rep_00003.csv").exists()
 
 
@@ -413,6 +441,7 @@ def test_fou_second_kind_runs(tmp_path):
     assert main(["fou", "--config", cfg, "--out", str(out)]) == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "second"
+    assert man["sampler"] == "kron-v1"
 
 
 def test_fou_kind_flag_overrides(tmp_path):

@@ -221,22 +221,25 @@ def test_second_kind_empirical_matches_exact_covariance():
         assert abs(emp.mean() - ref) < 4.0 * se
 
 
-def test_fou_batch_manifest_and_threads():
+def test_fou_batch_manifest_and_rerun():
+    # A rerun and the one-replication route give the same bytes.
     h = HurstSpec([[0.45]])
     theta = ThetaTuple([np.array([[1.0]])])
     cfg = FouConfig(kind="first", hurst=h, mixing=np.eye(1),
                     window=Window((-1,), (2,)), theta=theta,
                     policy=TruncationPolicy(depth=5), seed=8, replications=6)
-    b1 = fou_batch(cfg, threads=1)
-    b2 = fou_batch(cfg, threads=3)
-    for x, y in zip(b1.fields, b2.fields):
-        np.testing.assert_array_equal(x.values, y.values)
+    b1 = fou_batch(cfg)
+    b2 = fou_batch(cfg)
+    for r, (x, y) in enumerate(zip(b1.fields, b2.fields)):
+        assert x.values.tobytes() == y.values.tobytes()
+        assert x.values.tobytes() == fou_first_kind(cfg, r).values.tobytes()
     man = b1.manifest()
     assert man["kind"] == "first"
     assert man["seed"] == 8 and man["R"] == 6
     assert man["policy"]["depth"] == [5]
     assert man["clock"] == "integer"
     assert man["transforms"] == "eigenbasis-v1"
+    assert man["sampler"] == "kron-v1"
 
 
 def test_fou_batch_second_kind_equals_single_replications(monkeypatch):
@@ -249,7 +252,7 @@ def test_fou_batch_second_kind_equals_single_replications(monkeypatch):
     cfg = FouConfig(kind="second", hurst=HurstSpec([[0.3, 0.7], [0.6, 0.4]]),
                     mixing=np.diag([1.0, 0.5]), window=Window((-2, -1), (2, 2)),
                     seed=21, replications=50)
-    batch = fou_batch(cfg, threads=3)
+    batch = fou_batch(cfg)
     assert batch.replications == 50
     for r, f in enumerate(batch.fields):
         one = fou_second_kind(cfg, r)

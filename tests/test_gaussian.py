@@ -199,6 +199,49 @@ def test_substream_distinct_cells():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("clock", ["integer", "exponential"])
+@pytest.mark.parametrize("hurst, window", [
+    ([[0.5]], Window((-3,), (4,))),
+    ([[0.3, 0.7], [1.0, 0.45]], Window((-2, 1), (2, 3))),
+    ([[0.25, 1.0, 0.8]], Window((-1, 0, -2), (1, 2, 0))),
+])
+def test_sampler_kron_factors_match_window_gram(hurst, window, clock):
+    # The Kronecker product of the per-axis factors' Grams is the Gram of
+    # the whole window, zero hyperplanes and H_j = 1 included; the mode
+    # products apply the Kronecker product of the factors themselves.
+    h = HurstSpec(hurst)
+    mixing = np.eye(h.n) + 0.25
+    sampler = SheetSampler(mixing, h, window, clock)
+    pts = sheet_points(window, clock)
+    draw = sampler.sample(seed=6, replication=2).values.reshape(-1, h.n)
+    b = np.empty_like(draw)
+    for k in range(h.n):
+        kron_l, kron_c = np.ones((1, 1)), np.ones((1, 1))
+        for factors in sampler._factors:
+            kron_l = np.kron(kron_l, factors[k])
+            kron_c = np.kron(kron_c, factors[k] @ factors[k].T)
+        ref = build_cov_matrix(pts, h.row(k))
+        assert np.abs(kron_c - ref).max() <= 1e-12 * np.abs(ref).max()
+        b[:, k] = kron_l @ substream(6, 2, k).standard_normal(window.volume)
+    ref_draw = b @ mixing.T
+    assert np.abs(draw - ref_draw).max() <= 1e-12 * np.abs(ref_draw).max()
+
+
+def test_sampler_beyond_grid_cap_total_sites():
+    # 6,400 sites: more than GRID_CAP in total, 80 per axis.
+    w = Window((1, 1), (80, 80))
+    assert w.volume > GRID_CAP
+    f = SheetSampler(np.eye(1), HurstSpec([[0.3, 0.7]]), w, "integer").sample(seed=4)
+    assert f.values.shape == (80, 80, 1)
+    assert np.all(np.isfinite(f.values)) and np.any(f.values != 0.0)
+
+
+def test_sampler_grid_cap_per_axis():
+    w = Window((0,), (GRID_CAP,))
+    with pytest.raises(NumericRangeError, match="cap"):
+        SheetSampler(np.eye(1), HurstSpec([[0.5]]), w, "integer")
+
+
 def test_sampler_zero_hyperplanes_exact():
     h = HurstSpec([[0.3, 0.7]])
     w = Window((0, 0), (3, 3))
@@ -264,17 +307,19 @@ def test_batch_save_load_roundtrip(tmp_path):
     assert back.seed == 13
     assert back.replications == 4
     assert back.config["H"] == [[0.3, 0.7]]
+    assert back.config["sampler"] == "kron-v1"
     for a, b in zip(batch.fields, back.fields):
         np.testing.assert_array_equal(a.values, b.values)
 
 
-def test_batch_threads_do_not_change_values():
-    h = HurstSpec([[0.5], [0.9]])
-    w = Window((-1,), (3,))
-    b1 = sample_sheet_batch(np.eye(2), h, w, "integer", seed=2, replications=12, threads=1)
-    b2 = sample_sheet_batch(np.eye(2), h, w, "integer", seed=2, replications=12, threads=3)
-    for a, b in zip(b1.fields, b2.fields):
-        np.testing.assert_array_equal(a.values, b.values)
+def test_batch_rep_equals_single_sample():
+    h = HurstSpec([[0.5, 0.3], [0.9, 0.6]])
+    w = Window((-1, 1), (3, 4))
+    mixing = np.array([[1.0, 0.3], [0.3, 1.0]])
+    batch = sample_sheet_batch(mixing, h, w, "integer", seed=2, replications=12)
+    sampler = SheetSampler(mixing, h, w, "integer")
+    for r, f in enumerate(batch.fields):
+        assert f.values.tobytes() == sampler.sample(2, r).values.tobytes()
 
 
 def test_batch_rejects_zero_replications():
