@@ -7,17 +7,18 @@ IEEE doubles exactly and keeps file bytes reproducible across runs.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
 
 def format_float(x: float) -> str:
-    s = format(float(x), ".17g")
-    # '.17g' may emit 'inf'/'nan', which are not valid JSON.
-    if s in ("inf", "-inf", "nan") or "inf" in s or "nan" in s:
+    v = float(x)
+    # '.17g' would emit 'inf'/'nan', which are not valid JSON.
+    if not math.isfinite(v):
         raise ValueError(f"cannot serialize non-finite float {x!r} to JSON")
-    return s
+    return format(v, ".17g")
 
 
 def _render(obj: Any, indent: int, level: int) -> str:

@@ -19,12 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonio import dump_json, format_float, load_json
-from .errors import DimensionMismatchError, WindowError
+from ._jsonio import dump_json, load_json
+from .errors import DimensionMismatchError, NumericRangeError, WindowError
 
 MultiIndex = tuple
 
 CLOCKS = ("integer", "exponential")
+
+# Rows formatted, or lines parsed and checked, per step of the CSV reader
+# and writer: large enough to amortize per-call overhead, small enough to
+# keep the temporary cell lists far below the size of the field.
+CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ class Window:
 
     @property
     def volume(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def contains(self, t) -> bool:
         return len(t) == self.N and all(
@@ -258,16 +263,26 @@ def write_csv(x: FieldWindow, csv_path) -> None:
     """Write one row per site (lexicographic order), no sidecar.
 
     Columns are t_1..t_N then x_1..x_n; floats carry 17 significant digits
-    so reloading reproduces the doubles exactly.
+    so reloading reproduces the doubles exactly.  A field with a non-finite
+    value raises NumericRangeError before the file is opened.  Rows are
+    formatted ``CSV_BLOCK_ROWS`` at a time.
     """
-    header = [f"t_{j + 1}" for j in range(x.N)] + [f"x_{k + 1}" for k in range(x.n)]
     flat = x.values.reshape(-1, x.n)
+    if not np.isfinite(flat).all():
+        raise NumericRangeError(
+            f"field on window {x.window} has non-finite values; not writing {csv_path}"
+        )
+    header = [f"t_{j + 1}" for j in range(x.N)] + [f"x_{k + 1}" for k in range(x.n)]
+    sites = np.indices(x.window.shape).reshape(x.N, -1).T + np.array(x.window.lo)
+    row = ",".join(["%d"] * x.N + ["%.17g"] * x.n) + "\n"
+    block = np.empty((CSV_BLOCK_ROWS, x.N + x.n), dtype=object)
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row, t in enumerate(x.window.sites()):
-            cells = [str(v) for v in t]
-            cells += [format_float(v) for v in flat[row]]
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, len(flat), CSV_BLOCK_ROWS):
+            m = min(CSV_BLOCK_ROWS, len(flat) - start)
+            block[:m, : x.N] = sites[start : start + m]
+            block[:m, x.N :] = flat[start : start + m]
+            fh.write((row * m) % tuple(block[:m].ravel().tolist()))
 
 
 def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldWindow:
@@ -276,11 +291,13 @@ def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldW
     Every window site must appear exactly once, with integer site cells
     and finite values; a malformed, duplicate or non-finite row raises
     DimensionMismatchError naming its file line, a site outside the window
-    raises WindowError.
+    raises WindowError.  Blank lines are skipped.  The file is parsed and
+    checked ``CSV_BLOCK_ROWS`` lines at a time.
     """
     nn = window.N
-    vals = np.zeros(window.shape + (n,))
-    seen = np.zeros(window.shape, dtype=bool)
+    size = window.volume
+    vals = np.zeros((size, n))
+    seen = np.zeros(size, dtype=bool)
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         expected = [f"t_{j + 1}" for j in range(nn)] + [f"x_{k + 1}" for k in range(n)]
@@ -288,34 +305,99 @@ def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldW
             raise DimensionMismatchError(
                 f"CSV header {header} does not match expected {expected}"
             )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != nn + n:
-                raise DimensionMismatchError(f"bad CSV line {lineno}: {line!r}")
-            try:
-                t = tuple(int(c) for c in cells[:nn])
-                row = [float(c) for c in cells[nn:]]
-            except ValueError:
-                raise DimensionMismatchError(
-                    f"CSV line {lineno} has a non-integer site or non-numeric "
-                    f"value: {line!r}"
-                ) from None
-            if not all(math.isfinite(v) for v in row):
-                raise DimensionMismatchError(
-                    f"CSV line {lineno} has a non-finite value: {line!r}"
-                )
-            idx = window.index(t)
-            if seen[idx]:
-                raise DimensionMismatchError(f"CSV line {lineno} repeats site {t}")
-            vals[idx] = row
-            seen[idx] = True
+        lineno = 2
+        while lines := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
+            _read_block(lines, lineno, window, vals, seen)
+            lineno += len(lines)
     if not seen.all():
         missing = int(seen.size - seen.sum())
         raise WindowError(f"CSV is missing {missing} of {seen.size} window sites")
-    return FieldWindow(window, vals, clock)
+    return FieldWindow(window, vals.reshape(window.shape + (n,)), clock)
+
+
+def _read_block(lines: list, lineno: int, window: Window, vals: np.ndarray,
+                seen: np.ndarray) -> None:
+    """Parse, check and place one block of CSV lines (``lineno`` is the first).
+
+    The cell-count, finite, window and repeat checks run over the whole
+    block as arrays.  When one fails, the first offending row is named,
+    with the error a row-by-row read would raise for it.
+    """
+    nn, n = window.N, vals.shape[1]
+    ncol = nn + n
+    rows = list(filter(None, map(str.strip, lines)))
+    counted = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64,
+                          len(rows)) == ncol - 1
+    stop = len(rows) if counted.all() else int(np.argmin(counted))
+    try:
+        sites, x = _parse_rows(rows[:stop], nn, ncol)
+    except (ValueError, OverflowError):
+        stop = next(k for k, row in enumerate(rows) if not _parses(row, nn))
+        sites, x = _parse_rows(rows[:stop], nn, ncol)
+    lo = np.array(window.lo)[:, np.newaxis]
+    hi = np.array(window.hi)[:, np.newaxis]
+    finite = np.isfinite(x).all(axis=1)
+    inside = ((sites >= lo) & (sites <= hi)).all(axis=0)
+    flat = np.ravel_multi_index(np.where(inside, sites, lo) - lo, window.shape)
+    first = np.zeros(len(flat), dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    bad = ~finite | ~inside | seen[flat] | ~first
+    if bad.any() or stop < len(rows):
+        k = int(np.argmax(bad)) if bad.any() else stop
+        k_lineno = lineno + int(np.flatnonzero(list(map(bool, map(str.strip, lines))))[k])
+        _check_row(rows[k], k_lineno, window, n)
+        raise DimensionMismatchError(
+            f"CSV line {k_lineno} repeats site {tuple(sites[:, k].tolist())}"
+        )
+    vals[flat] = x
+    seen[flat] = True
+
+
+def _parse_rows(rows: list, nn: int, ncol: int) -> tuple:
+    """Site columns (nn, m) as int64 and values (m, n) as float.
+
+    numpy hands each cell to Python's ``int`` or ``float``, so the accepted
+    spellings are those of a row-by-row read.
+    """
+    cells = ",".join(rows).split(",") if rows else []
+    sites = np.array([cells[j::ncol] for j in range(nn)], dtype=np.int64)
+    x = np.array([cells[j::ncol] for j in range(nn, ncol)], dtype=float).T
+    return sites.reshape(nn, len(rows)), x.reshape(len(rows), ncol - nn)
+
+
+def _parses(row: str, nn: int) -> bool:
+    cells = row.split(",")
+    try:
+        np.array(cells[:nn], dtype=np.int64)
+        np.array(cells[nn:], dtype=float)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _check_row(line: str, lineno: int, window: Window, n: int) -> None:
+    """The checks of one CSV line that need no other row (error path only).
+
+    A site too large for int64 passes the parse here and is refused by the
+    window check, as any site outside the window is.
+    """
+    nn = window.N
+    cells = line.split(",")
+    if len(cells) != nn + n:
+        raise DimensionMismatchError(f"bad CSV line {lineno}: {line!r}")
+    try:
+        t = tuple(int(c) for c in cells[:nn])
+        row = [float(c) for c in cells[nn:]]
+    except ValueError:
+        raise DimensionMismatchError(
+            f"CSV line {lineno} has a non-integer site or non-numeric "
+            f"value: {line!r}"
+        ) from None
+    if not all(math.isfinite(v) for v in row):
+        raise DimensionMismatchError(
+            f"CSV line {lineno} has a non-finite value: {line!r}"
+        )
+    window.index(t)
 
 
 def save_field(x: FieldWindow, csv_path) -> None:

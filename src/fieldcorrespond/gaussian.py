@@ -281,8 +281,9 @@ def load_batch(directory) -> SampleBatch:
     fields = []
     for r in range(r_count):
         path = directory / f"rep_{r:05d}.csv"
-        if not path.exists():
-            raise ConfigError(f"batch directory is missing {path.name}")
-        fields.append(read_csv(path, window, n, clock))
+        try:
+            fields.append(read_csv(path, window, n, clock))
+        except FileNotFoundError:
+            raise ConfigError(f"batch directory is missing {path.name}") from None
     config = {k: man[k] for k in man if k not in ("seed", "R")}
     return SampleBatch(seed=seed, fields=fields, config=config)

@@ -22,7 +22,10 @@ back (@ Q^T).  The exponent field is built by broadcasting the per-axis
 spectra and exponentiated once per call, shared by every field of a
 batch; no per-site matrix exponential is formed.  A window on which
 some weight overflows is refused with NumericRangeError before any value
-is rotated; weights that underflow to 0 are harmless.
+is rotated; weights that underflow to 0 are harmless.  A result that
+leaves the double range (finite values times finite weights can still
+overflow) is refused with NumericRangeError too, never returned as inf or
+nan; floating-point warnings on the way there are suppressed.
 
 Each transform returns the largest output window computable from the
 input data; nothing is ever zero-extended implicitly.
@@ -149,7 +152,7 @@ def _weighted(v: np.ndarray, theta: ThetaTuple, window: Window, sign: int,
     coordinates and Q.  The exponent field sum_j sign * t_j * W_j is built
     by broadcasting and exponentiated once for all leading entries of
     ``v``; a weight that overflows raises NumericRangeError, one that
-    underflows to 0 is kept.
+    underflows to 0 is kept.  Callers suppress floating-point warnings.
     """
     q, w = theta.eigenbasis(what)
     expo = 0.0
@@ -158,14 +161,22 @@ def _weighted(v: np.ndarray, theta: ThetaTuple, window: Window, sign: int,
         shape[j] = h - l + 1
         t = np.arange(l, h + 1, dtype=float)
         expo = expo + (sign * t[:, np.newaxis] * w[j]).reshape(shape)
-    with np.errstate(over="ignore"):
-        weights = np.exp(expo)
+    weights = np.exp(expo)
     if not np.all(np.isfinite(weights)):
         raise NumericRangeError(
             f"{what}: matrix exponentials overflow on window {window}; "
             f"shrink the window or the tuple's eigenvalues"
         )
     return _rotate(v, q) * weights, q
+
+
+def _finite(vals: np.ndarray, what: str, window: Window) -> np.ndarray:
+    """``vals`` unchanged if every entry is finite, else NumericRangeError."""
+    if not np.isfinite(vals).all():
+        raise NumericRangeError(
+            f"{what}: the result leaves the double range on window {window}"
+        )
+    return vals
 
 
 def _check_pair(x: FieldWindow, theta: ThetaTuple, clock: str, what: str) -> None:
@@ -194,8 +205,9 @@ def _append_transform(x: FieldWindow, record: dict) -> dict:
 def lamperti(x: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldWindow:
     """Exponential-clock image Y_{e^t} = e^{t*Theta} X_t, same window."""
     _check_pair(x, theta, "integer", "lamperti")
-    z, q = _weighted(x.values, theta, x.window, +1, "lamperti")
-    vals = _rotate(z, q.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, q = _weighted(x.values, theta, x.window, +1, "lamperti")
+        vals = _finite(_rotate(z, q.T), "lamperti", x.window)
     meta = _append_transform(
         x,
         {"transform": "L", "theta_ref": theta_ref or "inline",
@@ -223,9 +235,10 @@ def lamperti_inv_batch(ys, theta: ThetaTuple, theta_ref: str = None) -> list:
             raise WindowError(
                 f"lamperti_inv_batch needs one window, got {ys[0].window} and {y.window}"
             )
-    z, q = _weighted(np.stack([y.values for y in ys]), theta, ys[0].window, -1,
-                     "lamperti_inv")
-    vals = _rotate(z, q.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, q = _weighted(np.stack([y.values for y in ys]), theta, ys[0].window, -1,
+                         "lamperti_inv")
+        vals = _finite(_rotate(z, q.T), "lamperti_inv", ys[0].window)
     record = {"transform": "Linv", "theta_ref": theta_ref or "inline",
               "depth": None, "tail_bound": None}
     return [
@@ -271,11 +284,12 @@ def m_forward(y: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> Field
         raise WindowError(
             f"m_forward needs lo <= 0 <= hi on every axis, got window {y.window}"
         )
-    dy = unit_increment_field(y)
-    w, q = _weighted(dy.values, theta, dy.window, -1, "m_forward")
-    for axis in range(y.N):
-        w = _signed_accumulate(w, axis, dy.window.lo[axis])
-    w = _rotate(w, q.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dy = unit_increment_field(y)
+        w, q = _weighted(dy.values, theta, dy.window, -1, "m_forward")
+        for axis in range(y.N):
+            w = _signed_accumulate(w, axis, dy.window.lo[axis])
+        w = _finite(_rotate(w, q.T), "m_forward", y.window)
     meta = _append_transform(
         y,
         {"transform": "M", "theta_ref": theta_ref or "inline",
@@ -317,18 +331,19 @@ def m_inverse_truncated(
             f"m_inverse_truncated needs input covering [{need_lo}, {out_window.hi}] "
             f"for output {out_window} at depth {depth}; input window is {g.window}"
         )
-    dg = unit_increment_field(g)
     sub = Window(low, out_window.hi)
-    # Slice the increment field down to the summation box [low, out.hi].
-    slices = tuple(
-        slice(a - b, a - b + s)
-        for a, b, s in zip(sub.lo, dg.window.lo, sub.shape)
-    )
-    w, q = _weighted(dg.values[slices], theta, sub, +1, "m_inverse_truncated")
-    for axis in range(g.N):
-        w = np.cumsum(w, axis=axis)
-    drop = tuple(slice(d, None) for d in depth)
-    vals = _rotate(w[drop], q.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dg = unit_increment_field(g)
+        # Slice the increment field down to the summation box [low, out.hi].
+        slices = tuple(
+            slice(a - b, a - b + s)
+            for a, b, s in zip(sub.lo, dg.window.lo, sub.shape)
+        )
+        w, q = _weighted(dg.values[slices], theta, sub, +1, "m_inverse_truncated")
+        for axis in range(g.N):
+            w = np.cumsum(w, axis=axis)
+        drop = tuple(slice(d, None) for d in depth)
+        vals = _finite(_rotate(w[drop], q.T), "m_inverse_truncated", out_window)
     meta = _append_transform(
         g,
         {

@@ -312,6 +312,19 @@ def test_transform_overflow_exits_3_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ar1_verify_extract_noise_overflow_exits_3_before_writing(tmp_path, capsys):
+    # Extracting the noise applies L first, and e^{5} * 1e307 overflows.
+    x = FieldWindow(Window((0,), (5,)), np.full((6, 1), 1e307))
+    path = tmp_path / "big.csv"
+    save_field(x, path)
+    theta = theta_file(tmp_path, [np.array([[1.0]])])
+    out = tmp_path / "o"
+    assert main(["ar1-verify", "--x", str(path), "--extract-noise",
+                 "--theta", theta, "--out", str(out)]) == 3
+    assert "double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_bad_theta_file_exits_2(tmp_path, field_and_theta):
     path, _, _ = field_and_theta
     assert main(["transform", "--input", path,

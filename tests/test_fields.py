@@ -1,11 +1,15 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldcorrespond import (
     DimensionMismatchError,
     FieldWindow,
+    NumericRangeError,
     Window,
     WindowError,
     load_field,
@@ -18,6 +22,9 @@ from fieldcorrespond import (
     unit_increment_field,
     write_csv,
 )
+
+from fieldcorrespond import fields
+from fieldcorrespond._jsonio import format_float
 
 from conftest import corner_sum_naive, integer_field, random_field, random_window
 
@@ -302,6 +309,131 @@ def test_csv_rejects_bad_rows(tmp_path, rng, new_row, match):
     path, window = csv_with_row(tmp_path, rng, 3, new_row)
     with pytest.raises(DimensionMismatchError, match=match):
         read_csv(path, window, 2)
+
+
+def reference_csv(x):
+    """Field CSV text written row by row, independently of write_csv."""
+    lines = [",".join([f"t_{j + 1}" for j in range(x.N)]
+                      + [f"x_{k + 1}" for k in range(x.n)])]
+    flat = x.values.reshape(-1, x.n)
+    for row, t in enumerate(x.window.sites()):
+        lines.append(",".join([str(v) for v in t] + [format_float(v) for v in flat[row]]))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 2.0 ** 53, -3.0, 1e16, 0.1]
+CSV_VALUES = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2 ** 60), 2 ** 60).map(float),
+    st.builds(np.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def csv_fields(draw):
+    N = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    lo = tuple(draw(st.integers(-3, 0)) for _ in range(N))
+    hi = tuple(draw(st.integers(0, 3)) for _ in range(N))
+    w = Window(lo, hi)
+    vals = draw(st.lists(CSV_VALUES, min_size=w.volume * n, max_size=w.volume * n))
+    return FieldWindow(w, np.array(vals).reshape(w.shape + (n,)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=csv_fields(), block=st.sampled_from([1, 3, 7, fields.CSV_BLOCK_ROWS]))
+def test_csv_bytes_match_row_writer_and_read_back_exactly(tmp_path_factory, x, block):
+    path = tmp_path_factory.getbasetemp() / "prop.csv"
+    with mock.patch.object(fields, "CSV_BLOCK_ROWS", block):
+        write_csv(x, path)
+        assert path.read_bytes() == reference_csv(x).encode()
+        back = read_csv(path, x.window, x.n)
+    assert back.values.tobytes() == x.values.tobytes()
+
+
+def long_csv(tmp_path, rows, edit):
+    """A 1-D field CSV of ``rows`` sites whose line list ``edit`` changes."""
+    x = FieldWindow(Window((0,), (rows - 1,)), np.arange(rows, dtype=float) + 0.5)
+    path = tmp_path / "long.csv"
+    write_csv(x, path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path, x.window
+
+
+def test_csv_bad_row_beyond_first_block(tmp_path):
+    line = fields.CSV_BLOCK_ROWS + 60
+
+    def edit(lines):
+        lines[line - 1] = "1100,abc"
+
+    path, window = long_csv(tmp_path, fields.CSV_BLOCK_ROWS + 200, edit)
+    with pytest.raises(DimensionMismatchError,
+                       match=f"CSV line {line} has a non-integer site"):
+        read_csv(path, window, 1)
+
+
+def test_csv_blank_lines_count_toward_line_numbers(tmp_path):
+    # 1,500 blank or whitespace lines push the bad row into a later block.
+    def edit(lines):
+        lines[10] = "9,0.5,7"
+        lines[5:5] = ["", "   ", "\t"] * 500
+
+    path, window = long_csv(tmp_path, 50, edit)
+    with pytest.raises(DimensionMismatchError,
+                       match="bad CSV line 1511: '9,0.5,7'"):
+        read_csv(path, window, 1)
+
+
+def test_csv_blank_lines_are_skipped(tmp_path):
+    def edit(lines):
+        lines[3:3] = ["", "  "] * 700
+        lines.append("")
+
+    path, window = long_csv(tmp_path, 30, edit)
+    np.testing.assert_array_equal(read_csv(path, window, 1).values[:, 0],
+                                  np.arange(30) + 0.5)
+
+
+@pytest.mark.parametrize("site", ["5,0", "-1,1", "99999999999999999999,0"])
+def test_csv_site_outside_window(tmp_path, rng, site):
+    path, window = csv_with_row(tmp_path, rng, 2, site + ",0.5,0.25")
+    with pytest.raises(WindowError, match=f"site \\({site.replace(',', ', ')}\\) outside"):
+        read_csv(path, window, 2)
+
+
+@pytest.mark.parametrize("new_row", ["1,1,0.5", "1,1,0.5,0.25,0.125", "1"])
+def test_csv_wrong_cell_count(tmp_path, rng, new_row):
+    path, window = csv_with_row(tmp_path, rng, 3, new_row)
+    with pytest.raises(DimensionMismatchError,
+                       match=f"bad CSV line 5: '{new_row}'"):
+        read_csv(path, window, 2)
+
+
+def test_csv_first_offending_row_wins(tmp_path):
+    # A repeat on line 4 comes before a malformed cell on line 7 and a
+    # short row on line 9, all in one block.
+    def edit(lines):
+        lines[3] = "1,9.5"
+        lines[6] = "5,x"
+        lines[8] = "7"
+
+    path, window = long_csv(tmp_path, 12, edit)
+    with pytest.raises(DimensionMismatchError, match="CSV line 4 repeats site \\(1,\\)"):
+        read_csv(path, window, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_csv_refuses_non_finite_before_opening(tmp_path, bad):
+    vals = np.zeros((3, 3, 2))
+    vals[2, 1, 0] = bad
+    path = tmp_path / "f.csv"
+    with pytest.raises(NumericRangeError, match="non-finite"):
+        write_csv(FieldWindow(Window((0, 0), (2, 2)), vals), path)
+    assert not path.exists()
 
 
 def test_save_load_field_sidecar(tmp_path, rng):

@@ -312,6 +312,16 @@ def test_batch_save_load_roundtrip(tmp_path):
         np.testing.assert_array_equal(a.values, b.values)
 
 
+def test_load_batch_missing_replication(tmp_path):
+    h = HurstSpec([[0.3, 0.7]])
+    batch = sample_sheet_batch(np.eye(1), h, Window((0, 0), (2, 2)), "integer",
+                               seed=13, replications=4)
+    batch.save(tmp_path)
+    (tmp_path / "rep_00002.csv").unlink()
+    with pytest.raises(ConfigError, match="batch directory is missing rep_00002.csv"):
+        load_batch(tmp_path)
+
+
 def test_batch_rep_equals_single_sample():
     h = HurstSpec([[0.5, 0.3], [0.9, 0.6]])
     w = Window((-1, 1), (3, 4))

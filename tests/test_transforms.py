@@ -7,6 +7,7 @@ under test.  Truncation depths are pinned against hand-derived values.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,46 @@ def test_deeper_truncation_moves_output_within_tail_bound(rng):
     scale = np.max(np.abs(dg.values)) * spectral_norm(theta.exp(out.hi))
     bound = tail_bound_value(theta, (4, 4)) * scale
     assert np.max(np.abs(y1.values - y2.values)) <= bound
+
+
+BIG = 1e307
+
+
+def _refuses_quietly(fn, *args, **kwargs):
+    """fn raises NumericRangeError ("double range") without a float warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericRangeError, match="double range"):
+            fn(*args, **kwargs)
+
+
+def test_lamperti_refuses_non_finite_result():
+    # The weights e^{t} on 0..5 are finite; e^{5} * 1e307 is not.
+    theta = ThetaTuple([np.array([[1.0]])])
+    _refuses_quietly(lamperti, FieldWindow(Window((0,), (5,)), np.full(6, BIG)), theta)
+
+
+def test_lamperti_inv_refuses_non_finite_result():
+    theta = ThetaTuple([np.array([[1.0]])])
+    y = FieldWindow(Window((-5,), (0,)), np.full(6, BIG), "exponential")
+    _refuses_quietly(lamperti_inv, y, theta)
+    ok = FieldWindow(Window((-5,), (0,)), np.ones(6), "exponential")
+    _refuses_quietly(lamperti_inv_batch, [ok, y], theta)
+
+
+def test_m_forward_refuses_non_finite_result():
+    # Unit increments of alternating +-1e308 overflow before any weight.
+    theta = ThetaTuple([np.array([[1.0]])])
+    vals = 1e308 * (-1.0) ** np.arange(6)
+    _refuses_quietly(m_forward, FieldWindow(Window((-2,), (3,)), vals, "exponential"),
+                     theta)
+
+
+def test_m_inverse_refuses_non_finite_result():
+    theta = ThetaTuple([np.array([[1.0]])])
+    g = FieldWindow(Window((0,), (8,)), BIG * np.arange(9.0))
+    _refuses_quietly(m_inverse_truncated, g, theta, TruncationPolicy(depth=0),
+                     out_window=Window((1,), (8,)))
 
 
 def test_m_inverse_overflow_guard():
