@@ -275,7 +275,7 @@ def write_csv(x: FieldWindow, csv_path) -> None:
     header = [f"t_{j + 1}" for j in range(x.N)] + [f"x_{k + 1}" for k in range(x.n)]
     sites = np.indices(x.window.shape).reshape(x.N, -1).T + np.array(x.window.lo)
     row = ",".join(["%d"] * x.N + ["%.17g"] * x.n) + "\n"
-    block = np.empty((CSV_BLOCK_ROWS, x.N + x.n), dtype=object)
+    block = np.empty((min(CSV_BLOCK_ROWS, len(flat)), x.N + x.n), dtype=object)
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(flat), CSV_BLOCK_ROWS):
@@ -332,19 +332,25 @@ def _read_block(lines: list, lineno: int, window: Window, vals: np.ndarray,
     try:
         sites, x = _parse_rows(rows[:stop], nn, ncol)
     except (ValueError, OverflowError):
-        stop = next(k for k, row in enumerate(rows) if not _parses(row, nn))
+        for stop, row in enumerate(rows):
+            try:
+                _parse_rows([row], nn, ncol)
+            except (ValueError, OverflowError):
+                break
         sites, x = _parse_rows(rows[:stop], nn, ncol)
     lo = np.array(window.lo)[:, np.newaxis]
     hi = np.array(window.hi)[:, np.newaxis]
     finite = np.isfinite(x).all(axis=1)
     inside = ((sites >= lo) & (sites <= hi)).all(axis=0)
+    # Rows outside the window stand in at site lo; they fail regardless.
     flat = np.ravel_multi_index(np.where(inside, sites, lo) - lo, window.shape)
     first = np.zeros(len(flat), dtype=bool)
     first[np.unique(flat, return_index=True)[1]] = True
     bad = ~finite | ~inside | seen[flat] | ~first
     if bad.any() or stop < len(rows):
         k = int(np.argmax(bad)) if bad.any() else stop
-        k_lineno = lineno + int(np.flatnonzero(list(map(bool, map(str.strip, lines))))[k])
+        nonblank = np.flatnonzero(list(map(bool, map(str.strip, lines))))
+        k_lineno = lineno + int(nonblank[k])
         _check_row(rows[k], k_lineno, window, n)
         raise DimensionMismatchError(
             f"CSV line {k_lineno} repeats site {tuple(sites[:, k].tolist())}"
@@ -363,16 +369,6 @@ def _parse_rows(rows: list, nn: int, ncol: int) -> tuple:
     sites = np.array([cells[j::ncol] for j in range(nn)], dtype=np.int64)
     x = np.array([cells[j::ncol] for j in range(nn, ncol)], dtype=float).T
     return sites.reshape(nn, len(rows)), x.reshape(len(rows), ncol - nn)
-
-
-def _parses(row: str, nn: int) -> bool:
-    cells = row.split(",")
-    try:
-        np.array(cells[:nn], dtype=np.int64)
-        np.array(cells[nn:], dtype=float)
-    except (ValueError, OverflowError):
-        return False
-    return True
 
 
 def _check_row(line: str, lineno: int, window: Window, n: int) -> None:
