@@ -217,7 +217,7 @@ def cmd_simulate(args) -> int:
     if seed is None or reps is None:
         raise ConfigError("simulate needs 'seed' and 'replications' (config or flags)")
     mixing = _parse_mixing(cfg.get("A"), hurst.n)
-    batch = sample_sheet_batch(mixing, hurst, window, clock, int(seed), int(reps))
+    batch = sample_sheet_batch(mixing, hurst, window, clock, seed, reps)
     out = _outdir(args)
     batch.save(out)
     _write_resolved(
@@ -353,8 +353,8 @@ def _build_fou_config(args) -> FouConfig:
             window=window,
             theta=theta,
             policy=policy,
-            seed=int(seed),
-            replications=int(reps),
+            seed=seed,
+            replications=reps,
         )
     except CommutationError as exc:
         raise ConfigError(str(exc))

@@ -22,7 +22,14 @@ from .algebra import ThetaTuple, spectral_norm
 from .ar1 import Ar1System, stationary_solution
 from .errors import CommutationError, ConfigError
 from .fields import FieldWindow, Window
-from .gaussian import SAMPLER_VERSION, HurstSpec, SampleBatch, SheetSampler, as_mixing
+from .gaussian import (
+    SAMPLER_VERSION,
+    HurstSpec,
+    SampleBatch,
+    SheetSampler,
+    as_mixing,
+    check_int,
+)
 from .transforms import (
     TRANSFORMS_VERSION,
     TruncationPolicy,
@@ -31,10 +38,6 @@ from .transforms import (
 )
 
 MIXING_COMMUTE_RTOL = 1e-10
-# Replications drawn and pulled back together by the second kind: large
-# enough that per-call overhead vanishes, small enough that the draws and
-# temporaries of one block stay far below the size of the whole batch.
-PULLBACK_BLOCK = 1024
 
 
 def derive_theta(hurst: HurstSpec) -> ThetaTuple:
@@ -81,8 +84,9 @@ class FouConfig:
             raise ConfigError(
                 f"window has N={self.window.N}, Hurst spec has N={self.hurst.N}"
             )
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
+        object.__setattr__(self, "replications",
+                           check_int(self.replications, "replications", 1))
         if self.kind == "first":
             if self.theta is None:
                 raise ConfigError("first-kind FOU needs an explicit tuple")
@@ -158,26 +162,23 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
 
     The per-axis Gram factors are computed once and shared across
     replications; each replication keeps its own (seed, replication,
-    component) streams.  The second kind pulls replications back in blocks
-    of ``PULLBACK_BLOCK``; replication r equals ``fou_second_kind(cfg, r)``
-    byte for byte.
+    component) streams.  Replications are drawn in the sampler's blocks
+    (``SheetSampler.blocks``): the first kind solves each drawn noise as its
+    block arrives, the second kind pulls a whole block back at once.
+    Replication r equals ``fou_field(cfg, r)`` byte for byte.
     """
     if cfg.kind == "first":
         sampler = _first_kind_sampler(cfg)
         fields = [
-            stationary_solution(
-                Ar1System(cfg.theta, sampler.sample(cfg.seed, r), cfg.policy),
-                cfg.window,
-            )
-            for r in range(cfg.replications)
+            stationary_solution(Ar1System(cfg.theta, g, cfg.policy), cfg.window)
+            for block in sampler.blocks(cfg.seed, cfg.replications)
+            for g in block
         ]
     else:
         sampler = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential")
         fields = []
-        for start in range(0, cfg.replications, PULLBACK_BLOCK):
-            stop = min(start + PULLBACK_BLOCK, cfg.replications)
-            draws = [sampler.sample(cfg.seed, r) for r in range(start, stop)]
-            fields += lamperti_inv_batch(draws, cfg.theta)
+        for block in sampler.blocks(cfg.seed, cfg.replications):
+            fields += lamperti_inv_batch(block, cfg.theta)
     config = {
         "H": cfg.hurst.H.tolist(),
         "A": cfg.mixing.tolist(),
@@ -192,4 +193,4 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
         "transforms": TRANSFORMS_VERSION,
         "sampler": SAMPLER_VERSION,
     }
-    return SampleBatch(seed=int(cfg.seed), fields=fields, config=config)
+    return SampleBatch(seed=cfg.seed, fields=fields, config=config)

@@ -19,13 +19,24 @@ exact zeros, never jitter.
 
 Randomness contract: every draw is keyed by (seed, replication index,
 component index) through ``numpy.random.SeedSequence`` spawn keys, so any
-subset of replications can be reproduced byte-identically.
+subset of replications can be reproduced byte-identically.  ``substream``
+is the reference for one cell.  The sampler derives the same streams
+without building a ``SeedSequence`` per cell: it repeats numpy's seeding
+arithmetic (the SeedSequence pool hash, ``generate_state(4, uint64)`` and
+PCG64's seeding step) on arrays over a whole block of cells, sets each
+resulting PCG64 state on one reused generator and draws its normals.  The
+pool after the seed words is common to every cell, so it is taken once
+from numpy's ``SeedSequence(seed)``; only the spawn-key words and the
+output hash vary per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import functools
+import threading
 
 import numpy as np
 
@@ -39,6 +50,10 @@ GRID_CAP = 4096
 # Tag of the sampling algorithm, recorded in batch manifests: a change
 # that alters the draws for a given seed gets a new tag.
 SAMPLER_VERSION = "kron-v1"
+# Largest number of standard normals drawn and transformed together; a
+# bound in doubles keeps the temporaries of one block small whatever the
+# window size.
+DRAW_BLOCK = 1 << 12
 # Exponential-clock sites e^{t_j} overflow the usable double range well
 # before |t_j| reaches 300; the model keeps a conservative margin.
 EXP_CLOCK_LIMIT = 30
@@ -149,10 +164,144 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
     return l
 
 
+def check_int(value, what: str, minimum: int) -> int:
+    """``value`` as an int >= minimum; bools and non-integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def substream(seed: int, replication: int, component: int) -> np.random.Generator:
-    """Deterministic generator for one (replication, component) cell."""
+    """Deterministic generator for one (replication, component) cell.
+
+    The reference definition of the streams: ``SheetSampler`` draws cell
+    (r, k) from the same stream, derived in bulk (see ``stream_states``).
+    """
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(replication), int(component)))
     return np.random.default_rng(ss)
+
+
+# numpy.random.SeedSequence: pool size in 32-bit words and hash constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+# PCG64: 128-bit LCG multiplier.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+# Largest replication index: the block derivation holds indices in uint64.
+MAX_REPLICATION = (1 << 64) - 1
+
+# The helpers below take Python ints or uint64 arrays of 32-bit values
+# alike: no product exceeds 64 bits, and every result is masked to 32.
+
+
+def _words(value: int) -> list:
+    """Little-endian 32-bit words of a non-negative int (0 is one word)."""
+    words = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _hash_const(init: int, mult: int, steps: int) -> int:
+    """The running hash constant after ``steps`` hash steps.
+
+    Each step multiplies it by ``mult``, whatever the data hashed.
+    """
+    return (init * pow(mult, steps, 1 << 32)) & _M32
+
+
+# generate_state(4, np.uint64) hashes eight pool words, cycling the pool;
+# step i xors with constant i and multiplies by constant i + 1.
+_GENERATE_CHAIN = tuple(
+    (_hash_const(_INIT_B, _MULT_B, i), _hash_const(_INIT_B, _MULT_B, i + 1))
+    for i in range(2 * _POOL_SIZE)
+)
+
+
+def _hash(value, const: int, nxt: int):
+    """One SeedSequence hash step, given its xor and multiply constants."""
+    h = ((value ^ const) * nxt) & _M32
+    return h ^ (h >> 16)
+
+
+def _absorb(pool, const: int, words) -> tuple:
+    """Mix entropy words past the pool size into every pool word.
+
+    Each pool word p becomes mix(p, hash(w)) with SeedSequence's mix, the
+    hash constant advancing once per pool word.
+    """
+    for w in words:
+        mixed = []
+        for p in pool:
+            nxt = (const * _MULT_A) & _M32
+            r = (_MIX_L * p - _MIX_R * _hash(w, const, nxt)) & _M32
+            mixed.append(r ^ (r >> 16))
+            const = nxt
+        pool = mixed
+    return pool, const
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple:
+    """The pool of ``SeedSequence(seed, spawn_key=...)`` before the key.
+
+    A spawn key makes SeedSequence zero-pad the seed words to the pool
+    size; an unspawned ``SeedSequence(seed)`` hashes zeros into the same
+    pool positions, so its pool is this one.  Returns the pool and the
+    hash constant after the seed words: one hash step for each of the
+    first pool-size words and for each all-pairs mixing step (pool size
+    squared in all), then one per pool word for each further seed word.
+    """
+    extra = max(0, len(_words(seed)) - _POOL_SIZE)
+    steps = _POOL_SIZE ** 2 + _POOL_SIZE * extra
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    return tuple(pool), _hash_const(_INIT_A, _MULT_A, steps)
+
+
+def _pcg64_words(pool: list) -> list:
+    """``generate_state(4, np.uint64)`` of a pool with its key absorbed.
+
+    Eight 32-bit outputs, read pairwise as little-endian 64-bit words.
+    """
+    half = [_hash(p, const, nxt) for (const, nxt), p in zip(_GENERATE_CHAIN, pool * 2)]
+    return [half[i] | (half[i + 1] << 32) for i in range(0, 2 * _POOL_SIZE, 2)]
+
+
+def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> tuple:
+    """PCG64's seeding step: (state, inc) from its four seed words."""
+    inc = (((w2 << 64 | w3) << 1) | 1) & _M128
+    return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128, inc
+
+
+def stream_states(seed: int, replications, n: int) -> list:
+    """PCG64 (state, inc) of ``substream(seed, r, k)`` for every cell.
+
+    Cells are ordered replication-major, components 0..n-1 within each.
+    One replication is derived with Python ints; more are derived with
+    uint64 arrays over all cells at once, one pass per spawn-key length
+    (an index above 2^32 - 1 takes two words).
+    """
+    pool, const = _seed_pool(seed)
+    if len(replications) == 1:
+        pool, const = _absorb(pool, const, _words(replications[0]))
+        return [_pcg64_state(*_pcg64_words(_absorb(pool, const, [k])[0]))
+                for k in range(n)]
+    reps = np.array(replications, dtype=np.uint64)[:, np.newaxis]
+    comps = np.arange(n, dtype=np.uint64)[np.newaxis, :]
+    words = np.empty((4, len(replications), n), dtype=np.uint64)
+    wide = reps[:, 0] > _M32
+    for sel, size in ((~wide, 1), (wide, 2)):
+        if sel.any():
+            r = reps[sel]
+            key_pool, key_const = _absorb(pool, const, [r & _M32, r >> 32][:size])
+            words[:, sel] = _pcg64_words(_absorb(key_pool, key_const, [comps])[0])
+    return [_pcg64_state(*w) for w in zip(*(a.ravel().tolist() for a in words))]
 
 
 def sheet_points(window: Window, clock: str) -> np.ndarray:
@@ -185,6 +334,7 @@ class SheetSampler:
 
     ``_factors[j][k]`` is the factor of the 1-D Gram of component k along
     axis j; the Kronecker product over j factors the Gram of the window.
+    Draws reuse one generator, re-seeded per cell under a lock.
     """
 
     def __init__(self, mixing, hurst: HurstSpec, window: Window, clock: str):
@@ -203,21 +353,58 @@ class SheetSampler:
                 factor_covariance(build_cov_matrix(pts, hurst.H[k, j:j + 1]))
                 for k in range(hurst.n)
             ]))
+        self._gen = np.random.Generator(np.random.PCG64(0))
+        self._lock = threading.Lock()
 
     def sample(self, seed: int, replication: int = 0) -> FieldWindow:
-        n, volume = self.hurst.n, self.window.volume
-        x = np.empty((n, volume))
-        for k in range(n):
-            x[k] = substream(seed, replication, k).standard_normal(volume)
+        """Replication ``replication`` of the batch drawn from ``seed``."""
+        return self.sample_many(seed, (replication,))[0]
+
+    def sample_many(self, seed: int, replications) -> list:
+        """One field per index in ``replications``, drawn as one block.
+
+        Field i equals ``sample(seed, replications[i])`` byte for byte:
+        cell (r, k) draws from ``substream(seed, r, k)``.
+        """
+        seed = check_int(seed, "seed", 0)
+        reps = [check_int(r, "replication index", 0) for r in replications]
+        if any(r > MAX_REPLICATION for r in reps):
+            raise ConfigError(f"replication indices must be <= {MAX_REPLICATION}")
+        if not reps:
+            return []
+        n, volume, count = self.hurst.n, self.window.volume, len(reps)
+        x = np.empty((count, n, volume))
+        bitgen = self._gen.bit_generator
+        with self._lock:
+            for row, (state, inc) in zip(x.reshape(-1, volume),
+                                         stream_states(seed, reps, n)):
+                bitgen.state = {"bit_generator": "PCG64",
+                                "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}
+                self._gen.standard_normal(out=row)
         # Mode product along the leading window axis of every component,
         # then rotate that axis to the back; after N steps the axes are in
         # order again.
         for m, f in zip(self.window.shape, self._factors):
-            x = np.matmul(f, x.reshape(n, m, -1)).transpose(0, 2, 1)
-        vals = x.reshape(n, volume).T @ self.mixing.T
-        meta = {"seed": int(seed), "replication": int(replication)}
-        return FieldWindow(self.window, vals.reshape(self.window.shape + (n,)),
-                           self.clock, meta)
+            x = np.matmul(f, x.reshape(count, n, m, -1)).transpose(0, 1, 3, 2)
+        vals = np.matmul(x.reshape(count, n, volume).transpose(0, 2, 1), self.mixing.T)
+        shape = self.window.shape + (n,)
+        return [
+            FieldWindow(self.window, v.reshape(shape), self.clock,
+                        {"seed": seed, "replication": r})
+            for v, r in zip(vals, reps)
+        ]
+
+    def blocks(self, seed: int, replications: int):
+        """Replications 0 .. replications-1 as successive ``sample_many`` lists.
+
+        A block holds at most ``DRAW_BLOCK`` normals (at least one
+        replication), so a caller that consumes the blocks one at a time
+        keeps only one block of draws alive.
+        """
+        size = max(1, DRAW_BLOCK // (self.hurst.n * self.window.volume))
+        for start in range(0, replications, size):
+            yield self.sample_many(seed, range(start, min(start + size, replications)))
 
 
 @dataclass(frozen=True)
@@ -250,10 +437,10 @@ def sample_sheet_batch(
     replications: int,
 ) -> SampleBatch:
     """Batch of independent sheet draws; deterministic in (seed, config)."""
-    if replications < 1:
-        raise ConfigError(f"replications must be >= 1, got {replications}")
+    seed = check_int(seed, "seed", 0)
+    replications = check_int(replications, "replications", 1)
     sampler = SheetSampler(mixing, hurst, window, clock)
-    fields = [sampler.sample(seed, r) for r in range(replications)]
+    fields = [f for block in sampler.blocks(seed, replications) for f in block]
     config = {
         "H": hurst.H.tolist(),
         "A": sampler.mixing.tolist(),
@@ -263,7 +450,7 @@ def sample_sheet_batch(
         "N": hurst.N,
         "sampler": SAMPLER_VERSION,
     }
-    return SampleBatch(seed=int(seed), fields=fields, config=config)
+    return SampleBatch(seed=seed, fields=fields, config=config)
 
 
 def load_batch(directory) -> SampleBatch:

@@ -146,6 +146,25 @@ def test_simulate_exp_window_too_wide_exits_3(tmp_path, capsys):
     assert "numeric/window error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("seed", True), ("seed", 1.5),
+    ("replications", True), ("replications", 2.7),
+])
+def test_simulate_bad_seed_or_count_exits_2_before_writing(tmp_path, capsys, key, value):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", sheet_config(tmp_path, **{key: value}),
+                 "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_negative_seed_flag_exits_2_before_writing(tmp_path):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", sheet_config(tmp_path), "--seed", "-4",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -494,6 +513,23 @@ def test_fou_non_integer_policy_depth_exits_2(tmp_path, depth):
                      window={"lo": [-1, -1], "hi": [1, 1]}, policy={"depth": depth})
     out = tmp_path / "run"
     assert main(["fou", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("seed", True), ("seed", 1.5),
+    ("replications", True), ("replications", 2.7),
+])
+def test_fou_bad_seed_or_count_exits_2_before_writing(tmp_path, capsys, kind, key, value):
+    cfg = {"kind": kind, "H": [[0.4]], "window": {"lo": [-1], "hi": [2]},
+           "seed": 3, "replications": 2, key: value}
+    if kind == "first":
+        cfg["theta"] = theta_file(tmp_path, [np.array([[1.0]])])
+    out = tmp_path / "o"
+    assert main(["fou", "--config", write_json(tmp_path / "fou.json", cfg),
+                 "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

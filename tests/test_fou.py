@@ -94,6 +94,28 @@ def test_second_kind_rejects_noncommuting_mixing():
                   window=Window((-1,), (2,)))
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("seed", -1, "seed must be >= 0"),
+    ("seed", True, "seed must be an integer"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("replications", True, "replications must be an integer"),
+    ("replications", 2.7, "replications must be an integer"),
+    ("replications", 0, "replications must be >= 1"),
+])
+def test_config_rejects_bad_seed_and_count(field, value, match):
+    kwargs = {"seed": 1, "replications": 2, field: value}
+    with pytest.raises(ConfigError, match=match):
+        FouConfig(kind="second", hurst=HurstSpec([[0.4]]), mixing=np.eye(1),
+                  window=Window((-1,), (1,)), **kwargs)
+
+
+def test_config_normalizes_integer_types():
+    cfg = FouConfig(kind="second", hurst=HurstSpec([[0.4]]), mixing=np.eye(1),
+                    window=Window((-1,), (1,)), seed=np.int64(3),
+                    replications=np.uint8(2))
+    assert type(cfg.seed) is int and type(cfg.replications) is int
+
+
 def test_bad_kind_rejected():
     with pytest.raises(ConfigError, match="kind"):
         FouConfig(kind="third", hurst=HurstSpec([[0.5]]), mixing=np.eye(1),
@@ -243,12 +265,13 @@ def test_fou_batch_manifest_and_rerun():
 
 
 def test_fou_batch_second_kind_equals_single_replications(monkeypatch):
-    # The batch pulls replications back in blocks (here 16, so 50 spans a
-    # partial last block); each must equal the one-replication route byte
-    # for byte, metadata included.
-    import fieldcorrespond.fou as fou_module
+    # The batch draws and pulls replications back in blocks (here 640
+    # normals, 16 replications of 2 x 20 sites, so 50 spans a partial last
+    # block); each must equal the one-replication route byte for byte,
+    # metadata included.
+    import fieldcorrespond.gaussian as gaussian_module
 
-    monkeypatch.setattr(fou_module, "PULLBACK_BLOCK", 16)
+    monkeypatch.setattr(gaussian_module, "DRAW_BLOCK", 640)
     cfg = FouConfig(kind="second", hurst=HurstSpec([[0.3, 0.7], [0.6, 0.4]]),
                     mixing=np.diag([1.0, 0.5]), window=Window((-2, -1), (2, 2)),
                     seed=21, replications=50)

@@ -3,31 +3,43 @@
 fbs_cov is checked against an independent per-axis product formula and
 frozen hand values; the min(t,s) identity pins the N=1, H=1/2 case
 exactly.  Sampler tests cover determinism, zero hyperplanes, mixing
-linearity, and rank-deficient grids.
+linearity, and rank-deficient grids; the bulk stream derivation is checked
+against ``substream``, its reference.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fieldcorrespond.gaussian as gaussian_module
 from fieldcorrespond import (
     EXP_CLOCK_LIMIT,
     GRID_CAP,
     ConfigError,
     DimensionMismatchError,
+    FouConfig,
     HurstSpec,
     NumericRangeError,
     SheetSampler,
+    ThetaTuple,
+    TruncationPolicy,
     Window,
     build_cov_matrix,
     factor_covariance,
     fbs_cov,
+    fou_batch,
+    fou_field,
     load_batch,
     sample_sheet_batch,
     sheet_points,
     substream,
 )
+from fieldcorrespond.gaussian import MAX_REPLICATION, stream_states
+
+from conftest import pcg64_normals
 
 
 def fbs_cov_reference(t, s, H):
@@ -199,6 +211,73 @@ def test_substream_distinct_cells():
     assert not np.array_equal(a, b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**130]) | st.integers(0, 2**70),
+    reps=st.lists(st.sampled_from([0, 1, 2**32 - 1]) | st.integers(2**32, MAX_REPLICATION)
+                  | st.integers(0, 10**6), min_size=1, max_size=5),
+    n=st.integers(1, 3),
+)
+def test_stream_states_match_substream(seed, reps, n):
+    # The bulk derivation (arrays for several replications, Python ints
+    # for one) reproduces SeedSequence(seed, spawn_key=(r, k)) exactly:
+    # the same PCG64 state, hence the same normals.
+    states = stream_states(seed, reps, n)
+    assert len(states) == len(reps) * n
+    refs = [substream(seed, r, k) for r in reps for k in range(n)]
+    for (state, inc), ref in zip(states, refs):
+        ref_state = ref.bit_generator.state["state"]
+        assert (state, inc) == (ref_state["state"], ref_state["inc"])
+    draws = pcg64_normals(states, 7)
+    refs = [substream(seed, r, k).standard_normal(7) for r in reps for k in range(n)]
+    for a, b in zip(draws, refs):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_sample_many_equals_single_samples():
+    # One- and two-word spawn keys mixed in one block.
+    h = HurstSpec([[0.5, 0.3], [0.9, 0.6]])
+    sampler = SheetSampler(np.eye(2) + 0.2, h, Window((-1, 1), (2, 3)), "exponential")
+    reps = [3, 2**32 + 5, 0, MAX_REPLICATION]
+    many = sampler.sample_many(2**64 + 1, reps)
+    for r, f in zip(reps, many):
+        one = sampler.sample(2**64 + 1, r)
+        assert f.values.tobytes() == one.values.tobytes()
+        assert f.meta == one.meta == {"seed": 2**64 + 1, "replication": r}
+    assert sampler.sample_many(4, []) == []
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+def test_sampler_rejects_bad_seed(seed):
+    sampler = SheetSampler(np.eye(1), HurstSpec([[0.5]]), Window((0,), (2,)), "integer")
+    with pytest.raises(ConfigError, match="seed"):
+        sampler.sample(seed, 0)
+    with pytest.raises(ConfigError, match="seed"):
+        sampler.sample_many(seed, range(3))
+
+
+@pytest.mark.parametrize("rep", [-1, True, 2.0, MAX_REPLICATION + 1])
+def test_sampler_rejects_bad_replication_index(rep):
+    sampler = SheetSampler(np.eye(1), HurstSpec([[0.5]]), Window((0,), (2,)), "integer")
+    with pytest.raises(ConfigError, match="replication"):
+        sampler.sample(1, rep)
+    with pytest.raises(ConfigError, match="replication"):
+        sampler.sample_many(1, [0, rep])
+
+
+@pytest.mark.parametrize("seed, reps, match", [
+    (-1, 2, "seed must be >= 0"),
+    (True, 2, "seed must be an integer"),
+    (1.5, 2, "seed must be an integer"),
+    (1, True, "replications must be an integer"),
+    (1, 2.7, "replications must be an integer"),
+])
+def test_batch_rejects_bad_seed_and_count(seed, reps, match):
+    with pytest.raises(ConfigError, match=match):
+        sample_sheet_batch(np.eye(1), HurstSpec([[0.5]]), Window((0,), (1,)),
+                           "integer", seed, reps)
+
+
 @pytest.mark.parametrize("clock", ["integer", "exponential"])
 @pytest.mark.parametrize("hurst, window", [
     ([[0.5]], Window((-3,), (4,))),
@@ -322,7 +401,11 @@ def test_load_batch_missing_replication(tmp_path):
         load_batch(tmp_path)
 
 
-def test_batch_rep_equals_single_sample():
+def test_batch_rep_equals_single_sample(monkeypatch):
+    # Blocks of 200 normals hold 5 replications of 2 x 20 sites, so 12
+    # replications end in a partial block; every batch kind must still
+    # equal its one-replication route byte for byte.
+    monkeypatch.setattr(gaussian_module, "DRAW_BLOCK", 200)
     h = HurstSpec([[0.5, 0.3], [0.9, 0.6]])
     w = Window((-1, 1), (3, 4))
     mixing = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -330,6 +413,17 @@ def test_batch_rep_equals_single_sample():
     sampler = SheetSampler(mixing, h, w, "integer")
     for r, f in enumerate(batch.fields):
         assert f.values.tobytes() == sampler.sample(2, r).values.tobytes()
+    w = Window((0, 0), (2, 1))
+    first = FouConfig(kind="first", hurst=h, mixing=np.diag([1.0, 0.5]), window=w,
+                      theta=ThetaTuple([np.diag([0.9, 1.2]), np.diag([1.1, 1.0])]),
+                      policy=TruncationPolicy(depth=1), seed=5, replications=7)
+    second = FouConfig(kind="second", hurst=h, mixing=np.diag([1.0, 0.5]),
+                       window=Window((-2, 0), (2, 3)), seed=6, replications=12)
+    for cfg in (first, second):
+        for r, f in enumerate(fou_batch(cfg).fields):
+            one = fou_field(cfg, r)
+            assert f.values.tobytes() == one.values.tobytes()
+            assert f.meta == one.meta
 
 
 def test_batch_rejects_zero_replications():
