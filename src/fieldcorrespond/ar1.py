@@ -24,6 +24,7 @@ from .errors import DimensionMismatchError, WindowError
 from .fields import FieldWindow, Window, unit_increment, unit_increment_field
 from .transforms import (
     TruncationPolicy,
+    check_threshold,
     lamperti,
     lamperti_inv,
     m_forward,
@@ -141,7 +142,9 @@ def verify_ar1(
 
     ``max_residual`` is the largest absolute residual component; sites
     exceeding the tolerance are listed (capped at 20) when the check fails.
+    A tolerance that is not a finite number >= 0 raises ConfigError.
     """
+    tolerance = check_threshold(tolerance, "tolerance", zero_ok=True)
     res = ar1_residual(x, g, theta)
     mags = np.max(np.abs(res.values), axis=-1)
     max_residual = float(mags.max())

@@ -49,6 +49,7 @@ from .stats import (
 from .transforms import (
     TRANSFORMS_VERSION,
     TruncationPolicy,
+    check_threshold,
     lamperti,
     lamperti_inv,
     m_forward,
@@ -285,6 +286,7 @@ def cmd_transform(args) -> int:
 
 def cmd_ar1_verify(args) -> int:
     threads = _threads(args)
+    check_threshold(args.tolerance, "--tolerance", zero_ok=True)
     x = _load_field_arg(args.x)
     theta, theta_ref = _parse_theta(args.theta)
     if args.extract_noise:
@@ -378,6 +380,7 @@ def cmd_fou(args) -> int:
 
 def cmd_stats(args) -> int:
     threads = _threads(args)
+    check_threshold(args.z_max, "--z-max")
     batch = load_batch(args.batch)
     window = Window.from_dict(batch.config["window"])
     shifts = [_parse_shift(s, window.N) for s in (args.shift or [])]

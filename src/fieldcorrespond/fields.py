@@ -13,6 +13,7 @@ the tag only matters for interpretation and for the transforms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,11 +54,11 @@ class Window:
     def N(self) -> int:
         return len(self.lo)
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple:
         return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
 
-    @property
+    @functools.cached_property
     def volume(self) -> int:
         return math.prod(self.shape)
 
@@ -106,7 +107,13 @@ class Window:
 
 @dataclass(frozen=True)
 class FieldWindow:
-    """Field values on a window; immutable after construction."""
+    """Field values on a window; immutable after construction.
+
+    The values are copied into a read-only float array, except a read-only
+    float array whose memory is not writable through its base either (the
+    values of another field, a replication of a batch): that one is kept
+    as it is, so views cost no copy.
+    """
 
     window: Window
     values: np.ndarray
@@ -114,7 +121,9 @@ class FieldWindow:
     meta: dict = field(default=None, compare=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = self.values
+        if not _frozen_floats(vals):
+            vals = np.array(vals, dtype=float)
         expected = self.window.shape
         if vals.ndim == len(expected):
             # Scalar field given without the trailing component axis.
@@ -152,6 +161,14 @@ class FieldWindow:
 
     def shifted(self, s) -> "FieldWindow":
         return FieldWindow(self.window.shifted(s), self.values, self.clock, self.meta)
+
+
+def _frozen_floats(v) -> bool:
+    """Is v a float64 array that neither it nor its base lets anyone write?"""
+    return (isinstance(v, np.ndarray) and v.dtype == np.float64
+            and not v.flags.writeable
+            and (v.base is None
+                 or isinstance(v.base, np.ndarray) and not v.base.flags.writeable))
 
 
 def _corner_signs(N: int):
@@ -312,6 +329,7 @@ def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldW
     if not seen.all():
         missing = int(seen.size - seen.sum())
         raise WindowError(f"CSV is missing {missing} of {seen.size} window sites")
+    vals.setflags(write=False)
     return FieldWindow(window, vals.reshape(window.shape + (n,)), clock)
 
 

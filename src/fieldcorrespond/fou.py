@@ -35,6 +35,7 @@ from .transforms import (
     TruncationPolicy,
     lamperti_inv,
     lamperti_inv_batch,
+    transform_record,
 )
 
 MIXING_COMMUTE_RTOL = 1e-10
@@ -163,22 +164,26 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
     The per-axis Gram factors are computed once and shared across
     replications; each replication keeps its own (seed, replication,
     component) streams.  Replications are drawn in the sampler's blocks
-    (``SheetSampler.blocks``): the first kind solves each drawn noise as its
-    block arrives, the second kind pulls a whole block back at once.
-    Replication r equals ``fou_field(cfg, r)`` byte for byte.
+    (``SheetSampler.blocks``) into one preallocated array: the first kind
+    solves each drawn noise as its block arrives, the second kind pulls a
+    whole block back at once.  Replication r equals ``fou_field(cfg, r)``
+    byte for byte, metadata included.
     """
+    values = np.empty((cfg.replications,) + cfg.window.shape + (cfg.hurst.n,))
     if cfg.kind == "first":
         sampler = _first_kind_sampler(cfg)
-        fields = [
-            stationary_solution(Ar1System(cfg.theta, g, cfg.policy), cfg.window)
-            for block in sampler.blocks(cfg.seed, cfg.replications)
-            for g in block
-        ]
+        for start, block in sampler.blocks(cfg.seed, cfg.replications):
+            for i, g in enumerate(block):
+                noise = FieldWindow(sampler.window, g)
+                x = stationary_solution(Ar1System(cfg.theta, noise, cfg.policy), cfg.window)
+                values[start + i] = x.values
+        field_meta = x.meta
     else:
         sampler = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential")
-        fields = []
-        for block in sampler.blocks(cfg.seed, cfg.replications):
-            fields += lamperti_inv_batch(block, cfg.theta)
+        for start, block in sampler.blocks(cfg.seed, cfg.replications):
+            values[start:start + len(block)] = lamperti_inv_batch(block, cfg.window,
+                                                                  cfg.theta)
+        field_meta = {"transforms": [transform_record("Linv")]}
     config = {
         "H": cfg.hurst.H.tolist(),
         "A": cfg.mixing.tolist(),
@@ -193,4 +198,4 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
         "transforms": TRANSFORMS_VERSION,
         "sampler": SAMPLER_VERSION,
     }
-    return SampleBatch(seed=cfg.seed, fields=fields, config=config)
+    return SampleBatch(cfg.seed, values, cfg.window, "integer", config, field_meta)

@@ -32,17 +32,18 @@ output hash vary per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-
+import copy
 import functools
 import threading
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from ._jsonio import dump_json, load_json
 from .errors import ConfigError, DimensionMismatchError, NumericRangeError
-from .fields import FieldWindow, Window, read_csv, write_csv
+from .fields import CLOCKS, FieldWindow, Window, read_csv, write_csv
 
 # Largest site count for one Gram-matrix factorization (one window axis
 # when sampling).
@@ -372,6 +373,29 @@ class SheetSampler:
             raise ConfigError(f"replication indices must be <= {MAX_REPLICATION}")
         if not reps:
             return []
+        return [
+            FieldWindow(self.window, v, self.clock, {"seed": seed, "replication": r})
+            for v, r in zip(self._draw(seed, reps), reps)
+        ]
+
+    def blocks(self, seed: int, replications: int):
+        """Replications 0 .. replications-1 as successive (start, values) pairs.
+
+        ``values`` is a read-only (count, *window.shape, n) array whose
+        entry i is replication start + i, the values of
+        ``sample(seed, start + i)`` byte for byte.  A block holds at most
+        ``DRAW_BLOCK`` normals (at least one replication), so a caller that
+        consumes the blocks one at a time keeps only one block of draws
+        alive.
+        """
+        seed = check_int(seed, "seed", 0)
+        replications = check_int(replications, "replications", 0)
+        size = max(1, DRAW_BLOCK // (self.hurst.n * self.window.volume))
+        for start in range(0, replications, size):
+            yield start, self._draw(seed, range(start, min(start + size, replications)))
+
+    def _draw(self, seed: int, reps) -> np.ndarray:
+        """Read-only (len(reps), *window.shape, n) values of checked indices."""
         n, volume, count = self.hurst.n, self.window.volume, len(reps)
         x = np.empty((count, n, volume))
         bitgen = self._gen.bit_generator
@@ -388,36 +412,69 @@ class SheetSampler:
         for m, f in zip(self.window.shape, self._factors):
             x = np.matmul(f, x.reshape(count, n, m, -1)).transpose(0, 1, 3, 2)
         vals = np.matmul(x.reshape(count, n, volume).transpose(0, 2, 1), self.mixing.T)
-        shape = self.window.shape + (n,)
-        return [
-            FieldWindow(self.window, v.reshape(shape), self.clock,
-                        {"seed": seed, "replication": r})
-            for v, r in zip(vals, reps)
-        ]
-
-    def blocks(self, seed: int, replications: int):
-        """Replications 0 .. replications-1 as successive ``sample_many`` lists.
-
-        A block holds at most ``DRAW_BLOCK`` normals (at least one
-        replication), so a caller that consumes the blocks one at a time
-        keeps only one block of draws alive.
-        """
-        size = max(1, DRAW_BLOCK // (self.hurst.n * self.window.volume))
-        for start in range(0, replications, size):
-            yield self.sample_many(seed, range(start, min(start + size, replications)))
+        vals.setflags(write=False)
+        return vals.reshape((count,) + self.window.shape + (n,))
 
 
-@dataclass(frozen=True)
+class _FieldViews(Sequence):
+    """The replications of a batch as FieldWindow views, built when indexed."""
+
+    def __init__(self, batch: "SampleBatch"):
+        self._batch = batch
+
+    def __len__(self) -> int:
+        return len(self._batch.values)
+
+    def __getitem__(self, r: int) -> FieldWindow:
+        b = self._batch
+        r = range(len(b.values))[r]
+        meta = None
+        if b.field_meta is not None:
+            meta = {"seed": b.seed, "replication": r}
+            meta.update(copy.deepcopy(b.field_meta))
+        return FieldWindow(b.window, b.values[r], b.clock, meta)
+
+
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """R replications of one field configuration, plus the manifest data."""
+    """R replications of one field configuration, plus the manifest data.
+
+    ``values`` holds replication r at ``values[r]``, in one array of shape
+    (R, *window.shape, n); the batch takes the array over and makes it
+    read-only.  ``fields[r]`` is replication r as a FieldWindow view of
+    ``values[r]``, built when indexed.  Its metadata is None when
+    ``field_meta`` is None (a batch read back from disk); otherwise it is
+    the seed, the replication index and a copy of ``field_meta``.
+    """
 
     seed: int
-    fields: list
+    values: np.ndarray
+    window: Window
+    clock: str
     config: dict = field(default_factory=dict)
+    field_meta: dict = None
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=float)
+        if vals.ndim != self.window.N + 2 or vals.shape[1:-1] != self.window.shape:
+            raise DimensionMismatchError(
+                f"batch values have shape {vals.shape}, expected "
+                f"(R, *{self.window.shape}, n)"
+            )
+        if self.clock not in CLOCKS:
+            raise DimensionMismatchError(
+                f"clock must be one of {CLOCKS}, got {self.clock!r}"
+            )
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @property
     def replications(self) -> int:
-        return len(self.fields)
+        return len(self.values)
+
+    @property
+    def fields(self) -> Sequence:
+        return _FieldViews(self)
 
     def manifest(self) -> dict:
         man = {"seed": int(self.seed), "R": self.replications}
@@ -428,8 +485,8 @@ class SampleBatch:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         dump_json(self.manifest(), directory / "manifest.json")
-        for r, f in enumerate(self.fields):
-            write_csv(f, directory / f"rep_{r:05d}.csv")
+        for r, v in enumerate(self.values):
+            write_csv(FieldWindow(self.window, v, self.clock), directory / f"rep_{r:05d}.csv")
 
 
 def sample_sheet_batch(
@@ -440,7 +497,9 @@ def sample_sheet_batch(
     seed = check_int(seed, "seed", 0)
     replications = check_int(replications, "replications", 1)
     sampler = SheetSampler(mixing, hurst, window, clock)
-    fields = [f for block in sampler.blocks(seed, replications) for f in block]
+    values = np.empty((replications,) + window.shape + (hurst.n,))
+    for start, block in sampler.blocks(seed, replications):
+        values[start:start + len(block)] = block
     config = {
         "H": hurst.H.tolist(),
         "A": sampler.mixing.tolist(),
@@ -450,27 +509,36 @@ def sample_sheet_batch(
         "N": hurst.N,
         "sampler": SAMPLER_VERSION,
     }
-    return SampleBatch(seed=seed, fields=fields, config=config)
+    return SampleBatch(seed, values, window, clock, config, field_meta={})
 
 
 def load_batch(directory) -> SampleBatch:
-    """Rebuild a batch from ``manifest.json`` plus its replication CSVs."""
+    """Rebuild a batch from ``manifest.json`` plus its replication CSVs.
+
+    The manifest's ``R`` and ``n`` must be integers >= 1 and its ``seed``
+    an integer >= 0; anything else raises ConfigError.
+    """
     directory = Path(directory)
     man = load_json(directory / "manifest.json")
     try:
         window = Window.from_dict(man["window"])
-        n = int(man["n"])
         clock = man["clock"]
-        r_count = int(man["R"])
-        seed = int(man["seed"])
+        n = check_int(man["n"], "manifest n", 1)
+        r_count = check_int(man["R"], "manifest R", 1)
+        seed = check_int(man["seed"], "manifest seed", 0)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed batch manifest: {exc}") from exc
-    fields = []
+    # A count far beyond the files present fails here, before anything of
+    # that size is allocated.
+    last = directory / f"rep_{r_count - 1:05d}.csv"
+    if not last.exists():
+        raise ConfigError(f"batch directory is missing {last.name}")
+    values = np.empty((r_count,) + window.shape + (n,))
     for r in range(r_count):
         path = directory / f"rep_{r:05d}.csv"
         try:
-            fields.append(read_csv(path, window, n, clock))
+            values[r] = read_csv(path, window, n, clock).values
         except FileNotFoundError:
             raise ConfigError(f"batch directory is missing {path.name}") from None
     config = {k: man[k] for k in man if k not in ("seed", "R")}
-    return SampleBatch(seed=seed, fields=fields, config=config)
+    return SampleBatch(seed, values, window, clock, config)

@@ -10,7 +10,8 @@ in a report.
 
 Degenerate comparisons (zero standard error) are flagged: they pass when
 the difference itself is exactly zero (e.g. a deterministic batch) and
-fail otherwise.
+fail otherwise.  ``z_max`` must be a positive finite number
+(ConfigError otherwise).
 """
 
 from __future__ import annotations
@@ -24,8 +25,14 @@ import numpy as np
 
 from .algebra import ThetaTuple
 from .errors import ConfigError, DimensionMismatchError, WindowError
-from .fields import FieldWindow, Window
-from .gaussian import HurstSpec, as_mixing, fbs_cov, sheet_points
+from .fields import Window
+from .gaussian import HurstSpec, SampleBatch, as_mixing, fbs_cov, sheet_points
+from .transforms import check_threshold
+
+# Doubles in one block of comparison rows (a row holds one value per
+# replication): bounds the temporaries of the row reductions whatever the
+# replication count.
+ROW_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -91,16 +98,42 @@ def bonferroni_threshold(z_max: float, m: int) -> float:
 
 def jackknife_se_mean(d: np.ndarray) -> float:
     """Leave-one-out jackknife SE of the sample mean of d (1-D array)."""
-    r = d.shape[0]
-    if r < 2:
+    if d.shape[0] < 2:
         raise ConfigError("jackknife needs at least 2 replications")
-    loo = (d.sum() - d) / (r - 1)
-    return float(np.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2)))
+    return float(_jackknife_se(np.array(d, dtype=float)))
 
 
-def _diff_row(label: str, d: np.ndarray, reference: float = 0.0) -> ComparisonRow:
-    est = float(d.mean())
-    se = jackknife_se_mean(d)
+def _jackknife_se(d: np.ndarray) -> np.ndarray:
+    """Jackknife SEs of the means along the last axis of d, overwriting d."""
+    r = d.shape[-1]
+    loo = np.subtract(d.sum(axis=-1, keepdims=True), d, out=d)
+    loo /= r - 1
+    loo -= loo.mean(axis=-1, keepdims=True)
+    np.square(loo, out=loo)
+    return np.sqrt((r - 1) / r * loo.sum(axis=-1))
+
+
+def _mean_se(rows, count: int, r: int) -> tuple:
+    """Means and jackknife SEs of ``count`` rows of per-replication values.
+
+    ``rows(sl)`` returns rows ``sl`` as a new C-ordered (rows, R) array,
+    which is then overwritten; rows are formed ``ROW_BLOCK`` doubles at a
+    time.  Every reduction runs along the contiguous last axis, which numpy
+    sums pairwise just as it sums a 1-D array, so row i gives the bytes of
+    ``d.mean()`` and ``jackknife_se_mean(d)`` for its values d.
+    """
+    mean, se = np.empty(count), np.empty(count)
+    step = max(1, ROW_BLOCK // r)
+    for start in range(0, count, step):
+        sl = slice(start, min(start + step, count))
+        d = rows(sl)
+        mean[sl] = d.mean(axis=-1)
+        se[sl] = _jackknife_se(d)
+    return mean, se
+
+
+def _diff_row(label: str, est: float, se: float, reference: float = 0.0) -> ComparisonRow:
+    est, se = float(est), float(se)
     if se == 0.0:
         z = 0.0 if est == reference else math.inf
         return ComparisonRow(label, est, reference, se, z, True)
@@ -108,28 +141,44 @@ def _diff_row(label: str, d: np.ndarray, reference: float = 0.0) -> ComparisonRo
 
 
 def _stack(fields) -> tuple:
-    if isinstance(fields, (list, tuple)):
-        lst = list(fields)
+    """(R, *window.shape, n) values, window and clock of a batch or of fields."""
+    if isinstance(fields, SampleBatch):
+        data, w, clock = fields.values, fields.window, fields.clock
     else:
-        lst = list(fields.fields)  # SampleBatch
-    if len(lst) < 2:
+        lst = list(fields)
+        if len(lst) < 2:
+            raise ConfigError("checks need at least 2 replications")
+        w, clock, n = lst[0].window, lst[0].clock, lst[0].n
+        for f in lst[1:]:
+            if f.window != w or f.n != n or f.clock != clock:
+                raise DimensionMismatchError("batch replications disagree in geometry")
+        data = np.stack([f.values for f in lst])
+    if data.shape[0] < 2:
         raise ConfigError("checks need at least 2 replications")
-    w = lst[0].window
-    clock = lst[0].clock
-    n = lst[0].n
-    for f in lst[1:]:
-        if f.window != w or f.n != n or f.clock != clock:
-            raise DimensionMismatchError("batch replications disagree in geometry")
-    data = np.stack([f.values for f in lst])
     return data, w, clock
 
 
-def _slab(data: np.ndarray, full: Window, part: Window) -> np.ndarray:
-    sl = (slice(None),) + tuple(
-        slice(a - b, a - b + s) for a, b, s in zip(part.lo, full.lo, part.shape)
-    )
-    r = data.shape[0]
-    return data[sl].reshape(r, -1, data.shape[-1])
+def _by_row(x: np.ndarray) -> np.ndarray:
+    """(R, ..., n) values as C-ordered (sites * n, R) rows, site-major."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1)).reshape(-1, x.shape[0])
+
+
+def _part_rows(full: Window, part: Window, n: int) -> np.ndarray:
+    """Indices, in the rows of ``full``, of the rows of ``part`` (site-major)."""
+    offset = np.subtract(part.lo, full.lo)[:, np.newaxis]
+    sites = np.ravel_multi_index(np.indices(part.shape).reshape(full.N, -1) + offset,
+                                 full.shape)
+    return (sites[:, np.newaxis] * n + np.arange(n)).ravel()
+
+
+def _overlap(window: Window, shift: tuple) -> Window:
+    """The sites t of ``window`` with t + shift in ``window`` too."""
+    try:
+        return window.intersection(window.shifted(tuple(-v for v in shift)))
+    except WindowError as exc:
+        raise WindowError(
+            f"shift {shift} leaves no comparable sites in window {window}"
+        ) from exc
 
 
 def _site_pairs(m: int, cap: int):
@@ -144,34 +193,47 @@ def _comp_pairs(n: int):
     return list(itertools.combinations_with_replacement(range(n), 2))
 
 
-def _shift_rows(data, window, shift, rows, tag, mapped=None, max_pairs=60):
-    """Append first/second moment comparison rows for one shift."""
+def _shift_rows(x, window, n, shift, tag, max_pairs=60, mapped=None) -> list:
+    """First/second moment comparison rows for one shift.
+
+    ``x`` holds the batch as (sites * n, R) rows over ``window``; both
+    sides of every comparison are read from it by row index.  ``mapped``,
+    when given, replaces the base side by its own rows, one per base site
+    and component.
+    """
     shift = tuple(int(v) for v in shift)
-    try:
-        base = window.intersection(window.shifted(tuple(-v for v in shift)))
-    except WindowError as exc:
-        raise WindowError(
-            f"shift {shift} leaves no comparable sites in window {window}"
-        ) from exc
+    base = _overlap(window, shift)
     sites = list(base.sites())
-    a_shift = _slab(data, window, base.shifted(shift))
-    a_base = _slab(data, window, base)
-    if mapped is not None:
-        a_base = a_base @ mapped.T
-    n = data.shape[-1]
-    for a, t in enumerate(sites):
-        for k in range(n):
-            d = a_shift[:, a, k] - a_base[:, a, k]
-            rows.append(_diff_row(f"{tag} mean s={shift} t={t} k={k + 1}", d))
-    for a, b in _site_pairs(len(sites), max_pairs):
-        for k, l in _comp_pairs(n):
-            d = a_shift[:, a, k] * a_shift[:, b, l] - a_base[:, a, k] * a_base[:, b, l]
-            rows.append(
-                _diff_row(
-                    f"{tag} cov s={shift} t={sites[a]},{sites[b]} k={k + 1},l={l + 1}",
-                    d,
-                )
-            )
+    si = _part_rows(window, base.shifted(shift), n)
+    bx, bi = (x, _part_rows(window, base, n)) if mapped is None else (
+        mapped, np.arange(len(mapped)))
+    r = x.shape[1]
+
+    def diffs(sl):
+        d = x[si[sl]]
+        d -= bx[bi[sl]]
+        return d
+
+    mean, se = _mean_se(diffs, len(si), r)
+    labels = (f"{tag} mean s={shift} t={t} k={k + 1}" for t in sites for k in range(n))
+    rows = list(map(_diff_row, labels, mean, se))
+    pairs = [(a, b, k, l) for a, b in _site_pairs(len(sites), max_pairs)
+             for k, l in _comp_pairs(n)]
+    i = np.array([a * n + k for a, _, k, _ in pairs])
+    j = np.array([b * n + l for _, b, _, l in pairs])
+
+    def products(sl):
+        d = x[si[i[sl]]]
+        d *= x[si[j[sl]]]
+        p = bx[bi[i[sl]]]
+        p *= bx[bi[j[sl]]]
+        d -= p
+        return d
+
+    mean, se = _mean_se(products, len(pairs), r)
+    labels = (f"{tag} cov s={shift} t={sites[a]},{sites[b]} k={k + 1},l={l + 1}"
+              for a, b, k, l in pairs)
+    return rows + list(map(_diff_row, labels, mean, se))
 
 
 def _finish(check: str, rows, z_max: float, threshold: float = None) -> EnsembleReport:
@@ -196,24 +258,28 @@ def stationarity_check(fields, shifts, z_max: float = 3.0, max_pairs: int = 60) 
     Compares moments of {X_t} against {X_{t+s}} for each shift; a
     stationary batch passes, a sheet with growing variance fails.
     """
+    z_max = check_threshold(z_max, "z_max")
     data, window, _ = _stack(fields)
-    rows = []
-    for s in shifts:
-        _shift_rows(data, window, s, rows, "stat", max_pairs=max_pairs)
+    x, n = _by_row(data), data.shape[-1]
+    rows = [row for s in shifts
+            for row in _shift_rows(x, window, n, s, "stat", max_pairs)]
     return _finish("stationarity", rows, z_max)
 
 
 def increment_stationarity_check(fields, shifts, z_max: float = 3.0, max_pairs: int = 60) -> EnsembleReport:
     """Stationarity of the unit-cube increment field."""
+    z_max = check_threshold(z_max, "z_max")
     data, window, _ = _stack(fields)
     if any(s < 2 for s in window.shape):
         raise WindowError(f"window {window} too small for increments")
+    r, n = data.shape[0], data.shape[-1]
+    x = np.moveaxis(data, 0, -1)
     for axis in range(window.N):
-        data = np.diff(data, axis=axis + 1)
+        x = np.diff(x, axis=axis)
+    x = np.ascontiguousarray(x).reshape(-1, r)
     inc_window = Window(tuple(l + 1 for l in window.lo), window.hi)
-    rows = []
-    for s in shifts:
-        _shift_rows(data, inc_window, s, rows, "incr", max_pairs=max_pairs)
+    rows = [row for s in shifts
+            for row in _shift_rows(x, inc_window, n, s, "incr", max_pairs)]
     return _finish("increment-stationarity", rows, z_max)
 
 
@@ -225,6 +291,7 @@ def self_similarity_check(fields, shift, theta: ThetaTuple, z_max: float = 3.0,
     moments of the mapped side are conjugated automatically because the
     map is applied per replication.
     """
+    z_max = check_threshold(z_max, "z_max")
     data, window, clock = _stack(fields)
     if clock != "exponential":
         raise DimensionMismatchError(
@@ -232,9 +299,14 @@ def self_similarity_check(fields, shift, theta: ThetaTuple, z_max: float = 3.0,
         )
     if data.shape[-1] != theta.n or window.N != theta.N:
         raise DimensionMismatchError("tuple does not match the batch geometry")
-    e = theta.exp(tuple(int(v) for v in shift))
-    rows = []
-    _shift_rows(data, window, shift, rows, "selfsim", mapped=e, max_pairs=max_pairs)
+    shift = tuple(int(v) for v in shift)
+    r, n = data.shape[0], data.shape[-1]
+    base = _overlap(window, shift)
+    # Each replication's base values, (sites, n), times e^{s*Theta}^T.
+    sl = tuple(slice(a - b, a - b + m) for a, b, m in zip(base.lo, window.lo, base.shape))
+    mapped = data[(slice(None),) + sl].reshape(r, -1, n) @ theta.exp(shift).T
+    rows = _shift_rows(_by_row(data), window, n, shift, "selfsim", max_pairs,
+                       _by_row(mapped))
     return _finish("self-similarity", rows, z_max)
 
 
@@ -246,24 +318,34 @@ def fidelity_check(fields, hurst: HurstSpec, mixing, n_pairs: int = 10,
     lexicographic pair list).  No Bonferroni correction: the contract is
     "within z_max jackknife SEs" per pair.
     """
+    z_max = check_threshold(z_max, "z_max")
     data, window, clock = _stack(fields)
-    n = data.shape[-1]
+    r, n = data.shape[0], data.shape[-1]
     if hurst.n != n or hurst.N != window.N:
         raise DimensionMismatchError("Hurst spec does not match the batch geometry")
     a = as_mixing(mixing, n)
     pts = sheet_points(window, clock)
-    flat = data.reshape(data.shape[0], -1, n)
-    rows = []
+    labels, refs, cols = [], [], []
     for i, j in _site_pairs(pts.shape[0], n_pairs):
         comp_cov = np.array(
             [fbs_cov(pts[i], pts[j], hurst.row(m)) for m in range(n)]
         )
         for k, l in _comp_pairs(n):
-            ref = float(np.sum(a[k] * a[l] * comp_cov))
-            d = flat[:, i, k] * flat[:, j, l]
-            rows.append(
-                _diff_row(f"fid cov t={i},{j} k={k + 1},l={l + 1}", d, reference=ref)
-            )
+            labels.append(f"fid cov t={i},{j} k={k + 1},l={l + 1}")
+            refs.append(float(np.sum(a[k] * a[l] * comp_cov)))
+            cols += [i * n + k, j * n + l]
+    # Only the columns the pairs use are gathered into rows.
+    used, pos = np.unique(cols, return_inverse=True)
+    x = np.ascontiguousarray(data.reshape(r, -1)[:, used].T)
+    left, right = pos.reshape(-1, 2).T
+
+    def products(sl):
+        d = x[left[sl]]
+        d *= x[right[sl]]
+        return d
+
+    mean, se = _mean_se(products, len(labels), r)
+    rows = list(map(_diff_row, labels, mean, se, refs))
     return _finish("fidelity", rows, z_max, threshold=float(z_max))
 
 
@@ -305,7 +387,7 @@ def empirical_moments(fields, sites=None) -> MomentSummary:
     q = m * n
     flat = d.reshape(r, q)
     mean = flat.mean(axis=0)
-    mean_se = np.array([jackknife_se_mean(flat[:, c]) for c in range(q)])
+    _, mean_se = _mean_se(lambda sl: flat[:, sl].T.copy(), q, r)
     centered = flat - mean
     s2 = centered.T @ centered
     cov = s2 / (r - 1)

@@ -71,7 +71,7 @@ class TruncationPolicy:
     depth: tuple = None
 
     def __post_init__(self):
-        _check_eps(self.eps)
+        check_threshold(self.eps, "eps")
         d = self.depth
         entries = d if isinstance(d, (tuple, list)) else (d,)
         if d is not None and not all(_is_int(v) for v in entries):
@@ -99,9 +99,17 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _check_eps(eps) -> None:
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
-        raise ConfigError(f"eps must be a positive finite number, got {eps!r}")
+def check_threshold(value, what: str, zero_ok: bool = False) -> float:
+    """``value`` as a float if it is a finite number > 0 (>= 0 with ``zero_ok``).
+
+    Anything else, bools included, raises ConfigError.
+    """
+    number = (isinstance(value, (int, float, np.integer, np.floating))
+              and not isinstance(value, bool) and math.isfinite(value))
+    if not (number and (value > 0 or zero_ok and value == 0)):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ConfigError(f"{what} must be a {sign} finite number, got {value!r}")
+    return float(value)
 
 
 def truncation_depth(theta: ThetaTuple, eps: float) -> tuple:
@@ -112,7 +120,7 @@ def truncation_depth(theta: ThetaTuple, eps: float) -> tuple:
     operator-norm factor at most ``exp(-lambda_min * M)`` relative to the
     retained scale.
     """
-    _check_eps(eps)
+    check_threshold(eps, "eps")
     lam = theta.min_eigenvalue
     need = (theta.N * math.log(2.0) - math.log(eps)) / lam
     depth = max(0, math.ceil(need))
@@ -194,6 +202,13 @@ def _check_pair(x: FieldWindow, theta: ThetaTuple, clock: str, what: str) -> Non
         )
 
 
+def transform_record(transform: str, theta_ref: str = None, depth=None,
+                     tail_bound=None) -> dict:
+    """The entry a transform appends to the ``transforms`` chain of a field."""
+    return {"transform": transform, "theta_ref": theta_ref or "inline",
+            "depth": depth, "tail_bound": tail_bound}
+
+
 def _append_transform(x: FieldWindow, record: dict) -> dict:
     meta = dict(x.meta) if x.meta else {}
     chain = list(meta.get("transforms", []))
@@ -208,43 +223,39 @@ def lamperti(x: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldW
     with np.errstate(over="ignore", invalid="ignore"):
         z, q = _weighted(x.values, theta, x.window, +1, "lamperti")
         vals = _finite(_rotate(z, q.T), "lamperti", x.window)
-    meta = _append_transform(
-        x,
-        {"transform": "L", "theta_ref": theta_ref or "inline",
-         "depth": None, "tail_bound": None},
-    )
+    meta = _append_transform(x, transform_record("L", theta_ref))
     return FieldWindow(x.window, vals, "exponential", meta)
 
 
 def lamperti_inv(y: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldWindow:
     """Integer-clock image X_t = e^{-t*Theta} Y_{e^t}, same window."""
-    return lamperti_inv_batch([y], theta, theta_ref)[0]
+    _check_pair(y, theta, "exponential", "lamperti_inv")
+    vals = lamperti_inv_batch(y.values, y.window, theta)
+    meta = _append_transform(y, transform_record("Linv", theta_ref))
+    return FieldWindow(y.window, vals, "integer", meta)
 
 
-def lamperti_inv_batch(ys, theta: ThetaTuple, theta_ref: str = None) -> list:
-    """``lamperti_inv`` of fields on one window, in one pass over all of them.
+def lamperti_inv_batch(values: np.ndarray, window: Window, theta: ThetaTuple) -> np.ndarray:
+    """``lamperti_inv`` of exponential-clock values on one window, as an array.
 
-    Field r of the result equals ``lamperti_inv(ys[r], theta, theta_ref)``
-    byte for byte, metadata included.
+    ``values`` has shape (..., *window.shape, n); every leading entry is
+    pulled back in the same pass, and entry i of the result equals the
+    values of ``lamperti_inv(FieldWindow(window, values[i], "exponential"),
+    theta)`` byte for byte.
     """
-    if not ys:
-        return []
-    for y in ys:
-        _check_pair(y, theta, "exponential", "lamperti_inv")
-        if y.window != ys[0].window:
-            raise WindowError(
-                f"lamperti_inv_batch needs one window, got {ys[0].window} and {y.window}"
-            )
+    values = np.asarray(values, dtype=float)
+    if window.N != theta.N:
+        raise DimensionMismatchError(
+            f"lamperti_inv: window has N={window.N}, tuple has N={theta.N}"
+        )
+    if values.shape[max(0, values.ndim - window.N - 1):] != window.shape + (theta.n,):
+        raise DimensionMismatchError(
+            f"lamperti_inv: values of shape {values.shape} do not end in the "
+            f"window shape {window.shape} and n={theta.n}"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
-        z, q = _weighted(np.stack([y.values for y in ys]), theta, ys[0].window, -1,
-                         "lamperti_inv")
-        vals = _finite(_rotate(z, q.T), "lamperti_inv", ys[0].window)
-    record = {"transform": "Linv", "theta_ref": theta_ref or "inline",
-              "depth": None, "tail_bound": None}
-    return [
-        FieldWindow(y.window, v, "integer", _append_transform(y, dict(record)))
-        for y, v in zip(ys, vals)
-    ]
+        z, q = _weighted(values, theta, window, -1, "lamperti_inv")
+        return _finite(_rotate(z, q.T), "lamperti_inv", window)
 
 
 def _signed_accumulate(arr: np.ndarray, axis: int, j_lo: int) -> np.ndarray:
@@ -290,11 +301,7 @@ def m_forward(y: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> Field
         for axis in range(y.N):
             w = _signed_accumulate(w, axis, dy.window.lo[axis])
         w = _finite(_rotate(w, q.T), "m_forward", y.window)
-    meta = _append_transform(
-        y,
-        {"transform": "M", "theta_ref": theta_ref or "inline",
-         "depth": None, "tail_bound": None},
-    )
+    meta = _append_transform(y, transform_record("M", theta_ref))
     return FieldWindow(y.window, w, "integer", meta)
 
 
@@ -344,13 +351,6 @@ def m_inverse_truncated(
             w = np.cumsum(w, axis=axis)
         drop = tuple(slice(d, None) for d in depth)
         vals = _finite(_rotate(w[drop], q.T), "m_inverse_truncated", out_window)
-    meta = _append_transform(
-        g,
-        {
-            "transform": "Minv",
-            "theta_ref": theta_ref or "inline",
-            "depth": list(depth),
-            "tail_bound": tail_bound_value(theta, depth),
-        },
-    )
+    meta = _append_transform(g, transform_record(
+        "Minv", theta_ref, list(depth), tail_bound_value(theta, depth)))
     return FieldWindow(out_window, vals, "exponential", meta)

@@ -15,6 +15,7 @@ import scipy.linalg
 from fieldcorrespond import (
     Ar1System,
     CommutationError,
+    ConfigError,
     DimensionMismatchError,
     FieldWindow,
     ThetaTuple,
@@ -171,6 +172,16 @@ def test_verify_ar1_pass_report(rng):
     assert report["sites"] == 6
     assert report["tolerance"] == 1e-10
     assert "offending_sites" not in report
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, True, "1e-10"])
+def test_verify_ar1_rejects_bad_tolerance(rng, tolerance):
+    theta = random_commuting_theta(rng, 1, 1)
+    x = random_field(rng, Window((-3,), (3,)), 1)
+    g = noise_from_stationary(x, theta)
+    with pytest.raises(ConfigError, match="tolerance must be a non-negative finite"):
+        verify_ar1(x, g, theta, tolerance=tolerance)
+    assert verify_ar1(x, g, theta, tolerance=0)["tolerance"] == 0.0
 
 
 def test_verify_ar1_flags_corrupted_site(rng):

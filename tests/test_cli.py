@@ -425,6 +425,19 @@ def test_ar1_verify_bad_noise_header_exits_3_before_writing(tmp_path, ar1_files)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("noise", ["extract", "file"])
+def test_ar1_verify_bad_tolerance_exits_2_before_writing(tmp_path, ar1_files, capsys,
+                                                        tolerance, noise):
+    x_path, g_path, th_path, _ = ar1_files
+    source = ["--extract-noise"] if noise == "extract" else ["--g", g_path]
+    out = tmp_path / "rep"
+    assert main(["ar1-verify", "--x", x_path, *source, "--theta", th_path,
+                 "--tolerance", tolerance, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--tolerance must be a non-negative finite number" in capsys.readouterr().err
+
+
 def test_ar1_verify_needs_noise_source(tmp_path, ar1_files):
     x_path, _, th_path, _ = ar1_files
     assert main(["ar1-verify", "--x", x_path, "--theta", th_path,
@@ -624,6 +637,32 @@ def test_stats_malformed_shift_exits_2(tmp_path):
                  "--shift", "1;0", "--out", str(tmp_path / "o")]) == 2
     assert main(["stats", "--batch", batch, "--check", "stationarity",
                  "--shift", "1", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("z_max", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("check", ["stationarity", "fidelity"])
+def test_stats_bad_z_max_exits_2_before_writing(tmp_path, capsys, z_max, check):
+    batch = make_batch(tmp_path, reps=5, name="bz")
+    out = tmp_path / "rep"
+    shift = ["--shift", "1,0"] if check == "stationarity" else []
+    assert main(["stats", "--batch", batch, "--check", check, *shift,
+                 "--z-max", z_max, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--z-max must be a positive finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [2.7, "3", True, -1])
+def test_stats_bad_manifest_count_exits_2_before_writing(tmp_path, capsys, value):
+    batch = make_batch(tmp_path, reps=5, name="bm")
+    man_path = tmp_path / "bm" / "manifest.json"
+    man = json.loads(man_path.read_text())
+    man["R"] = value
+    man_path.write_text(json.dumps(man))
+    out = tmp_path / "rep"
+    assert main(["stats", "--batch", batch, "--check", "stationarity",
+                 "--shift", "1,0", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "manifest R must be" in capsys.readouterr().err
 
 
 def test_stats_missing_batch_exits_2(tmp_path):

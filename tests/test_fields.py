@@ -95,6 +95,33 @@ def test_field_window_copies_input():
     assert x.at((0,))[0] == 0.0
 
 
+def test_window_shape_is_computed_once():
+    w = Window((-1, 0), (2, 3))
+    assert w.shape is w.shape and w.volume == 16
+    assert w == Window((-1, 0), (2, 3)) and hash(w) == hash(Window((-1, 0), (2, 3)))
+
+
+def test_field_window_keeps_frozen_arrays_and_copies_the_rest():
+    w = Window((0,), (2,))
+    frozen = np.arange(6.0).reshape(3, 2).copy()
+    frozen.setflags(write=False)
+    assert FieldWindow(w, frozen).values is frozen
+    # A view of another field's values costs no copy either.
+    x = FieldWindow(w, frozen[:, :1])
+    assert np.shares_memory(x.values, frozen)
+    assert np.shares_memory(x.with_meta({"a": 1}).values, frozen)
+    # A read-only view of a writable array could still change: copied.
+    base = np.zeros((3, 1))
+    view = base.view()
+    view.setflags(write=False)
+    y = FieldWindow(w, view)
+    base[0, 0] = 7.0
+    assert y.at((0,))[0] == 0.0
+    ints = np.arange(3)
+    ints.setflags(write=False)
+    assert FieldWindow(w, ints).values.dtype == np.float64
+
+
 def test_field_window_shape_mismatch():
     with pytest.raises(DimensionMismatchError, match="shape"):
         FieldWindow(Window((0,), (2,)), np.zeros((4, 1)))

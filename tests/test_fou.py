@@ -294,3 +294,4 @@ def test_fou_batch_save_load(tmp_path):
     assert back.config["kind"] == "second"
     for a, b in zip(batch.fields, back.fields):
         np.testing.assert_array_equal(a.values, b.values)
+

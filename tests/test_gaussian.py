@@ -7,6 +7,7 @@ linearity, and rank-deficient grids; the bulk stream derivation is checked
 against ``substream``, its reference.
 """
 
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from fieldcorrespond import (
     FouConfig,
     HurstSpec,
     NumericRangeError,
+    SampleBatch,
     SheetSampler,
     ThetaTuple,
     TruncationPolicy,
@@ -391,6 +393,60 @@ def test_batch_save_load_roundtrip(tmp_path):
         np.testing.assert_array_equal(a.values, b.values)
 
 
+def test_sample_batch_checks_its_array():
+    w = Window((0, 0), (1, 2))
+    vals = np.zeros((3, 2, 3, 1))
+    batch = SampleBatch(1, vals, w, "integer")
+    assert batch.values is vals and not vals.flags.writeable
+    assert len(batch.fields) == batch.replications == 3
+    assert batch.fields[0].meta is None and not batch.fields[0].values.flags.writeable
+    assert np.shares_memory(batch.fields[-1].values, vals[2])
+    with pytest.raises(IndexError):
+        batch.fields[3]
+    with pytest.raises(DimensionMismatchError, match="shape"):
+        SampleBatch(1, np.zeros((3, 2, 2, 1)), w, "integer")
+    with pytest.raises(DimensionMismatchError, match="shape"):
+        SampleBatch(1, np.zeros((2, 3, 1)), w, "integer")
+    with pytest.raises(DimensionMismatchError, match="clock"):
+        SampleBatch(1, np.zeros((3, 2, 3, 1)), w, "lunar")
+
+
+def test_batch_field_meta_is_a_copy():
+    cfg = FouConfig(kind="second", hurst=HurstSpec([[0.55]]), mixing=np.eye(1),
+                    window=Window((-1,), (1,)), seed=4, replications=3)
+    batch = fou_batch(cfg)
+    batch.fields[0].meta["transforms"].append("x")
+    assert batch.fields[0].meta == fou_field(cfg, 0).meta
+
+
+def _saved_batch(tmp_path):
+    batch = sample_sheet_batch(np.eye(1), HurstSpec([[0.3, 0.7]]),
+                               Window((0, 0), (2, 2)), "integer", seed=13,
+                               replications=5)
+    batch.save(tmp_path)
+    return json.loads((tmp_path / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("R", 2.7), ("R", "3"), ("R", True), ("R", 0), ("R", -1), ("R", None),
+    ("seed", -1), ("seed", 1.5), ("seed", "13"), ("n", 0), ("n", 1.0), ("n", True),
+])
+def test_load_batch_rejects_bad_manifest_fields(tmp_path, key, value):
+    man = _saved_batch(tmp_path)
+    man[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(ConfigError, match=f"manifest {key} must be"):
+        load_batch(tmp_path)
+
+
+def test_load_batch_refuses_count_beyond_files_before_allocating(tmp_path):
+    man = _saved_batch(tmp_path)
+    man["R"] = 10**9
+    (tmp_path / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(ConfigError, match="missing rep_999999999.csv"):
+        load_batch(tmp_path)
+
+
 def test_load_batch_missing_replication(tmp_path):
     h = HurstSpec([[0.3, 0.7]])
     batch = sample_sheet_batch(np.eye(1), h, Window((0, 0), (2, 2)), "integer",
@@ -411,8 +467,7 @@ def test_batch_rep_equals_single_sample(monkeypatch):
     mixing = np.array([[1.0, 0.3], [0.3, 1.0]])
     batch = sample_sheet_batch(mixing, h, w, "integer", seed=2, replications=12)
     sampler = SheetSampler(mixing, h, w, "integer")
-    for r, f in enumerate(batch.fields):
-        assert f.values.tobytes() == sampler.sample(2, r).values.tobytes()
+    pairs = [(batch, r, f, sampler.sample(2, r)) for r, f in enumerate(batch.fields)]
     w = Window((0, 0), (2, 1))
     first = FouConfig(kind="first", hurst=h, mixing=np.diag([1.0, 0.5]), window=w,
                       theta=ThetaTuple([np.diag([0.9, 1.2]), np.diag([1.1, 1.0])]),
@@ -420,10 +475,14 @@ def test_batch_rep_equals_single_sample(monkeypatch):
     second = FouConfig(kind="second", hurst=h, mixing=np.diag([1.0, 0.5]),
                        window=Window((-2, 0), (2, 3)), seed=6, replications=12)
     for cfg in (first, second):
-        for r, f in enumerate(fou_batch(cfg).fields):
-            one = fou_field(cfg, r)
-            assert f.values.tobytes() == one.values.tobytes()
-            assert f.meta == one.meta
+        batch = fou_batch(cfg)
+        pairs += [(batch, r, f, fou_field(cfg, r)) for r, f in enumerate(batch.fields)]
+    # values[r], the view fields[r] and the one-replication route agree.
+    for batch, r, f, one in pairs:
+        assert batch.values[r].tobytes() == f.values.tobytes() == one.values.tobytes()
+        assert f.meta == one.meta and f.meta["replication"] == r
+        assert (f.window, f.clock) == (one.window, one.clock)
+        assert np.shares_memory(batch.values, f.values)
 
 
 def test_batch_rejects_zero_replications():

@@ -25,13 +25,21 @@ import pytest
 from fieldcorrespond import (
     FouConfig,
     HurstSpec,
+    MomentSummary,
     SheetSampler,
     ThetaTuple,
     TruncationPolicy,
     Window,
+    derive_theta,
+    empirical_moments,
+    fidelity_check,
     fou_batch,
+    increment_stationarity_check,
     sample_sheet_batch,
+    self_similarity_check,
+    stationarity_check,
 )
+from fieldcorrespond._jsonio import dumps_json
 from fieldcorrespond.fou import _first_kind_sampler
 from fieldcorrespond.gaussian import stream_states
 
@@ -49,6 +57,10 @@ SHEET_INTEGER = (np.array([[1.0, 0.3], [0.3, 1.0]]), H2, Window((-1, 1), (3, 4))
                  "integer", 2**64 + 1, 40)
 SHEET_EXPONENTIAL = (np.diag([1.0, 0.5]), H2, Window((-2, -2), (2, 2)),
                      "exponential", 5, 40)
+# More replications than numpy's reduction buffer (8192 doubles): the
+# stats digests below then pin the summation order of long rows.
+LARGE = FouConfig(kind="second", hurst=SECOND.hurst, mixing=SECOND.mixing,
+                  window=Window((-1, -1), (1, 1)), seed=5, replications=9000)
 
 # name: (sampler, seed, replications, batch)
 CASES = {
@@ -61,6 +73,9 @@ CASES = {
     "fou-second": (lambda: SheetSampler(SECOND.mixing, SECOND.hurst, SECOND.window,
                                         "exponential"),
                    SECOND.seed, SECOND.replications, lambda: fou_batch(SECOND)),
+    "fou-second-large": (lambda: SheetSampler(LARGE.mixing, LARGE.hurst, LARGE.window,
+                                              "exponential"),
+                         LARGE.seed, LARGE.replications, lambda: fou_batch(LARGE)),
 }
 
 GOLDEN = {
@@ -83,6 +98,11 @@ GOLDEN = {
         "normals": "3475c6159921a5801474fa0de7fc8de986bb82bbd5dfcda52ffc25b1b8aebe92",
         "factors": "cb081ed9721359f9f2c0510214fc8b5fb0d9264841a20544458ad039d2bdbb87",
         "values": "df0a7950e926b59d798c38c3657781e109c2ef46e20a5c99fa03c9d691e5508c",
+    },
+    "fou-second-large": {
+        "normals": "29a83d175962beb5a164039ac2e45d014193aeeb7f54169c4be8100aa8f83173",
+        "factors": "eb0007102a6be13557213a94b9256f3f649eb0d16dfd863d6099812de8ad2973",
+        "values": "c1de3a69fd3f72e6fb2a79536886931bce74f838a6712d0d885a091d32b362ab",
     },
 }
 
@@ -109,3 +129,50 @@ def test_kron_v1_golden_digests(name):
     assert batch.config["sampler"] == "kron-v1"
     assert batch.replications == replications
     assert digest(f.values for f in batch.fields) == golden["values"]
+
+
+# Golden digests of the stats reports and moment summaries on the batches
+# above: a report's digest is the sha256 of its JSON text (the bytes of
+# ``stats_report.json``), a summary's covers mean, mean_se, cov and cov_se.
+# They are checked where the Gram factors match the recorded ones.
+THETA2 = derive_theta(H2)
+
+# name: (batch case, report or summary of its batch)
+STATS_CASES = {
+    "stationarity": ("fou-second", lambda b: stationarity_check(
+        b, [(1, 0), (0, 1), (1, 1)])),
+    "increment-stationarity": ("fou-first", lambda b: increment_stationarity_check(
+        b, [(1, 0), (1, 1)])),
+    "self-similarity": ("sheet-exponential", lambda b: self_similarity_check(
+        b, (1, 1), THETA2)),
+    "fidelity": ("sheet-integer", lambda b: fidelity_check(b, H2, SHEET_INTEGER[0])),
+    "moments": ("fou-second", empirical_moments),
+    "stationarity-large": ("fou-second-large", lambda b: stationarity_check(
+        b, [(1, 0), (1, 1)], max_pairs=20)),
+    "moments-large": ("fou-second-large", empirical_moments),
+}
+
+STATS_GOLDEN = {
+    "fidelity": "a0f16c0b88212193b1713ad5dfa78230872138bff30920ae4e9ac044ab228212",
+    "increment-stationarity": "d9f3b3185d0e931bf91d7c045f86fd6aa3518c7d9d2ab1a680e2e7744782d176",
+    "moments": "53f602d5eee4e0fc4aad9af58651ad4e1e6e4b1d8c8c2505562732c599594c6e",
+    "moments-large": "a83a678ea36b605140f581978e176a4d9a640a6e77dd419a1b1e721c2cdf3caa",
+    "self-similarity": "0636a981ba2b765ef83c9cdb71508d9548194e1e1bccf6b1084a2b49fd0cfbf5",
+    "stationarity": "c9922901f2236bd6ceeaa53809227f552b952840cc20209a1bdb2fe2650c7378",
+    "stationarity-large": "3661fa7fb9539bc2652300fdae9831504eac3f651b02cc32cfa67c97f83d0dde",
+}
+
+
+def stats_digest(result) -> str:
+    if isinstance(result, MomentSummary):
+        return digest([result.mean, result.mean_se, result.cov, result.cov_se])
+    return hashlib.sha256(dumps_json(result.to_dict()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(STATS_CASES))
+def test_stats_golden_digests(name):
+    case, run = STATS_CASES[name]
+    if digest(CASES[case][0]()._factors) != GOLDEN[case]["factors"]:
+        pytest.skip("this platform's eigh rounds the Gram factors differently "
+                    "from the recorded platform; report bytes are not comparable")
+    assert stats_digest(run(CASES[case][3]())) == STATS_GOLDEN[name]

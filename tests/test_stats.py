@@ -5,6 +5,7 @@ hand-computed leave-one-out example; the checks themselves are exercised
 on batches whose pass/fail status is known by construction.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import fieldcorrespond.stats as stats_module
 from fieldcorrespond import (
     ConfigError,
     DimensionMismatchError,
@@ -31,6 +33,7 @@ from fieldcorrespond import (
     self_similarity_check,
     stationarity_check,
 )
+from fieldcorrespond._jsonio import dumps_json
 
 
 def iid_batch(rng, window, n, reps, scale=1.0, drift=0.0):
@@ -357,3 +360,82 @@ def test_report_to_dict_shape(rng):
     assert d["check"] == "stationarity"
     row = d["comparisons"][0]
     assert set(row) == {"label", "estimate", "reference", "se", "z", "degenerate"}
+
+
+# ---------------------------------------------------------------------------
+# Vectorized rows against the per-row loop; row blocks; thresholds
+
+
+def loop_shift_rows(data, window, shift, max_pairs=60):
+    """(estimate, se) of every row of one shift, one row at a time."""
+    base = window.intersection(window.shifted(tuple(-v for v in shift)))
+    m, n, r = base.volume, data.shape[-1], data.shape[0]
+
+    def slab(part):
+        sl = tuple(slice(a - b, a - b + s)
+                   for a, b, s in zip(part.lo, window.lo, part.shape))
+        return data[(slice(None),) + sl].reshape(r, -1, n)
+
+    a_shift, a_base = slab(base.shifted(shift)), slab(base)
+    diffs = [a_shift[:, a, k] - a_base[:, a, k] for a in range(m) for k in range(n)]
+    pairs = list(itertools.combinations_with_replacement(range(m), 2))
+    if len(pairs) > max_pairs:
+        keep = np.unique(np.linspace(0, len(pairs) - 1, max_pairs).astype(int))
+        pairs = [pairs[i] for i in keep]
+    diffs += [a_shift[:, a, k] * a_shift[:, b, l] - a_base[:, a, k] * a_base[:, b, l]
+              for a, b in pairs
+              for k, l in itertools.combinations_with_replacement(range(n), 2)]
+    return [(float(d.mean()), jackknife_se_mean(d)) for d in diffs]
+
+
+def test_stationarity_rows_equal_the_row_loop(rng):
+    w = Window((0, -1), (3, 2))
+    fields = iid_batch(rng, w, 2, 37)
+    data = np.stack([f.values for f in fields])
+    shifts = [(1, 0), (0, 2), (2, 1)]
+    report = stationarity_check(fields, shifts, max_pairs=25)
+    ref = [row for s in shifts for row in loop_shift_rows(data, w, s, max_pairs=25)]
+    assert [(c.estimate, c.se) for c in report.comparisons] == ref
+
+
+def test_row_blocks_do_not_change_reports(rng, monkeypatch):
+    w = Window((-1, -1), (2, 1))
+    batch = sample_sheet_batch(np.diag([1.0, 0.5]), HurstSpec([[0.3, 0.7], [0.6, 0.4]]),
+                               w, "exponential", seed=3, replications=50)
+    theta = derive_theta(HurstSpec([[0.3, 0.7], [0.6, 0.4]]))
+
+    def run():
+        reports = [
+            stationarity_check(batch, [(1, 0), (1, 1)]),
+            increment_stationarity_check(batch, [(1, 0)]),
+            self_similarity_check(batch, (1, 1), theta),
+            fidelity_check(batch, HurstSpec([[0.3, 0.7], [0.6, 0.4]]),
+                           np.diag([1.0, 0.5])),
+        ]
+        summary = empirical_moments(batch)
+        return ([dumps_json(rep.to_dict()) for rep in reports],
+                [summary.mean.tobytes(), summary.mean_se.tobytes(),
+                 summary.cov.tobytes(), summary.cov_se.tobytes()])
+
+    whole = run()
+    # One row per block, then three rows per block with a partial last one.
+    for bound in (1, 3 * 50 + 7):
+        monkeypatch.setattr(stats_module, "ROW_BLOCK", bound)
+        assert run() == whole
+
+
+@pytest.mark.parametrize("z_max", [math.nan, math.inf, -math.inf, -1.0, 0.0, True, "3"])
+def test_checks_reject_bad_z_max(rng, z_max):
+    w = Window((0, 0), (2, 2))
+    fields = iid_batch(rng, w, 1, 5)
+    theta = derive_theta(HurstSpec([[0.5, 0.5]]))
+    exp_fields = [FieldWindow(w, f.values, "exponential") for f in fields]
+    calls = [
+        lambda: stationarity_check(fields, [(1, 0)], z_max=z_max),
+        lambda: increment_stationarity_check(fields, [(1, 0)], z_max=z_max),
+        lambda: self_similarity_check(exp_fields, (1, 1), theta, z_max=z_max),
+        lambda: fidelity_check(fields, HurstSpec([[0.5, 0.5]]), np.eye(1), z_max=z_max),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="z_max must be a positive finite number"):
+            call()

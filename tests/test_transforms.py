@@ -421,8 +421,8 @@ def test_lamperti_inv_refuses_non_finite_result():
     theta = ThetaTuple([np.array([[1.0]])])
     y = FieldWindow(Window((-5,), (0,)), np.full(6, BIG), "exponential")
     _refuses_quietly(lamperti_inv, y, theta)
-    ok = FieldWindow(Window((-5,), (0,)), np.ones(6), "exponential")
-    _refuses_quietly(lamperti_inv_batch, [ok, y], theta)
+    _refuses_quietly(lamperti_inv_batch, np.stack([np.ones((6, 1)), y.values]),
+                     y.window, theta)
 
 
 def test_m_forward_refuses_non_finite_result():
@@ -619,12 +619,11 @@ def test_transforms_form_no_sitewise_exponentials(rng, monkeypatch):
 def test_lamperti_inv_batch_matches_single_calls(rng):
     theta = random_commuting_theta(rng, 2, 3)
     w = Window((-2, 0), (1, 2))
-    ys = [random_field(rng, w, 3, clock="exponential").with_meta({"replication": r})
-          for r in range(4)]
-    for y, b in zip(ys, lamperti_inv_batch(ys, theta, "t.json")):
-        one = lamperti_inv(y, theta, "t.json")
-        assert b.values.tobytes() == one.values.tobytes()
-        assert b.meta == one.meta and b.clock == "integer"
-    other = random_field(rng, Window((0, 0), (1, 1)), 3, clock="exponential")
-    with pytest.raises(WindowError, match="one window"):
-        lamperti_inv_batch([ys[0], other], theta)
+    ys = [random_field(rng, w, 3, clock="exponential") for _ in range(4)]
+    stacked = np.stack([y.values for y in ys])
+    for y, b in zip(ys, lamperti_inv_batch(stacked, w, theta)):
+        assert b.tobytes() == lamperti_inv(y, theta).values.tobytes()
+    with pytest.raises(DimensionMismatchError, match="window shape"):
+        lamperti_inv_batch(stacked, Window((0, 0), (1, 1)), theta)
+    with pytest.raises(DimensionMismatchError, match="N=1, tuple has N=2"):
+        lamperti_inv_batch(stacked[..., 0, :], Window((-2,), (1,)), theta)
