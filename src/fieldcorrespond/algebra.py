@@ -146,21 +146,6 @@ def joint_eigenbasis(mats: Sequence[np.ndarray]) -> tuple:
     return q, w, defect
 
 
-def check_commuting(theta: "ThetaTuple") -> tuple[bool, float]:
-    """Return ``(commuting, max relative commutator defect)`` for the tuple."""
-    defect = theta.commutation_defect
-    return defect <= COMMUTATION_RTOL, defect
-
-
-def min_eigenvalue(theta: "ThetaTuple") -> float:
-    """Smallest eigenvalue over all matrices of the tuple.
-
-    This is the decay rate that controls truncation depths; the tuple
-    invariant guarantees it is strictly positive.
-    """
-    return theta.min_eigenvalue
-
-
 class ThetaTuple:
     """Tuple of N symmetric positive-definite n x n scaling matrices.
 

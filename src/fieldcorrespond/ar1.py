@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import ThetaTuple
 from .errors import DimensionMismatchError, WindowError
-from .fields import FieldWindow, Window, unit_increment, unit_increment_field
+from .fields import FieldWindow, Window, unit_increment_field
 from .transforms import (
     TruncationPolicy,
     check_threshold,

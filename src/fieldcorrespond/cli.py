@@ -154,9 +154,7 @@ def _parse_policy(spec) -> TruncationPolicy:
     depth = spec.get("depth")
     if isinstance(depth, list):
         depth = tuple(depth)
-    if not isinstance(eps, (int, float)):
-        raise ConfigError(f"policy eps must be a number, got {eps!r}")
-    return TruncationPolicy(eps=float(eps), depth=depth)
+    return TruncationPolicy(eps=eps, depth=depth)
 
 
 def _parse_hurst(spec) -> HurstSpec:
@@ -169,10 +167,20 @@ def _parse_hurst(spec) -> HurstSpec:
 def _parse_mixing(spec, n: int) -> np.ndarray:
     if spec is None:
         return np.eye(n)
-    a = np.asarray(spec, dtype=float)
+    try:
+        a = np.asarray(spec, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad mixing matrix {spec!r}: {exc}")
     if a.shape != (n, n):
         raise ConfigError(f"mixing matrix must be {n} x {n}, got shape {a.shape}")
     return a
+
+
+def _manifest_entry(batch, key: str):
+    try:
+        return batch.config[key]
+    except KeyError:
+        raise ConfigError(f"batch manifest has no {key!r}") from None
 
 
 def _outdir(args) -> Path:
@@ -382,8 +390,7 @@ def cmd_stats(args) -> int:
     threads = _threads(args)
     check_threshold(args.z_max, "--z-max")
     batch = load_batch(args.batch)
-    window = Window.from_dict(batch.config["window"])
-    shifts = [_parse_shift(s, window.N) for s in (args.shift or [])]
+    shifts = [_parse_shift(s, batch.window.N) for s in (args.shift or [])]
     if args.check == "stationarity":
         if not shifts:
             raise ConfigError("stationarity needs at least one --shift")
@@ -398,11 +405,12 @@ def cmd_stats(args) -> int:
         if args.theta:
             theta, _ = _parse_theta(args.theta)
         else:
-            theta = derive_theta(HurstSpec(np.asarray(batch.config["H"], dtype=float)))
+            theta = derive_theta(_parse_hurst(_manifest_entry(batch, "H")))
         report = self_similarity_check(batch, shifts[0], theta, z_max=args.z_max)
     elif args.check == "fidelity":
-        hurst = HurstSpec(np.asarray(batch.config["H"], dtype=float))
-        report = fidelity_check(batch, hurst, batch.config["A"], z_max=args.z_max)
+        hurst = _parse_hurst(_manifest_entry(batch, "H"))
+        mixing = _parse_mixing(_manifest_entry(batch, "A"), hurst.n)
+        report = fidelity_check(batch, hurst, mixing, z_max=args.z_max)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown check {args.check!r}")
     out = _outdir(args)

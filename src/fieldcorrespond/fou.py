@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ThetaTuple, spectral_norm
-from .ar1 import Ar1System, stationary_solution
 from .errors import CommutationError, ConfigError
 from .fields import FieldWindow, Window
 from .gaussian import (
@@ -33,8 +32,9 @@ from .gaussian import (
 from .transforms import (
     TRANSFORMS_VERSION,
     TruncationPolicy,
-    lamperti_inv,
-    lamperti_inv_batch,
+    lamperti_values,
+    m_inverse_values,
+    tail_bound_value,
     transform_record,
 )
 
@@ -114,13 +114,28 @@ class FouConfig:
             object.__setattr__(self, "theta", derived)
 
 
-def _first_kind_sampler(cfg: FouConfig) -> SheetSampler:
+def _noise_window(cfg: FouConfig) -> Window:
+    """[lo - depth - 1, hi]: the window the truncated inverse accumulation reads."""
     depth = cfg.policy.resolve(cfg.theta)
-    ext = Window(
-        tuple(l - d - 1 for l, d in zip(cfg.window.lo, depth)),
-        cfg.window.hi,
-    )
-    return SheetSampler(cfg.mixing, cfg.hurst, ext, "integer")
+    return Window(tuple(l - d - 1 for l, d in zip(cfg.window.lo, depth)), cfg.window.hi)
+
+
+def _sampler(cfg: FouConfig) -> SheetSampler:
+    """The first kind's integer-clock noise, or the second kind's exponential-clock sheet."""
+    if cfg.kind == "first":
+        return SheetSampler(cfg.mixing, cfg.hurst, _noise_window(cfg), "integer")
+    return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential")
+
+
+def _solve(cfg: FouConfig, draws: np.ndarray) -> tuple:
+    """(values, field metadata) on cfg.window from a (count, *sampler window, n) block."""
+    chain = [transform_record("Linv")]
+    if cfg.kind == "first":
+        depth = cfg.policy.resolve(cfg.theta)
+        draws = m_inverse_values(draws, _noise_window(cfg), cfg.theta, depth, cfg.window)
+        chain.insert(0, transform_record("Minv", None, list(depth),
+                                         tail_bound_value(cfg.theta, depth)))
+    return lamperti_values(draws, cfg.window, cfg.theta, -1), {"transforms": chain}
 
 
 def fou_noise(cfg: FouConfig, replication: int = 0) -> FieldWindow:
@@ -131,31 +146,19 @@ def fou_noise(cfg: FouConfig, replication: int = 0) -> FieldWindow:
     """
     if cfg.kind != "first":
         raise ConfigError("fou_noise is defined for first-kind configurations")
-    return _first_kind_sampler(cfg).sample(cfg.seed, replication)
-
-
-def fou_first_kind(cfg: FouConfig, replication: int = 0) -> FieldWindow:
-    """One first-kind replication on cfg.window (integer clock)."""
-    if cfg.kind != "first":
-        raise ConfigError(f"configuration has kind={cfg.kind!r}, expected 'first'")
-    g = _first_kind_sampler(cfg).sample(cfg.seed, replication)
-    system = Ar1System(cfg.theta, g, cfg.policy)
-    return stationary_solution(system, cfg.window)
-
-
-def fou_second_kind(cfg: FouConfig, replication: int = 0) -> FieldWindow:
-    """One second-kind replication on cfg.window (integer clock)."""
-    if cfg.kind != "second":
-        raise ConfigError(f"configuration has kind={cfg.kind!r}, expected 'second'")
-    sampler = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential")
-    y = sampler.sample(cfg.seed, replication)
-    return lamperti_inv(y, cfg.theta)
+    return _sampler(cfg).sample(cfg.seed, replication)
 
 
 def fou_field(cfg: FouConfig, replication: int = 0) -> FieldWindow:
-    if cfg.kind == "first":
-        return fou_first_kind(cfg, replication)
-    return fou_second_kind(cfg, replication)
+    """Replication ``replication`` of ``fou_batch(cfg)``, solved as a block of one.
+
+    The first kind equals ``stationary_solution`` of an ``Ar1System`` driven
+    by ``fou_noise(cfg, replication)``; the second kind equals
+    ``lamperti_inv`` of the exponential-clock sheet.
+    """
+    y = _sampler(cfg).sample(cfg.seed, replication)
+    values, meta = _solve(cfg, y.values[np.newaxis])
+    return FieldWindow(cfg.window, values[0], "integer", dict(y.meta, **meta))
 
 
 def fou_batch(cfg: FouConfig) -> SampleBatch:
@@ -164,26 +167,13 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
     The per-axis Gram factors are computed once and shared across
     replications; each replication keeps its own (seed, replication,
     component) streams.  Replications are drawn in the sampler's blocks
-    (``SheetSampler.blocks``) into one preallocated array: the first kind
-    solves each drawn noise as its block arrives, the second kind pulls a
-    whole block back at once.  Replication r equals ``fou_field(cfg, r)``
-    byte for byte, metadata included.
+    (``SheetSampler.blocks``) and each block is solved at once into one
+    preallocated array.  Replication r equals ``fou_field(cfg, r)`` byte
+    for byte, metadata included.
     """
     values = np.empty((cfg.replications,) + cfg.window.shape + (cfg.hurst.n,))
-    if cfg.kind == "first":
-        sampler = _first_kind_sampler(cfg)
-        for start, block in sampler.blocks(cfg.seed, cfg.replications):
-            for i, g in enumerate(block):
-                noise = FieldWindow(sampler.window, g)
-                x = stationary_solution(Ar1System(cfg.theta, noise, cfg.policy), cfg.window)
-                values[start + i] = x.values
-        field_meta = x.meta
-    else:
-        sampler = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential")
-        for start, block in sampler.blocks(cfg.seed, cfg.replications):
-            values[start:start + len(block)] = lamperti_inv_batch(block, cfg.window,
-                                                                  cfg.theta)
-        field_meta = {"transforms": [transform_record("Linv")]}
+    for start, block in _sampler(cfg).blocks(cfg.seed, cfg.replications):
+        values[start:start + len(block)], field_meta = _solve(cfg, block)
     config = {
         "H": cfg.hurst.H.tolist(),
         "A": cfg.mixing.tolist(),

@@ -71,7 +71,7 @@ class TruncationPolicy:
     depth: tuple = None
 
     def __post_init__(self):
-        check_threshold(self.eps, "eps")
+        object.__setattr__(self, "eps", check_threshold(self.eps, "eps"))
         d = self.depth
         entries = d if isinstance(d, (tuple, list)) else (d,)
         if d is not None and not all(_is_int(v) for v in entries):
@@ -188,13 +188,10 @@ def _finite(vals: np.ndarray, what: str, window: Window) -> np.ndarray:
 
 
 def _check_pair(x: FieldWindow, theta: ThetaTuple, clock: str, what: str) -> None:
-    if x.n != theta.n:
+    if (x.n, x.N) != (theta.n, theta.N):
         raise DimensionMismatchError(
-            f"{what}: field has n={x.n}, tuple has n={theta.n}"
-        )
-    if x.N != theta.N:
-        raise DimensionMismatchError(
-            f"{what}: field has N={x.N}, tuple has N={theta.N}"
+            f"{what}: field (n={x.n}, N={x.N}) does not match tuple "
+            f"(n={theta.n}, N={theta.N})"
         )
     if x.clock != clock:
         raise DimensionMismatchError(
@@ -217,12 +214,40 @@ def _append_transform(x: FieldWindow, record: dict) -> dict:
     return meta
 
 
+def _check_values(values, window: Window, theta: ThetaTuple, what: str) -> np.ndarray:
+    """``values`` as floats if shaped (..., *window.shape, theta.n)."""
+    values = np.asarray(values, dtype=float)
+    if window.N != theta.N:
+        raise DimensionMismatchError(
+            f"{what}: window has N={window.N}, tuple has N={theta.N}"
+        )
+    if values.shape[max(0, values.ndim - window.N - 1):] != window.shape + (theta.n,):
+        raise DimensionMismatchError(
+            f"{what}: values of shape {values.shape} do not end in the "
+            f"window shape {window.shape} and n={theta.n}"
+        )
+    return values
+
+
+def lamperti_values(values, window: Window, theta: ThetaTuple, sign: int) -> np.ndarray:
+    """``e^{sign*t*Theta}`` times the values at every site t of ``window``.
+
+    ``sign`` +1 is the Lamperti map, -1 its inverse.  ``values`` has shape
+    (..., *window.shape, n); every leading entry is mapped in the same
+    pass, and entry i of the result equals the map of ``values[i]`` alone
+    byte for byte.
+    """
+    what = "lamperti" if sign > 0 else "lamperti_inv"
+    values = _check_values(values, window, theta, what)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, q = _weighted(values, theta, window, sign, what)
+        return _finite(_rotate(z, q.T), what, window)
+
+
 def lamperti(x: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldWindow:
     """Exponential-clock image Y_{e^t} = e^{t*Theta} X_t, same window."""
     _check_pair(x, theta, "integer", "lamperti")
-    with np.errstate(over="ignore", invalid="ignore"):
-        z, q = _weighted(x.values, theta, x.window, +1, "lamperti")
-        vals = _finite(_rotate(z, q.T), "lamperti", x.window)
+    vals = lamperti_values(x.values, x.window, theta, +1)
     meta = _append_transform(x, transform_record("L", theta_ref))
     return FieldWindow(x.window, vals, "exponential", meta)
 
@@ -230,32 +255,9 @@ def lamperti(x: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldW
 def lamperti_inv(y: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldWindow:
     """Integer-clock image X_t = e^{-t*Theta} Y_{e^t}, same window."""
     _check_pair(y, theta, "exponential", "lamperti_inv")
-    vals = lamperti_inv_batch(y.values, y.window, theta)
+    vals = lamperti_values(y.values, y.window, theta, -1)
     meta = _append_transform(y, transform_record("Linv", theta_ref))
     return FieldWindow(y.window, vals, "integer", meta)
-
-
-def lamperti_inv_batch(values: np.ndarray, window: Window, theta: ThetaTuple) -> np.ndarray:
-    """``lamperti_inv`` of exponential-clock values on one window, as an array.
-
-    ``values`` has shape (..., *window.shape, n); every leading entry is
-    pulled back in the same pass, and entry i of the result equals the
-    values of ``lamperti_inv(FieldWindow(window, values[i], "exponential"),
-    theta)`` byte for byte.
-    """
-    values = np.asarray(values, dtype=float)
-    if window.N != theta.N:
-        raise DimensionMismatchError(
-            f"lamperti_inv: window has N={window.N}, tuple has N={theta.N}"
-        )
-    if values.shape[max(0, values.ndim - window.N - 1):] != window.shape + (theta.n,):
-        raise DimensionMismatchError(
-            f"lamperti_inv: values of shape {values.shape} do not end in the "
-            f"window shape {window.shape} and n={theta.n}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        z, q = _weighted(values, theta, window, -1, "lamperti_inv")
-        return _finite(_rotate(z, q.T), "lamperti_inv", window)
 
 
 def _signed_accumulate(arr: np.ndarray, axis: int, j_lo: int) -> np.ndarray:
@@ -305,6 +307,41 @@ def m_forward(y: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> Field
     return FieldWindow(y.window, w, "integer", meta)
 
 
+def m_inverse_values(values, window: Window, theta: ThetaTuple, depth: tuple,
+                     out_window: Window) -> np.ndarray:
+    """``m_inverse_truncated`` of integer-clock values on ``window``, as an array.
+
+    ``values`` has shape (..., *window.shape, n) and ``window`` must cover
+    ``[out_window.lo - depth - 1, out_window.hi]``; the result has shape
+    (..., *out_window.shape, n).  Every leading entry is accumulated in
+    the same pass, and entry i of the result equals that of ``values[i]``
+    alone byte for byte.
+    """
+    values = _check_values(values, window, theta, "m_inverse_truncated")
+    low = tuple(l - d for l, d in zip(out_window.lo, depth))
+    need_lo = tuple(l - 1 for l in low)
+    if any(a < b for a, b in zip(need_lo, window.lo)) or any(
+        a > b for a, b in zip(out_window.hi, window.hi)
+    ):
+        raise WindowError(
+            f"m_inverse_truncated needs input covering [{need_lo}, {out_window.hi}] "
+            f"for output {out_window} at depth {depth}; input window is {window}"
+        )
+    # Window axis j of the values is axis j - N - 1 (the last is the component).
+    axes = range(-window.N - 1, -1)
+    box = tuple(slice(a - b, c - b + 1) for a, b, c in zip(need_lo, window.lo, out_window.hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dg = values[(Ellipsis, *box, slice(None))]
+        for axis in axes:
+            dg = np.diff(dg, axis=axis)
+        w, q = _weighted(dg, theta, Window(low, out_window.hi), +1, "m_inverse_truncated")
+        for axis in axes:
+            w = np.cumsum(w, axis=axis)
+        drop = tuple(slice(d, None) for d in depth)
+        return _finite(_rotate(w[(Ellipsis, *drop, slice(None))], q.T),
+                       "m_inverse_truncated", out_window)
+
+
 def m_inverse_truncated(
     g: FieldWindow,
     theta: ThetaTuple,
@@ -322,35 +359,13 @@ def m_inverse_truncated(
     depth and the a-priori relative tail bound.
     """
     _check_pair(g, theta, "integer", "m_inverse_truncated")
-    policy = policy or TruncationPolicy()
-    depth = policy.resolve(theta)
+    depth = (policy or TruncationPolicy()).resolve(theta)
     if out_window is None:
         out_window = Window(
             tuple(l + d + 1 for l, d in zip(g.window.lo, depth)),
             g.window.hi,
         )
-    low = tuple(l - d for l, d in zip(out_window.lo, depth))
-    need_lo = tuple(l - 1 for l in low)
-    if any(a < b for a, b in zip(need_lo, g.window.lo)) or any(
-        a > b for a, b in zip(out_window.hi, g.window.hi)
-    ):
-        raise WindowError(
-            f"m_inverse_truncated needs input covering [{need_lo}, {out_window.hi}] "
-            f"for output {out_window} at depth {depth}; input window is {g.window}"
-        )
-    sub = Window(low, out_window.hi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dg = unit_increment_field(g)
-        # Slice the increment field down to the summation box [low, out.hi].
-        slices = tuple(
-            slice(a - b, a - b + s)
-            for a, b, s in zip(sub.lo, dg.window.lo, sub.shape)
-        )
-        w, q = _weighted(dg.values[slices], theta, sub, +1, "m_inverse_truncated")
-        for axis in range(g.N):
-            w = np.cumsum(w, axis=axis)
-        drop = tuple(slice(d, None) for d in depth)
-        vals = _finite(_rotate(w[drop], q.T), "m_inverse_truncated", out_window)
+    vals = m_inverse_values(g.values, g.window, theta, depth, out_window)
     meta = _append_transform(g, transform_record(
         "Minv", theta_ref, list(depth), tail_bound_value(theta, depth)))
     return FieldWindow(out_window, vals, "exponential", meta)

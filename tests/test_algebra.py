@@ -14,10 +14,8 @@ from fieldcorrespond import (
     CommutationError,
     DimensionMismatchError,
     ThetaTuple,
-    check_commuting,
     commutation_defect,
     mat_exp_sym,
-    min_eigenvalue,
     spectral_norm,
     star_apply,
     star_index,
@@ -168,9 +166,8 @@ def test_theta_tuple_rejects_nonfinite():
 
 def test_commuting_flag_shared_eigvectors(rng):
     theta = random_commuting_theta(rng, 3, 3)
-    ok, defect = check_commuting(theta)
-    assert ok and theta.commuting
-    assert defect <= COMMUTATION_RTOL
+    assert theta.commuting
+    assert theta.commutation_defect <= COMMUTATION_RTOL
 
 
 def test_noncommuting_pair_detected():
@@ -189,7 +186,7 @@ def test_commutation_defect_zero_for_single():
 
 def test_min_eigenvalue_frozen():
     theta = ThetaTuple([np.diag([0.75, 2.0]), np.diag([1.5, 3.0])])
-    assert min_eigenvalue(theta) == pytest.approx(0.75, rel=1e-12)
+    assert theta.min_eigenvalue == pytest.approx(0.75, rel=1e-12)
 
 
 def test_exp_memoized_and_readonly(rng):

@@ -14,8 +14,6 @@ from fieldcorrespond import (
     ThetaTuple,
     TruncationPolicy,
     Window,
-    m_inverse_truncated,
-    lamperti_inv,
     save_field,
 )
 from fieldcorrespond.cli import main
@@ -135,6 +133,14 @@ def test_simulate_bad_clock_exits_2(tmp_path):
 def test_simulate_bad_hurst_exits_2(tmp_path):
     cfg = sheet_config(tmp_path, H=[[1.5, 0.5]])
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_simulate_non_numeric_mixing_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", sheet_config(tmp_path, A=[["x"]]),
+                 "--out", str(out)]) == 2
+    assert "bad mixing matrix" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_exp_window_too_wide_exits_3(tmp_path, capsys):
@@ -529,6 +535,16 @@ def test_fou_non_integer_policy_depth_exits_2(tmp_path, depth):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", [True, False, "1e-8", None, 0, -1e-8])
+def test_fou_bad_policy_eps_exits_2(tmp_path, capsys, eps):
+    theta = theta_file(tmp_path, [np.array([[1.0]])])
+    cfg = fou_config(tmp_path, theta, policy={"eps": eps})
+    out = tmp_path / "run"
+    assert main(["fou", "--config", cfg, "--out", str(out)]) == 2
+    assert "eps must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["first", "second"])
 @pytest.mark.parametrize("key, value", [
     ("seed", -1), ("seed", True), ("seed", 1.5),
@@ -651,18 +667,38 @@ def test_stats_bad_z_max_exits_2_before_writing(tmp_path, capsys, z_max, check):
     assert "--z-max must be a positive finite number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [2.7, "3", True, -1])
-def test_stats_bad_manifest_count_exits_2_before_writing(tmp_path, capsys, value):
+MISSING = object()
+STATIONARITY = ["--check", "stationarity", "--shift", "1,0"]
+
+
+@pytest.mark.parametrize("key, value, check, message", [
+    *[pytest.param("R", v, STATIONARITY, "manifest R must be", id=str(v))
+      for v in (2.7, "3", True, -1)],
+    pytest.param("H", MISSING, ["--check", "fidelity"], "manifest has no 'H'",
+                 id="no-H-fidelity"),
+    pytest.param("H", MISSING, ["--check", "self-similarity", "--shift", "1,1"],
+                 "manifest has no 'H'", id="no-H-self-similarity"),
+    pytest.param("A", MISSING, ["--check", "fidelity"], "manifest has no 'A'",
+                 id="no-A-fidelity"),
+    pytest.param("A", [["x"]], ["--check", "fidelity"], "bad mixing matrix",
+                 id="text-A-fidelity"),
+])
+def test_stats_bad_manifest_count_exits_2_before_writing(tmp_path, capsys, key, value,
+                                                         check, message):
+    # A manifest entry the checks need (the count R, the Hurst spec H, the
+    # mixing matrix A) that is missing or malformed is a config error.
     batch = make_batch(tmp_path, reps=5, name="bm")
     man_path = tmp_path / "bm" / "manifest.json"
     man = json.loads(man_path.read_text())
-    man["R"] = value
+    if value is MISSING:
+        del man[key]
+    else:
+        man[key] = value
     man_path.write_text(json.dumps(man))
     out = tmp_path / "rep"
-    assert main(["stats", "--batch", batch, "--check", "stationarity",
-                 "--shift", "1,0", "--out", str(out)]) == 2
+    assert main(["stats", "--batch", batch, *check, "--out", str(out)]) == 2
     assert not out.exists()
-    assert "manifest R must be" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_stats_missing_batch_exits_2(tmp_path):

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from fieldcorrespond import (
+    Ar1System,
     CommutationError,
     ConfigError,
     FouConfig,
     HurstSpec,
+    SheetSampler,
     ThetaTuple,
     TruncationPolicy,
     Window,
@@ -24,10 +26,10 @@ from fieldcorrespond import (
     fbs_cov,
     fou_batch,
     fou_field,
-    fou_first_kind,
     fou_noise,
-    fou_second_kind,
+    lamperti_inv,
     mixing_commutes,
+    stationary_solution,
 )
 
 
@@ -128,10 +130,10 @@ def test_zero_mixing_gives_zero_fields():
     first = FouConfig(kind="first", hurst=h, mixing=np.zeros((1, 1)),
                       window=Window((-1,), (2,)), theta=theta,
                       policy=TruncationPolicy(depth=4), seed=3)
-    assert np.all(fou_first_kind(first).values == 0.0)
+    assert np.all(fou_field(first).values == 0.0)
     second = FouConfig(kind="second", hurst=h, mixing=np.zeros((1, 1)),
                        window=Window((-1,), (2,)), seed=3)
-    assert np.all(fou_second_kind(second).values == 0.0)
+    assert np.all(fou_field(second).values == 0.0)
 
 
 def test_first_kind_satisfies_ar1(rng):
@@ -166,14 +168,6 @@ def test_fou_noise_only_first_kind():
                     window=Window((0,), (2,)))
     with pytest.raises(ConfigError, match="first-kind"):
         fou_noise(cfg)
-
-
-def test_kind_dispatch_guard():
-    h = HurstSpec([[0.5]])
-    cfg = FouConfig(kind="second", hurst=h, mixing=np.eye(1),
-                    window=Window((0,), (2,)))
-    with pytest.raises(ConfigError, match="expected 'first'"):
-        fou_first_kind(cfg)
 
 
 def test_first_kind_scalar_autocovariance():
@@ -254,7 +248,7 @@ def test_fou_batch_manifest_and_rerun():
     b2 = fou_batch(cfg)
     for r, (x, y) in enumerate(zip(b1.fields, b2.fields)):
         assert x.values.tobytes() == y.values.tobytes()
-        assert x.values.tobytes() == fou_first_kind(cfg, r).values.tobytes()
+        assert x.values.tobytes() == fou_field(cfg, r).values.tobytes()
     man = b1.manifest()
     assert man["kind"] == "first"
     assert man["seed"] == 8 and man["R"] == 6
@@ -264,23 +258,39 @@ def test_fou_batch_manifest_and_rerun():
     assert man["sampler"] == "kron-v1"
 
 
-def test_fou_batch_second_kind_equals_single_replications(monkeypatch):
-    # The batch draws and pulls replications back in blocks (here 640
-    # normals, 16 replications of 2 x 20 sites, so 50 spans a partial last
-    # block); each must equal the one-replication route byte for byte,
-    # metadata included.
+def _explicit_route(cfg, r):
+    """Replication r built from the public single-field maps."""
+    if cfg.kind == "first":
+        return stationary_solution(Ar1System(cfg.theta, fou_noise(cfg, r), cfg.policy),
+                                   cfg.window)
+    y = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential").sample(cfg.seed, r)
+    return lamperti_inv(y, cfg.theta)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_fou_batch_equals_single_replications(monkeypatch, kind):
+    # The batch draws and solves replications in blocks of 640 normals:
+    # 16 replications of 2 x 20 sites for the second kind, 2 of 2 x 12 x 11
+    # noise sites for the first, so 37 spans several blocks and a partial
+    # last one.  Each replication must equal the explicit single-field
+    # route and fou_field byte for byte, metadata included.
     import fieldcorrespond.gaussian as gaussian_module
 
     monkeypatch.setattr(gaussian_module, "DRAW_BLOCK", 640)
-    cfg = FouConfig(kind="second", hurst=HurstSpec([[0.3, 0.7], [0.6, 0.4]]),
-                    mixing=np.diag([1.0, 0.5]), window=Window((-2, -1), (2, 2)),
-                    seed=21, replications=50)
+    extra = {}
+    if kind == "first":
+        extra = {"theta": ThetaTuple([np.diag([0.9, 1.2]), np.diag([1.1, 1.0])]),
+                 "policy": TruncationPolicy(depth=6)}
+    cfg = FouConfig(kind=kind, hurst=HurstSpec([[0.3, 0.7], [0.6, 0.4]]),
+                    mixing=np.diag([1.0, 0.5]),
+                    window=Window((-2, -1), (2, 2)), seed=21, replications=37, **extra)
     batch = fou_batch(cfg)
-    assert batch.replications == 50
+    assert batch.replications == 37
     for r, f in enumerate(batch.fields):
-        one = fou_second_kind(cfg, r)
-        assert f.values.tobytes() == one.values.tobytes()
-        assert f.meta == one.meta
+        for one in (_explicit_route(cfg, r), fou_field(cfg, r)):
+            assert f.values.tobytes() == one.values.tobytes()
+            assert f.meta == one.meta
+            assert f.clock == one.clock and f.window == one.window
 
 
 def test_fou_batch_save_load(tmp_path):

@@ -40,7 +40,7 @@ from fieldcorrespond import (
     stationarity_check,
 )
 from fieldcorrespond._jsonio import dumps_json
-from fieldcorrespond.fou import _first_kind_sampler
+from fieldcorrespond.fou import _sampler
 from fieldcorrespond.gaussian import stream_states
 
 from conftest import pcg64_normals
@@ -68,7 +68,7 @@ CASES = {
                       lambda: sample_sheet_batch(*SHEET_INTEGER)),
     "sheet-exponential": (lambda: SheetSampler(*SHEET_EXPONENTIAL[:4]), 5, 40,
                           lambda: sample_sheet_batch(*SHEET_EXPONENTIAL)),
-    "fou-first": (lambda: _first_kind_sampler(FIRST), FIRST.seed, FIRST.replications,
+    "fou-first": (lambda: _sampler(FIRST), FIRST.seed, FIRST.replications,
                   lambda: fou_batch(FIRST)),
     "fou-second": (lambda: SheetSampler(SECOND.mixing, SECOND.hurst, SECOND.window,
                                         "exponential"),

@@ -37,7 +37,7 @@ from fieldcorrespond import (
     unit_increment,
     unit_increment_field,
 )
-from fieldcorrespond.transforms import lamperti_inv_batch
+from fieldcorrespond.transforms import lamperti_values
 
 from conftest import (
     anchored_field,
@@ -164,6 +164,8 @@ def test_policy_default_uses_eps():
     theta = ThetaTuple([np.eye(1)])
     pol = TruncationPolicy(eps=2.0 * math.exp(-10.0))
     assert pol.resolve(theta) == (10,)
+    # An integer eps is kept as the float it stands for.
+    assert type(TruncationPolicy(eps=1).eps) is float
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +423,8 @@ def test_lamperti_inv_refuses_non_finite_result():
     theta = ThetaTuple([np.array([[1.0]])])
     y = FieldWindow(Window((-5,), (0,)), np.full(6, BIG), "exponential")
     _refuses_quietly(lamperti_inv, y, theta)
-    _refuses_quietly(lamperti_inv_batch, np.stack([np.ones((6, 1)), y.values]),
-                     y.window, theta)
+    _refuses_quietly(lamperti_values, np.stack([np.ones((6, 1)), y.values]),
+                     y.window, theta, -1)
 
 
 def test_m_forward_refuses_non_finite_result():
@@ -621,9 +623,9 @@ def test_lamperti_inv_batch_matches_single_calls(rng):
     w = Window((-2, 0), (1, 2))
     ys = [random_field(rng, w, 3, clock="exponential") for _ in range(4)]
     stacked = np.stack([y.values for y in ys])
-    for y, b in zip(ys, lamperti_inv_batch(stacked, w, theta)):
+    for y, b in zip(ys, lamperti_values(stacked, w, theta, -1)):
         assert b.tobytes() == lamperti_inv(y, theta).values.tobytes()
     with pytest.raises(DimensionMismatchError, match="window shape"):
-        lamperti_inv_batch(stacked, Window((0, 0), (1, 1)), theta)
+        lamperti_values(stacked, Window((0, 0), (1, 1)), theta, -1)
     with pytest.raises(DimensionMismatchError, match="N=1, tuple has N=2"):
-        lamperti_inv_batch(stacked[..., 0, :], Window((-2,), (1,)), theta)
+        lamperti_values(stacked[..., 0, :], Window((-2,), (1,)), theta, -1)
