@@ -12,6 +12,8 @@ from typing import Any
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def format_float(x: float) -> str:
     v = float(x)
@@ -65,5 +67,13 @@ def dump_json(obj: Any, path) -> None:
 
 
 def load_json(path) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in ``path``, the package's only JSON reader.
+
+    Malformed text or bytes that are not UTF-8 raise ConfigError naming the
+    file; a missing file raises FileNotFoundError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None

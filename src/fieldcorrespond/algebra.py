@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._jsonio import dump_json, load_json
-from .errors import CommutationError, DimensionMismatchError
+from .errors import CommutationError, DimensionMismatchError, check_int
 
 # Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_RTOL = 1e-12
@@ -153,7 +153,7 @@ class ThetaTuple:
     commuting flag is evaluated once (true iff every pairwise relative
     commutator defect is at most 1e-10) and exposed as a property, and so
     is the joint eigenbasis that the window transforms apply.  Instances
-    are immutable; ``exp(t)`` memoizes the matrix exponential of a single
+    are immutable; ``exp(t)`` computes the matrix exponential of a single
     integer contraction for the few callers that need whole matrices (the
     AR(1) drift, the mixing check, edge-decay norms).
     """
@@ -188,7 +188,6 @@ class ThetaTuple:
         self._q, self._w, self._basis_defect = joint_eigenbasis(mats)
         self._q.setflags(write=False)
         self._w.setflags(write=False)
-        self._exp_cache: dict = {}
 
     @property
     def n(self) -> int:
@@ -236,18 +235,15 @@ class ThetaTuple:
         return self._q, self._w
 
     def exp(self, t: Sequence[int]) -> np.ndarray:
-        """Memoized ``mat_exp_sym(star_index(t, self))`` for integer indices."""
+        """Read-only ``mat_exp_sym(star_index(t, self))`` for an integer index."""
         key = tuple(int(x) for x in t)
         if len(key) != self.N or any(k != x for k, x in zip(key, t)):
             raise DimensionMismatchError(
                 f"exp() expects an integer index of length {self.N}, got {t!r}"
             )
-        cached = self._exp_cache.get(key)
-        if cached is None:
-            cached = mat_exp_sym(star_index(key, self))
-            cached.setflags(write=False)
-            self._exp_cache[key] = cached
-        return cached
+        e = mat_exp_sym(star_index(key, self))
+        e.setflags(write=False)
+        return e
 
     def to_dict(self) -> dict:
         return {
@@ -258,9 +254,10 @@ class ThetaTuple:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThetaTuple":
+        """The tuple of a ``{"n", "N", "mats"}`` object with integer n, N >= 1."""
         try:
-            n = int(d["n"])
-            nn = int(d["N"])
+            n = check_int(d["n"], "ThetaTuple n", 1)
+            nn = check_int(d["N"], "ThetaTuple N", 1)
             flat = d["mats"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatchError(f"malformed ThetaTuple dict: {exc}") from exc

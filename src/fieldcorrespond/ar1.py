@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ThetaTuple
-from .errors import DimensionMismatchError, WindowError
+from .errors import DimensionMismatchError, WindowError, check_threshold
 from .fields import FieldWindow, Window, unit_increment_field
 from .transforms import (
     TruncationPolicy,
-    check_threshold,
     lamperti,
     lamperti_inv,
     m_forward,

@@ -9,16 +9,22 @@ resolved-config snapshot into --out, and use exit codes
     3  numeric or window error
     4  verification failure
 
-A thread count from --threads or the FIELD_CORRESPOND_THREADS environment
-variable is still accepted, validated and recorded in resolved_config.json
-so that existing scripts keep working, but it has no effect: every command
-runs on one thread.
+One rule sets the exit code of a bad input: while a command turns its
+config, flags and input files into library objects, a value that a
+library constructor or reader refuses is a configuration error (2),
+whichever one refuses it; malformed JSON in any input file is one.  Two
+refusals keep exit 3: NumericRangeError (GRID_CAP, the exponential-clock
+limit, overflow) and the data-line errors of a field CSV from read_csv.
+
+--threads is still accepted, validated and recorded in
+resolved_config.json so that existing scripts keep working, but it has
+no effect: every command runs on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -36,10 +42,11 @@ from .errors import (
     NumericRangeError,
     VerificationError,
     WindowError,
+    check_threshold,
 )
 from .fields import CLOCKS, Window, load_field, read_csv, save_field, sidecar_path
 from .fou import FouConfig, derive_theta, fou_batch
-from .gaussian import HurstSpec, load_batch, sample_sheet_batch
+from .gaussian import HurstSpec, as_mixing, load_batch, read_manifest, sample_sheet_batch
 from .stats import (
     fidelity_check,
     increment_stationarity_check,
@@ -49,7 +56,6 @@ from .stats import (
 from .transforms import (
     TRANSFORMS_VERSION,
     TruncationPolicy,
-    check_threshold,
     lamperti,
     lamperti_inv,
     m_forward,
@@ -61,30 +67,35 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-ENV_THREADS = "FIELD_CORRESPOND_THREADS"
+
+@contextlib.contextmanager
+def _refused(what: str):
+    """The exit-code rule: a refusal while ``what`` is built is a ConfigError.
+
+    NumericRangeError passes unchanged; a missing key names the key.
+    """
+    try:
+        yield
+    except NumericRangeError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{what} has no {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def _threads(args) -> int:
-    raw = args.threads
-    if raw is None:
-        raw = os.environ.get(ENV_THREADS, "1")
     try:
-        t = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"thread count must be an integer, got {raw!r}")
+        t = int(args.threads)
+    except ValueError:
+        raise ConfigError(f"thread count must be an integer, got {args.threads!r}") from None
     if t < 1:
         raise ConfigError(f"thread count must be >= 1, got {t}")
     return t
 
 
 def _load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    cfg = load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return cfg
@@ -99,13 +110,27 @@ def _check_keys(cfg: dict, allowed: set, required: set, what: str) -> None:
         raise ConfigError(f"{what} config is missing keys: {sorted(missing)}")
 
 
-def _parse_window(spec) -> Window:
-    if not (isinstance(spec, dict) and set(spec) == {"lo", "hi"}):
-        raise ConfigError(f"window must be an object with 'lo' and 'hi', got {spec!r}")
-    try:
-        return Window(tuple(spec["lo"]), tuple(spec["hi"]))
-    except (WindowError, DimensionMismatchError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad window {spec!r}: {exc}")
+def _sheet_inputs(args, cfg: dict) -> tuple:
+    """``(hurst, window, mixing, seed, replications)`` of a simulate or fou run.
+
+    A missing ``A`` is the identity; the seed and count flags override the
+    config, and the library checks them when it draws.
+    """
+    with _refused("Hurst spec"):
+        hurst = HurstSpec(cfg["H"])
+    with _refused("window"):
+        window = Window.from_dict(cfg["window"])
+    if window.N != hurst.N:
+        raise ConfigError(f"window has N={window.N}, Hurst spec has N={hurst.N}")
+    with _refused("mixing matrix"):
+        a = cfg.get("A")
+        mixing = as_mixing(np.eye(hurst.n) if a is None else a, hurst.n)
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    reps = args.replications if args.replications is not None else cfg.get("replications")
+    if seed is None or reps is None:
+        raise ConfigError(
+            f"{args.command} needs 'seed' and 'replications' (config or flags)")
+    return hurst, window, mixing, seed, reps
 
 
 def _load_field_arg(path):
@@ -116,71 +141,23 @@ def _load_field_arg(path):
     """
     if os.path.exists(sidecar_path(path)):
         return load_field(path)
-    manifest = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
-    if not os.path.exists(manifest):
+    try:
+        _, window, clock, n = read_manifest(os.path.dirname(os.path.abspath(path)))
+    except FileNotFoundError:
         raise ConfigError(
             f"{path} has neither a JSON sidecar nor a batch manifest.json beside it"
-        )
-    man = load_json(manifest)
-    try:
-        window = Window(tuple(man["window"]["lo"]), tuple(man["window"]["hi"]))
-        clock = man["clock"]
-        n = len(man["A"])
-    except (KeyError, TypeError, ValueError, WindowError) as exc:
-        raise ConfigError(f"malformed batch manifest {manifest}: {exc}")
+        ) from None
     return read_csv(path, window, n, clock)
 
 
+@_refused("tuple")
 def _parse_theta(spec) -> tuple:
-    """Accept a path to a tuple JSON file or an inline object."""
-    try:
-        if isinstance(spec, str):
-            return ThetaTuple.load(spec), spec
-        if isinstance(spec, dict):
-            return ThetaTuple.from_dict(spec), "inline"
-    except FileNotFoundError:
-        raise ConfigError(f"tuple file not found: {spec}")
-    except DimensionMismatchError as exc:
-        raise ConfigError(f"bad tuple: {exc}")
+    """A tuple from a JSON file path or an inline object, and its reference."""
+    if isinstance(spec, str):
+        return ThetaTuple.load(spec), spec
+    if isinstance(spec, dict):
+        return ThetaTuple.from_dict(spec), "inline"
     raise ConfigError(f"theta must be a file path or an inline object, got {spec!r}")
-
-
-def _parse_policy(spec) -> TruncationPolicy:
-    if spec is None:
-        return TruncationPolicy()
-    if not isinstance(spec, dict) or not set(spec) <= {"eps", "depth"}:
-        raise ConfigError(f"policy must be an object with 'eps'/'depth', got {spec!r}")
-    eps = spec.get("eps", 1e-8)
-    depth = spec.get("depth")
-    if isinstance(depth, list):
-        depth = tuple(depth)
-    return TruncationPolicy(eps=eps, depth=depth)
-
-
-def _parse_hurst(spec) -> HurstSpec:
-    try:
-        return HurstSpec(np.asarray(spec, dtype=float))
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad Hurst spec {spec!r}: {exc}")
-
-
-def _parse_mixing(spec, n: int) -> np.ndarray:
-    if spec is None:
-        return np.eye(n)
-    try:
-        a = np.asarray(spec, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad mixing matrix {spec!r}: {exc}")
-    if a.shape != (n, n):
-        raise ConfigError(f"mixing matrix must be {n} x {n}, got shape {a.shape}")
-    return a
-
-
-def _manifest_entry(batch, key: str):
-    try:
-        return batch.config[key]
-    except KeyError:
-        raise ConfigError(f"batch manifest has no {key!r}") from None
 
 
 def _outdir(args) -> Path:
@@ -193,14 +170,11 @@ def _write_resolved(out: Path, payload: dict) -> None:
     dump_json(payload, out / "resolved_config.json")
 
 
-def _parse_shift(text: str, nn: int) -> tuple:
+def _int_list(text: str, what: str) -> tuple:
     try:
-        s = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise ConfigError(f"shift must be comma-separated integers, got {text!r}")
-    if len(s) != nn:
-        raise ConfigError(f"shift {s} has length {len(s)}, window has N={nn}")
-    return s
+        raise ConfigError(f"{what} must be a comma list of integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +190,10 @@ def cmd_simulate(args) -> int:
         required={"H", "window"},
         what="simulate",
     )
-    hurst = _parse_hurst(cfg["H"])
-    window = _parse_window(cfg["window"])
+    hurst, window, mixing, seed, reps = _sheet_inputs(args, cfg)
     clock = cfg.get("clock", "integer")
     if clock not in CLOCKS:
         raise ConfigError(f"clock must be one of {CLOCKS}, got {clock!r}")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    reps = args.replications if args.replications is not None else cfg.get("replications")
-    if seed is None or reps is None:
-        raise ConfigError("simulate needs 'seed' and 'replications' (config or flags)")
-    mixing = _parse_mixing(cfg.get("A"), hurst.n)
     batch = sample_sheet_batch(mixing, hurst, window, clock, seed, reps)
     out = _outdir(args)
     batch.save(out)
@@ -249,17 +217,10 @@ def cmd_transform(args) -> int:
     valid = {"L", "Linv", "M", "Minv"}
     if not steps or not set(steps) <= valid:
         raise ConfigError(f"chain must list steps from {sorted(valid)}, got {args.chain!r}")
-    depth = None
-    if args.depth is not None:
-        try:
-            depth = tuple(int(v) for v in args.depth.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"--depth must be a comma list of integers, got {args.depth!r}"
-            )
-        if len(depth) == 1:
-            depth = depth[0]
-    policy = TruncationPolicy(eps=args.eps, depth=depth)
+    depth = None if args.depth is None else _int_list(args.depth, "--depth")
+    # One depth is broadcast to every axis.
+    policy = TruncationPolicy(eps=args.eps,
+                              depth=depth[0] if depth and len(depth) == 1 else depth)
     for step in steps:
         if step == "L":
             x = lamperti(x, theta, theta_ref)
@@ -279,10 +240,7 @@ def cmd_transform(args) -> int:
             "input": str(args.input),
             "theta": theta_ref,
             "chain": steps,
-            "policy": {"eps": policy.eps,
-                       "depth": None if policy.depth is None else list(
-                           policy.depth if isinstance(policy.depth, tuple)
-                           else [policy.depth])},
+            "policy": {"eps": policy.eps, "depth": None if depth is None else list(depth)},
             "output_window": x.window.to_dict(),
             "clock": x.clock,
             "transforms": TRANSFORMS_VERSION,
@@ -344,30 +302,20 @@ def _build_fou_config(args) -> FouConfig:
     kind = args.kind if args.kind is not None else cfg.get("kind")
     if kind is None:
         raise ConfigError("fou needs 'kind' (config or --kind)")
-    hurst = _parse_hurst(cfg["H"])
-    window = _parse_window(cfg["window"])
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    reps = args.replications if args.replications is not None else cfg.get("replications")
-    if seed is None or reps is None:
-        raise ConfigError("fou needs 'seed' and 'replications' (config or flags)")
-    theta = None
-    if cfg.get("theta") is not None:
-        theta, _ = _parse_theta(cfg["theta"])
-    mixing = _parse_mixing(cfg.get("A"), hurst.n)
-    policy = _parse_policy(cfg.get("policy"))
-    try:
+    hurst, window, mixing, seed, reps = _sheet_inputs(args, cfg)
+    theta = None if cfg.get("theta") is None else _parse_theta(cfg["theta"])[0]
+    policy = cfg.get("policy")
+    with _refused("fou config"):
         return FouConfig(
             kind=kind,
             hurst=hurst,
             mixing=mixing,
             window=window,
             theta=theta,
-            policy=policy,
+            policy=TruncationPolicy(**({} if policy is None else policy)),
             seed=seed,
             replications=reps,
         )
-    except CommutationError as exc:
-        raise ConfigError(str(exc))
 
 
 def cmd_fou(args) -> int:
@@ -390,7 +338,9 @@ def cmd_stats(args) -> int:
     threads = _threads(args)
     check_threshold(args.z_max, "--z-max")
     batch = load_batch(args.batch)
-    shifts = [_parse_shift(s, batch.window.N) for s in (args.shift or [])]
+    shifts = [_int_list(s, "shift") for s in args.shift or []]
+    if any(len(s) != batch.window.N for s in shifts):
+        raise ConfigError(f"every shift needs N={batch.window.N} entries, got {shifts}")
     if args.check == "stationarity":
         if not shifts:
             raise ConfigError("stationarity needs at least one --shift")
@@ -405,11 +355,14 @@ def cmd_stats(args) -> int:
         if args.theta:
             theta, _ = _parse_theta(args.theta)
         else:
-            theta = derive_theta(_parse_hurst(_manifest_entry(batch, "H")))
+            with _refused("batch manifest"):
+                theta = derive_theta(HurstSpec(batch.config["H"]))
         report = self_similarity_check(batch, shifts[0], theta, z_max=args.z_max)
     elif args.check == "fidelity":
-        hurst = _parse_hurst(_manifest_entry(batch, "H"))
-        mixing = _parse_mixing(_manifest_entry(batch, "A"), hurst.n)
+        with _refused("batch manifest"):
+            hurst, a = HurstSpec(batch.config["H"]), batch.config["A"]
+        with _refused("mixing matrix"):
+            mixing = as_mixing(a, hurst.n)
         report = fidelity_check(batch, hurst, mixing, z_max=args.z_max)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown check {args.check!r}")
@@ -451,9 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--threads", default=None,
-                        help=f"thread count, recorded but without effect "
-                             f"(default ${ENV_THREADS} or 1)")
+        sp.add_argument("--threads", default="1",
+                        help="thread count, recorded but without effect")
 
     sp = sub.add_parser("simulate", help="sample a fractional sheet batch")
     sp.add_argument("--config", required=True)

@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import dump_json, load_json
-from .errors import DimensionMismatchError, NumericRangeError, WindowError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NumericRangeError,
+    WindowError,
+    check_int,
+)
 
 MultiIndex = tuple
 
@@ -35,14 +41,17 @@ CSV_BLOCK_ROWS = 1024
 
 @dataclass(frozen=True)
 class Window:
-    """Rectangular index window [lo, hi] in Z^N (both corners included)."""
+    """Rectangular index window [lo, hi] in Z^N (both corners included).
+
+    A corner entry that is a bool or not an integer raises ConfigError.
+    """
 
     lo: tuple
     hi: tuple
 
     def __post_init__(self):
-        lo = tuple(int(x) for x in self.lo)
-        hi = tuple(int(x) for x in self.hi)
+        lo = tuple(check_int(x, "window corner") for x in self.lo)
+        hi = tuple(check_int(x, "window corner") for x in self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or len(lo) == 0:
@@ -99,6 +108,15 @@ class Window:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Window":
+        """The window of a ``{"lo": [...], "hi": [...]}`` object.
+
+        The only parser of windows read from JSON: any other object raises
+        ConfigError, and the corners are checked by the constructor.
+        """
+        if not (isinstance(d, dict) and set(d) == {"lo", "hi"}
+                and all(isinstance(c, (list, tuple)) for c in d.values())):
+            raise ConfigError(
+                f"window must be an object with 'lo' and 'hi' lists, got {d!r}")
         return cls(tuple(d["lo"]), tuple(d["hi"]))
 
     def __str__(self) -> str:
@@ -431,18 +449,24 @@ def save_field(x: FieldWindow, csv_path) -> None:
 
 
 def load_field(csv_path) -> FieldWindow:
-    side = load_json(sidecar_path(csv_path))
+    """The field CSV with the geometry and metadata of its JSON sidecar.
+
+    A sidecar that is not valid JSON, lacks a key, holds a bad window or
+    clock, or has ``n``/``N`` that are not positive integers (bools
+    refused) raises ConfigError; the CSV itself is checked by read_csv.
+    """
+    path = sidecar_path(csv_path)
+    side = load_json(path)
     try:
-        window = Window(tuple(side["lo"]), tuple(side["hi"]))
-        n = int(side["n"])
-        nn = int(side["N"])
+        window = Window.from_dict({"lo": side["lo"], "hi": side["hi"]})
+        n = check_int(side["n"], "sidecar n", 1)
+        nn = check_int(side["N"], "sidecar N", 1)
         clock = side["clock"]
+        if window.N != nn or clock not in CLOCKS:
+            raise ConfigError(f"N={nn} must match window {window} and clock "
+                              f"{clock!r} be one of {CLOCKS}")
     except (KeyError, TypeError, ValueError) as exc:
-        raise DimensionMismatchError(f"malformed field sidecar: {exc}") from exc
-    if window.N != nn:
-        raise DimensionMismatchError(
-            f"sidecar N={nn} disagrees with window bounds of length {window.N}"
-        )
+        raise ConfigError(f"malformed field sidecar {path}: {exc}") from exc
     x = read_csv(csv_path, window, n, clock)
     meta = {k: side[k] for k in side if k not in ("N", "n", "lo", "hi", "clock")}
     if meta.get("seed") is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ThetaTuple, spectral_norm
-from .errors import CommutationError, ConfigError
+from .errors import CommutationError, ConfigError, check_int
 from .fields import FieldWindow, Window
 from .gaussian import (
     SAMPLER_VERSION,
@@ -27,7 +27,6 @@ from .gaussian import (
     SampleBatch,
     SheetSampler,
     as_mixing,
-    check_int,
 )
 from .transforms import (
     TRANSFORMS_VERSION,

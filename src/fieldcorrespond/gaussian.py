@@ -33,7 +33,6 @@ output hash vary per cell.
 from __future__ import annotations
 
 import copy
-import functools
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonio import dump_json, load_json
-from .errors import ConfigError, DimensionMismatchError, NumericRangeError
+from .errors import ConfigError, DimensionMismatchError, NumericRangeError, check_int
 from .fields import CLOCKS, FieldWindow, Window, read_csv, write_csv
 
 # Largest site count for one Gram-matrix factorization (one window axis
@@ -165,15 +164,6 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
     return l
 
 
-def check_int(value, what: str, minimum: int) -> int:
-    """``value`` as an int >= minimum; bools and non-integers are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
-    return int(value)
-
-
 def substream(seed: int, replication: int, component: int) -> np.random.Generator:
     """Deterministic generator for one (replication, component) cell.
 
@@ -248,7 +238,6 @@ def _absorb(pool, const: int, words) -> tuple:
     return pool, const
 
 
-@functools.lru_cache(maxsize=16)
 def _seed_pool(seed: int) -> tuple:
     """The pool of ``SeedSequence(seed, spawn_key=...)`` before the key.
 
@@ -512,22 +501,32 @@ def sample_sheet_batch(
     return SampleBatch(seed, values, window, clock, config, field_meta={})
 
 
-def load_batch(directory) -> SampleBatch:
-    """Rebuild a batch from ``manifest.json`` plus its replication CSVs.
+def read_manifest(directory) -> tuple:
+    """``(manifest, window, clock, n)`` of the batch saved in ``directory``.
 
-    The manifest's ``R`` and ``n`` must be integers >= 1 and its ``seed``
-    an integer >= 0; anything else raises ConfigError.
+    The one reader of a batch's geometry.  The manifest must hold a window
+    object, a clock from CLOCKS, and integers ``n`` >= 1, ``R`` >= 1 and
+    ``seed`` >= 0 (bools refused); anything else, invalid JSON included,
+    raises ConfigError.
     """
-    directory = Path(directory)
-    man = load_json(directory / "manifest.json")
+    man = load_json(Path(directory) / "manifest.json")
     try:
         window = Window.from_dict(man["window"])
-        clock = man["clock"]
-        n = check_int(man["n"], "manifest n", 1)
-        r_count = check_int(man["R"], "manifest R", 1)
-        seed = check_int(man["seed"], "manifest seed", 0)
+        if man["clock"] not in CLOCKS:
+            raise ConfigError(f"clock must be one of {CLOCKS}, got {man['clock']!r}")
+        for key, minimum in (("n", 1), ("R", 1), ("seed", 0)):
+            check_int(man[key], f"manifest {key}", minimum)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed batch manifest: {exc}") from exc
+    return man, window, man["clock"], man["n"]
+
+
+def load_batch(directory) -> SampleBatch:
+    """Rebuild a batch from ``manifest.json`` (see read_manifest) plus its
+    replication CSVs."""
+    directory = Path(directory)
+    man, window, clock, n = read_manifest(directory)
+    r_count, seed = man["R"], man["seed"]
     # A count far beyond the files present fails here, before anything of
     # that size is allocated.
     last = directory / f"rep_{r_count - 1:05d}.csv"

@@ -24,10 +24,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .algebra import ThetaTuple
-from .errors import ConfigError, DimensionMismatchError, WindowError
+from .errors import ConfigError, DimensionMismatchError, WindowError, check_threshold
 from .fields import Window
 from .gaussian import HurstSpec, SampleBatch, as_mixing, fbs_cov, sheet_points
-from .transforms import check_threshold
 
 # Doubles in one block of comparison rows (a row holds one value per
 # replication): bounds the temporaries of the row reductions whatever the

@@ -45,6 +45,8 @@ from .errors import (
     DimensionMismatchError,
     NumericRangeError,
     WindowError,
+    check_int,
+    check_threshold,
 )
 from .fields import FieldWindow, Window, unit_increment_field
 
@@ -73,19 +75,18 @@ class TruncationPolicy:
     def __post_init__(self):
         object.__setattr__(self, "eps", check_threshold(self.eps, "eps"))
         d = self.depth
-        entries = d if isinstance(d, (tuple, list)) else (d,)
-        if d is not None and not all(_is_int(v) for v in entries):
-            raise ConfigError(
-                f"truncation depth must be an int or a list of ints, got {d!r}"
-            )
+        if isinstance(d, (tuple, list)):
+            object.__setattr__(
+                self, "depth", tuple(check_int(v, "truncation depth") for v in d))
+        elif d is not None:
+            object.__setattr__(self, "depth", check_int(d, "truncation depth"))
 
     def resolve(self, theta: ThetaTuple) -> tuple:
         if self.depth is None:
             return truncation_depth(theta, self.eps)
         d = self.depth
-        if isinstance(d, (int, np.integer)):
-            d = (int(d),) * theta.N
-        d = tuple(int(v) for v in d)
+        if isinstance(d, int):
+            d = (d,) * theta.N
         if len(d) != theta.N:
             raise ConfigError(
                 f"truncation depth {d} has wrong length for N={theta.N}"
@@ -93,23 +94,6 @@ class TruncationPolicy:
         if any(v < 0 for v in d):
             raise ConfigError(f"truncation depth must be non-negative, got {d}")
         return d
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def check_threshold(value, what: str, zero_ok: bool = False) -> float:
-    """``value`` as a float if it is a finite number > 0 (>= 0 with ``zero_ok``).
-
-    Anything else, bools included, raises ConfigError.
-    """
-    number = (isinstance(value, (int, float, np.integer, np.floating))
-              and not isinstance(value, bool) and math.isfinite(value))
-    if not (number and (value > 0 or zero_ok and value == 0)):
-        sign = "non-negative" if zero_ok else "positive"
-        raise ConfigError(f"{what} must be a {sign} finite number, got {value!r}")
-    return float(value)
 
 
 def truncation_depth(theta: ThetaTuple, eps: float) -> tuple:

@@ -189,11 +189,11 @@ def test_min_eigenvalue_frozen():
     assert theta.min_eigenvalue == pytest.approx(0.75, rel=1e-12)
 
 
-def test_exp_memoized_and_readonly(rng):
+def test_exp_repeatable_and_readonly(rng):
     theta = random_commuting_theta(rng, 2, 2)
     e1 = theta.exp((1, -2))
     e2 = theta.exp((1, -2))
-    assert e1 is e2
+    np.testing.assert_array_equal(e1, e2)
     with pytest.raises(ValueError):
         e1[0, 0] = 0.0
 
@@ -225,6 +225,11 @@ def test_from_dict_validates():
         ThetaTuple.from_dict({"n": 1, "N": 2, "mats": [[1.0]]})
     with pytest.raises(DimensionMismatchError, match="length"):
         ThetaTuple.from_dict({"n": 2, "N": 1, "mats": [[1.0, 0.0, 1.0]]})
+    # n and N are integers, not numbers that truncate to one
+    with pytest.raises(DimensionMismatchError, match="n must be an integer"):
+        ThetaTuple.from_dict({"n": 1.9, "N": True, "mats": [[1.0]]})
+    with pytest.raises(DimensionMismatchError, match="N must be an integer"):
+        ThetaTuple.from_dict({"n": 1, "N": True, "mats": [[1.0]]})
 
 
 # ---------------------------------------------------------------------------

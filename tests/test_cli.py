@@ -4,10 +4,15 @@ Each run goes through cli.main(argv) so the mapping from exception to
 exit code is exercised exactly as the console entry point would.
 """
 
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldcorrespond import (
     FieldWindow,
@@ -94,20 +99,6 @@ def test_simulate_threads_byte_identical(tmp_path):
     assert tree1 == tree2
 
 
-def test_simulate_env_threads(tmp_path, monkeypatch):
-    cfg = sheet_config(tmp_path)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["simulate", "--config", cfg, "--out", str(out1), "--threads", "1"])
-    monkeypatch.setenv("FIELD_CORRESPOND_THREADS", "3")
-    main(["simulate", "--config", cfg, "--out", str(out2)])
-    res = json.loads((out2 / "resolved_config.json").read_text())
-    assert res["threads"] == 3
-    tree1, tree2 = read_tree(out1), read_tree(out2)
-    tree1.pop("resolved_config.json")
-    tree2.pop("resolved_config.json")
-    assert tree1 == tree2
-
-
 def test_simulate_bad_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -140,6 +131,32 @@ def test_simulate_non_numeric_mixing_exits_2_before_writing(tmp_path, capsys):
     assert main(["simulate", "--config", sheet_config(tmp_path, A=[["x"]]),
                  "--out", str(out)]) == 2
     assert "bad mixing matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("H, window", [
+    pytest.param([[0.5]], {"lo": [0.5], "hi": [3.9]}, id="float-corners"),
+    pytest.param([[0.5]], {"lo": [True], "hi": [3]}, id="bool-corner"),
+    pytest.param([[0.3, 0.7]], {"lo": [0], "hi": [3]}, id="H-has-2-axes"),
+])
+def test_simulate_bad_window_exits_2_before_writing(tmp_path, capsys, H, window):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", sheet_config(tmp_path, H=H, window=window),
+                 "--out", str(out)]) == 2
+    assert "window" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fou-first", "fou-second"])
+def test_nan_mixing_exits_2_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    if command == "simulate":
+        cfg = sheet_config(tmp_path, A=[[float("nan")]])
+    else:
+        theta = theta_file(tmp_path, [np.array([[1.0]])]) if command == "fou-first" else None
+        cfg = fou_config(tmp_path, theta, kind=command[4:], A=[[float("nan")]])
+    assert main([command.split("-")[0], "--config", cfg, "--out", str(out)]) == 2
+    assert "mixing matrix" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -355,6 +372,31 @@ def test_transform_bad_theta_file_exits_2(tmp_path, field_and_theta):
     assert main(["transform", "--input", path,
                  "--theta", str(tmp_path / "missing.json"),
                  "--chain", "L", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("target", ["theta", "sidecar", "transform-manifest",
+                                    "stats-manifest"])
+def test_malformed_json_input_exits_2_before_writing(tmp_path, field_and_theta, capsys,
+                                                     target):
+    # Every JSON input file goes through one reader: text that is not JSON
+    # is a config error naming the file, whichever file it is.
+    path, theta, _ = field_and_theta
+    batch = Path(make_batch(tmp_path, reps=2, name="bj"))
+    bad, argv = {
+        "theta": (theta, ["transform", "--input", path]),
+        "sidecar": (str(tmp_path / "x.json"), ["transform", "--input", path]),
+        "transform-manifest": (str(batch / "manifest.json"),
+                               ["transform", "--input", str(batch / "rep_00000.csv")]),
+        "stats-manifest": (str(batch / "manifest.json"),
+                           ["stats", "--batch", str(batch), *STATIONARITY]),
+    }[target]
+    if argv[0] == "transform":
+        argv += ["--theta", theta, "--chain", "L"]
+    Path(bad).write_text("{not json")
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"{bad} is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +747,80 @@ def test_stats_missing_batch_exits_2(tmp_path):
     assert main(["stats", "--batch", str(tmp_path / "nope"),
                  "--check", "stationarity", "--shift", "1,0",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# broken configs (property)
+
+
+VALID_RUNS = {
+    "simulate": {"H": [[0.3, 0.7], [0.6, 0.4]], "A": [[1.0, 0.0], [0.5, 1.0]],
+                 "window": {"lo": [0, -1], "hi": [2, 1]}, "clock": "integer",
+                 "seed": 1, "replications": 2},
+    "fou-first": {"kind": "first", "H": [[0.3, 0.7], [0.6, 0.4]],
+                  "A": [[1.0, 0.0], [0.0, 1.0]], "window": {"lo": [0, -1], "hi": [2, 1]},
+                  "theta": {"n": 2, "N": 2, "mats": [[0.9, 0.0, 0.0, 1.2],
+                                                     [1.1, 0.0, 0.0, 1.0]]},
+                  "policy": {"depth": 3}, "seed": 1, "replications": 2},
+    "fou-second": {"kind": "second", "H": [[0.3, 0.7], [0.6, 0.4]],
+                   "A": [[1.0, 0.0], [0.0, 1.0]], "window": {"lo": [0, -1], "hi": [2, 1]},
+                   "seed": 1, "replications": 2},
+}
+NOT_A_NUMBER = st.sampled_from([float("nan"), float("inf"), -float("inf"), "x", ""])
+
+
+def break_one_field(data, cfg: dict) -> None:
+    """Break one field of a valid simulate or fou config in place."""
+    how = data.draw(st.sampled_from(
+        ["corner", "extra-key", "not-a-window", "wrong-N", "entry", "ragged"]))
+    if how == "corner":
+        corner = cfg["window"][data.draw(st.sampled_from(["lo", "hi"]))]
+        corner[data.draw(st.integers(0, 1))] = data.draw(st.one_of(st.booleans(), st.floats()))
+    elif how == "extra-key":
+        cfg["window"][data.draw(st.text(min_size=1).filter(
+            lambda k: k not in ("lo", "hi")))] = [0, 0]
+    elif how == "not-a-window":
+        cfg["window"] = data.draw(st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+            st.lists(st.integers(), max_size=3)))
+    elif how == "wrong-N":
+        axes = data.draw(st.sampled_from([1, 3]))
+        cfg["window"] = {"lo": [0] * axes, "hi": [2] * axes}
+    else:
+        key = data.draw(st.sampled_from(["H", "A"]))
+        row = data.draw(st.integers(0, 1))
+        if how == "entry":
+            cfg[key][row][data.draw(st.integers(0, 1))] = data.draw(NOT_A_NUMBER)
+        else:
+            cfg[key][row].append(0.5)
+
+
+def run_config(cfg: dict, command: str, directory: Path) -> tuple:
+    path = directory / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = directory / "out"
+    return main([command.split("-")[0], "--config", str(path), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("command", sorted(VALID_RUNS))
+def test_property_base_configs_run(tmp_path, command):
+    code, out = run_config(VALID_RUNS[command], command, tmp_path)
+    assert code == 0 and (out / "manifest.json").exists()
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(sorted(VALID_RUNS)), data=st.data())
+def test_broken_config_exits_2_or_3_before_writing(command, data):
+    # One broken field of a valid config (a float or bool corner, an extra
+    # window key, a non-window, a window of the wrong N, a NaN, infinite or
+    # text entry of H or A, a ragged H or A) is refused with exit 2 or 3:
+    # no traceback and no --out directory.
+    cfg = copy.deepcopy(VALID_RUNS[command])
+    break_one_field(data, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = run_config(cfg, command, Path(tmp))
+        assert code in (2, 3)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

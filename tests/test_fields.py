@@ -1,4 +1,5 @@
 import itertools
+import json
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldcorrespond import (
+    ConfigError,
     DimensionMismatchError,
     FieldWindow,
     NumericRangeError,
@@ -62,6 +64,24 @@ def test_window_rejects_bad_bounds():
         Window((2,), (1,))
     with pytest.raises((WindowError, DimensionMismatchError)):
         Window((0, 0), (1,))
+
+
+@pytest.mark.parametrize("spec", [
+    {"lo": [0.5], "hi": [3.9]},
+    {"lo": [0.0], "hi": [3]},
+    {"lo": [True], "hi": [3]},
+    {"lo": [0], "hi": ["3"]},
+    {"lo": [0], "hi": [3], "step": [1]},
+    {"lo": [0]},
+    {"lo": 0, "hi": 3},
+    [[0], [3]],
+    None,
+])
+def test_window_from_dict_rejects(spec):
+    # Corners are integers, never truncated floats or bools, and a window
+    # object has exactly the keys lo and hi.
+    with pytest.raises(ConfigError):
+        Window.from_dict(spec)
 
 
 def test_window_index_outside():
@@ -469,6 +489,32 @@ def test_save_load_field_sidecar(tmp_path, rng):
     assert back.clock == "exponential"
     assert back.meta.get("seed") == 11
     np.testing.assert_array_equal(back.values, x.values)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", 2.7), ("n", True), ("n", 0), ("N", True), ("N", 2), ("N", 1.0),
+    ("lo", [0.0]), ("hi", [True]), ("clock", "sidereal"), ("n", None),
+])
+def test_load_field_rejects_malformed_sidecar(tmp_path, rng, key, value):
+    # A sidecar entry that an integer check, the window parser or the clock
+    # list refuses is a ConfigError, not a truncated or silently kept value.
+    path = tmp_path / "field.csv"
+    save_field(random_field(rng, Window((0,), (2,)), 2), path)
+    side_path = tmp_path / "field.json"
+    side = json.loads(side_path.read_text())
+    side[key] = value
+    side_path.write_text(json.dumps(side))
+    with pytest.raises(ConfigError, match="malformed field sidecar"):
+        load_field(path)
+
+
+@pytest.mark.parametrize("text", ["{not json", "", "\xff\xfe"])
+def test_load_field_rejects_invalid_sidecar_json(tmp_path, rng, text):
+    path = tmp_path / "field.csv"
+    save_field(random_field(rng, Window((0,), (2,)), 1), path)
+    (tmp_path / "field.json").write_bytes(text.encode("latin-1"))
+    with pytest.raises(ConfigError, match="field.json is not valid JSON"):
+        load_field(path)
 
 
 def test_load_field_without_sidecar(tmp_path, rng):
