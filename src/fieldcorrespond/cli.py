@@ -12,9 +12,11 @@ resolved-config snapshot into --out, and use exit codes
 One rule sets the exit code of a bad input: while a command turns its
 config, flags and input files into library objects, a value that a
 library constructor or reader refuses is a configuration error (2),
-whichever one refuses it; malformed JSON in any input file is one.  Two
-refusals keep exit 3: NumericRangeError (GRID_CAP, the exponential-clock
-limit, overflow) and the data-line errors of a field CSV from read_csv.
+whichever one refuses it; malformed JSON in any input file is one, and so
+is an input path that cannot be read (missing, a directory, no
+permission).  Two refusals keep exit 3: NumericRangeError (GRID_CAP, the
+exponential-clock limit, overflow) and the data-line errors of a field CSV
+from read_csv or read_csvs.
 
 --threads is still accepted, validated and recorded in
 resolved_config.json so that existing scripts keep working, but it has
@@ -84,6 +86,15 @@ def _refused(what: str):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _input_file():
+    """An OSError while an input path is read is a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot read input: {exc}") from exc
+
+
 def _threads(args) -> int:
     try:
         t = int(args.threads)
@@ -94,6 +105,7 @@ def _threads(args) -> int:
     return t
 
 
+@_input_file()
 def _load_config(path) -> dict:
     cfg = load_json(path)
     if not isinstance(cfg, dict):
@@ -133,6 +145,7 @@ def _sheet_inputs(args, cfg: dict) -> tuple:
     return hurst, window, mixing, seed, reps
 
 
+@_input_file()
 def _load_field_arg(path):
     """Field CSV with its JSON sidecar, or a batch replication.
 
@@ -150,6 +163,7 @@ def _load_field_arg(path):
     return read_csv(path, window, n, clock)
 
 
+@_input_file()
 @_refused("tuple")
 def _parse_theta(spec) -> tuple:
     """A tuple from a JSON file path or an inline object, and its reference."""
@@ -337,7 +351,8 @@ def cmd_fou(args) -> int:
 def cmd_stats(args) -> int:
     threads = _threads(args)
     check_threshold(args.z_max, "--z-max")
-    batch = load_batch(args.batch)
+    with _input_file():
+        batch = load_batch(args.batch)
     shifts = [_int_list(s, "shift") for s in args.shift or []]
     if any(len(s) != batch.window.N for s in shifts):
         raise ConfigError(f"every shift needs N={batch.window.N} entries, got {shifts}")
@@ -463,9 +478,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (

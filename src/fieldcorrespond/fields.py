@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,105 +295,249 @@ def sidecar_path(csv_path) -> str:
     return p + ".json"
 
 
-def write_csv(x: FieldWindow, csv_path) -> None:
-    """Write one row per site (lexicographic order), no sidecar.
+def _csv_header(nn: int, n: int) -> list:
+    return [f"t_{j + 1}" for j in range(nn)] + [f"x_{k + 1}" for k in range(n)]
 
-    Columns are t_1..t_N then x_1..x_n; floats carry 17 significant digits
-    so reloading reproduces the doubles exactly.  A field with a non-finite
-    value raises NumericRangeError before the file is opened.  Rows are
-    formatted ``CSV_BLOCK_ROWS`` at a time.
+
+def write_csv(x: FieldWindow, csv_path) -> None:
+    """Write one field CSV, no sidecar: the one-file case of write_csvs."""
+    write_csvs(x.values[np.newaxis], x.window, [csv_path])
+
+
+def write_csvs(values, window: Window, paths) -> None:
+    """Write ``values[r]``, a field on ``window``, to ``paths[r]`` for each r.
+
+    ``values`` has shape (k, *window.shape, n) for a sequence of k paths.
+    Each file holds one row per site (lexicographic order), columns
+    t_1..t_N then x_1..x_n; floats carry 17 significant digits so reloading
+    reproduces the doubles exactly.  A non-finite value raises
+    NumericRangeError before any file is opened.  Rows are formatted
+    ``CSV_BLOCK_ROWS`` at a time, and a block runs on across file
+    boundaries.
     """
-    flat = x.values.reshape(-1, x.n)
-    if not np.isfinite(flat).all():
-        raise NumericRangeError(
-            f"field on window {x.window} has non-finite values; not writing {csv_path}"
+    values = np.asarray(values, dtype=float)
+    if values.shape[:-1] != (len(paths),) + window.shape:
+        raise DimensionMismatchError(
+            f"values shape {values.shape} does not match {len(paths)} files on "
+            f"window shape {window.shape} + (n,)"
         )
-    header = [f"t_{j + 1}" for j in range(x.N)] + [f"x_{k + 1}" for k in range(x.n)]
-    sites = np.indices(x.window.shape).reshape(x.N, -1).T + np.array(x.window.lo)
-    row = ",".join(["%d"] * x.N + ["%.17g"] * x.n) + "\n"
-    block = np.empty((min(CSV_BLOCK_ROWS, len(flat)), x.N + x.n), dtype=object)
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    size, n = window.volume, values.shape[-1]
+    flat = values.reshape(-1, n)
+    # The minimum or maximum is NaN or infinite exactly when some value is;
+    # two reductions need no temporary the size of the batch.
+    if not (np.isfinite(flat.min(initial=0.0)) and np.isfinite(flat.max(initial=0.0))):
+        finite = np.isfinite(flat).all(axis=1)
+        raise NumericRangeError(
+            f"field on window {window} has non-finite values; not writing "
+            f"{paths[int(np.argmin(finite)) // size]}"
+        )
+    header = ",".join(_csv_header(window.N, n)) + "\n"
+    site_cells = _site_cells(window)
+    row = "%s" + ",".join(["%.17g"] * n) + "\n"
+    block = np.empty((min(CSV_BLOCK_ROWS, len(flat)), 1 + n), dtype=object)
+    fh = None
+    try:
         for start in range(0, len(flat), CSV_BLOCK_ROWS):
-            m = min(CSV_BLOCK_ROWS, len(flat) - start)
-            block[:m, : x.N] = sites[start : start + m]
-            block[:m, x.N :] = flat[start : start + m]
-            fh.write((row * m) % tuple(block[:m].ravel().tolist()))
+            stop = min(start + CSV_BLOCK_ROWS, len(flat))
+            block[: stop - start, 0] = site_cells(np.arange(start, stop) % size)
+            block[: stop - start, 1:] = flat[start:stop]
+            cells = block[: stop - start].ravel().tolist()
+            a = start
+            while a < stop:
+                if a % size == 0:
+                    fh = open(paths[a // size], "w", encoding="utf-8")
+                    fh.write(header)
+                b = min(stop, (a // size + 1) * size)
+                fh.write((row * (b - a)) % tuple(cells[(a - start) * (1 + n):
+                                                       (b - start) * (1 + n)]))
+                if b % size == 0:
+                    fh.close()
+                    fh = None
+                a = b
+    finally:
+        if fh is not None:
+            fh.close()
+
+
+def _site_cells(window: Window):
+    """The function from row indices of ``window`` (an array) to their site
+    cells ``"t_1,..,t_N,"``, as an object array of strings.
+
+    Each axis value is formatted once.  The cells of the trailing axes
+    whose sites fit in one CSV block are joined once into a table; those
+    of the leading axes are prepended per call, so the table never holds
+    more strings than a block has rows, whatever the window size.
+    """
+    axes = [np.array([f"{t}," for t in range(lo, hi + 1)], dtype=object)
+            for lo, hi in zip(window.lo, window.hi)]
+    lead = window.N
+    while lead and math.prod(window.shape[lead - 1:]) <= CSV_BLOCK_ROWS:
+        lead -= 1
+    table = np.array([""], dtype=object)
+    for axis in axes[lead:]:
+        table = np.add.outer(table, axis).ravel()
+
+    def cells(rows: np.ndarray) -> np.ndarray:
+        rest, inner = np.divmod(rows, len(table))
+        out = table[inner]
+        for axis in reversed(axes[:lead]):
+            rest, i = np.divmod(rest, len(axis))
+            out = axis[i] + out
+        return out
+
+    return cells
 
 
 def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldWindow:
-    """Read a field CSV whose dimensions are known from elsewhere.
+    """Read a field CSV whose dimensions are known from elsewhere: the
+    one-file case of read_csvs."""
+    return FieldWindow(window, read_csvs([csv_path], window, n)[0], clock)
 
-    Every window site must appear exactly once, with integer site cells
-    and finite values; a malformed, duplicate or non-finite row raises
-    DimensionMismatchError naming its file line, a site outside the window
-    raises WindowError.  Blank lines are skipped.  The file is parsed and
-    checked ``CSV_BLOCK_ROWS`` lines at a time.
+
+def read_csvs(paths, window: Window, n: int) -> np.ndarray:
+    """The fields in the CSVs ``paths``, as one read-only array of shape
+    (k, *window.shape, n) for a sequence of k paths.
+
+    In each file every window site must appear exactly once, with integer
+    site cells and finite values; a malformed, duplicate or non-finite row
+    raises DimensionMismatchError naming its file line, a site outside the
+    window raises WindowError.  Blank lines are skipped but counted in line
+    numbers.  Each error begins with the name of its file; when several
+    files are bad, the first of ``paths`` wins.  The lines of consecutive
+    files are parsed and checked together, ``CSV_BLOCK_ROWS`` at a time.
     """
-    nn = window.N
-    size = window.volume
-    vals = np.zeros((size, n))
-    seen = np.zeros(size, dtype=bool)
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        expected = [f"t_{j + 1}" for j in range(nn)] + [f"x_{k + 1}" for k in range(n)]
-        if header != expected:
-            raise DimensionMismatchError(
-                f"CSV header {header} does not match expected {expected}"
-            )
-        lineno = 2
-        while lines := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
-            _read_block(lines, lineno, window, vals, seen)
-            lineno += len(lines)
-    if not seen.all():
-        missing = int(seen.size - seen.sum())
-        raise WindowError(f"CSV is missing {missing} of {seen.size} window sites")
-    vals.setflags(write=False)
-    return FieldWindow(window, vals.reshape(window.shape + (n,)), clock)
-
-
-def _read_block(lines: list, lineno: int, window: Window, vals: np.ndarray,
-                seen: np.ndarray) -> None:
-    """Parse, check and place one block of CSV lines (``lineno`` is the first).
-
-    The cell-count, finite, window and repeat checks run over the whole
-    block as arrays.  When one fails, the first offending row is named,
-    with the error a row-by-row read would raise for it.
-    """
-    nn, n = window.N, vals.shape[1]
-    ncol = nn + n
-    rows = list(filter(None, map(str.strip, lines)))
-    counted = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64,
-                          len(rows)) == ncol - 1
-    stop = len(rows) if counted.all() else int(np.argmin(counted))
+    expected = _csv_header(window.N, n)
+    blocks = _CsvBlocks(paths, window, n)
     try:
-        sites, x = _parse_rows(rows[:stop], nn, ncol)
-    except (ValueError, OverflowError):
-        for stop, row in enumerate(rows):
-            try:
-                _parse_rows([row], nn, ncol)
-            except (ValueError, OverflowError):
-                break
-        sites, x = _parse_rows(rows[:stop], nn, ncol)
-    lo = np.array(window.lo)[:, np.newaxis]
-    hi = np.array(window.hi)[:, np.newaxis]
-    finite = np.isfinite(x).all(axis=1)
-    inside = ((sites >= lo) & (sites <= hi)).all(axis=0)
-    # Rows outside the window stand in at site lo; they fail regardless.
-    flat = np.ravel_multi_index(np.where(inside, sites, lo) - lo, window.shape)
-    first = np.zeros(len(flat), dtype=bool)
-    first[np.unique(flat, return_index=True)[1]] = True
-    bad = ~finite | ~inside | seen[flat] | ~first
-    if bad.any() or stop < len(rows):
+        for i, path in enumerate(paths):
+            with open(path, "r", encoding="utf-8") as fh:
+                header = fh.readline().strip().split(",")
+                if header != expected:
+                    raise DimensionMismatchError(
+                        f"{os.path.basename(path)}: CSV header {header} does not "
+                        f"match expected {expected}"
+                    )
+                lineno = 2
+                while True:
+                    lines = list(itertools.islice(fh, CSV_BLOCK_ROWS - len(blocks.lines)))
+                    blocks.add(i, lines, lineno)
+                    lineno += len(lines)
+                    if len(blocks.lines) < CSV_BLOCK_ROWS:
+                        break
+                    blocks.flush()
+            blocks.ended.append(i)
+        blocks.flush()
+    except (OSError, ValueError):
+        # A fault of an earlier file, still pending in the block, comes first.
+        blocks.flush()
+        raise
+    vals = blocks.vals
+    vals.setflags(write=False)
+    return vals.reshape((len(paths),) + window.shape + (n,))
+
+
+class _CsvBlocks:
+    """Pending data lines of consecutive files, checked and placed a block
+    at a time.
+
+    ``segments`` holds ``(file, start, lineno)``: from ``lines[start]`` on,
+    the lines come from file ``file``, starting at its line ``lineno``.
+    ``ended`` lists the files whose last line is pending or placed but
+    whose completeness is not yet checked.  Replication r owns rows
+    ``r * volume`` onward of ``vals`` and ``seen``.
+    """
+
+    def __init__(self, paths, window: Window, n: int):
+        self.paths, self.window = paths, window
+        self.vals = np.empty((len(paths) * window.volume, n))
+        self.seen = np.zeros(len(paths) * window.volume, dtype=bool)
+        self.lines, self.segments, self.ended = [], [], []
+
+    def add(self, i: int, lines: list, lineno: int) -> None:
+        self.segments.append((i, len(self.lines), lineno))
+        self.lines += lines
+
+    def flush(self) -> None:
+        """Parse, check and place the pending lines, then check that each
+        ended file has every site.
+
+        The cell-count, finite, window and repeat checks run over the whole
+        block as arrays.  When one fails, the files that ended before the
+        offending row's file are checked first; then that row is named,
+        with the error a row-by-row read would raise for it.
+        """
+        lines, segments, ended = self.lines, self.segments, self.ended
+        self.lines, self.segments, self.ended = [], [], []
+        window, size = self.window, self.window.volume
+        nn, n = window.N, self.vals.shape[1]
+        ncol = nn + n
+        ends = [s[1] for s in segments[1:]] + [len(lines)]
+        # Rows keep their line ends: Python's int and float ignore
+        # surrounding whitespace, so the cells parse as stripped ones would.
+        rows, counts = [], []
+        for (_, start, _), end in zip(segments, ends):
+            part = list(itertools.filterfalse(str.isspace, lines[start:end]))
+            rows += part
+            counts.append(len(part))
+        counted = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64,
+                              len(rows)) == ncol - 1
+        stop = len(rows) if counted.all() else int(np.argmin(counted))
+        try:
+            sites, x = _parse_rows(rows[:stop], nn, ncol)
+        except (ValueError, OverflowError):
+            for stop, row in enumerate(rows):
+                try:
+                    _parse_rows([row], nn, ncol)
+                except (ValueError, OverflowError):
+                    break
+            sites, x = _parse_rows(rows[:stop], nn, ncol)
+        lo = np.array(window.lo)[:, np.newaxis]
+        hi = np.array(window.hi)[:, np.newaxis]
+        finite = np.isfinite(x).all(axis=1)
+        inside = ((sites >= lo) & (sites <= hi)).all(axis=0)
+        # Rows outside the window stand in at site lo; they fail regardless.
+        offsets = np.repeat(np.array([s[0] * size for s in segments], dtype=np.int64),
+                            counts)[:stop]
+        flat = offsets + np.ravel_multi_index(np.where(inside, sites, lo) - lo,
+                                              window.shape)
+        first = np.zeros(len(flat), dtype=bool)
+        first[np.unique(flat, return_index=True)[1]] = True
+        bad = ~finite | ~inside | self.seen[flat] | ~first
         k = int(np.argmax(bad)) if bad.any() else stop
-        nonblank = np.flatnonzero(list(map(bool, map(str.strip, lines))))
-        k_lineno = lineno + int(nonblank[k])
-        _check_row(rows[k], k_lineno, window, n)
-        raise DimensionMismatchError(
-            f"CSV line {k_lineno} repeats site {tuple(sites[:, k].tolist())}"
-        )
-    vals[flat] = x
-    seen[flat] = True
+        self.vals[flat[:k]] = x[:k]
+        self.seen[flat[:k]] = True
+        if k == len(rows):
+            self._check_complete(ended)
+            return
+        s = int(np.searchsorted(np.cumsum(counts), k, side="right"))
+        i, start, lineno = segments[s]
+        self._check_complete([j for j in ended if j < i])
+        nonblank = [j for j, line in enumerate(lines[start:ends[s]])
+                    if not line.isspace()]
+        k_lineno = lineno + nonblank[k - sum(counts[:s])]
+        try:
+            _check_row(rows[k].strip(), k_lineno, window, n)
+            raise DimensionMismatchError(
+                f"CSV line {k_lineno} repeats site {tuple(sites[:, k].tolist())}"
+            )
+        except (DimensionMismatchError, WindowError) as exc:
+            raise type(exc)(f"{os.path.basename(self.paths[i])}: {exc}") from None
+
+    def _check_complete(self, files: list) -> None:
+        """Raise WindowError for the first of ``files`` (consecutive) with a
+        site that no row gave."""
+        if not files:
+            return
+        size = self.window.volume
+        seen = self.seen[files[0] * size:(files[-1] + 1) * size].reshape(len(files), size)
+        complete = seen.all(axis=1)
+        if not complete.all():
+            j = int(np.argmin(complete))
+            missing = int(size - seen[j].sum())
+            raise WindowError(
+                f"{os.path.basename(self.paths[files[j]])}: CSV is missing "
+                f"{missing} of {size} window sites"
+            )
 
 
 def _parse_rows(rows: list, nn: int, ncol: int) -> tuple:

@@ -33,6 +33,7 @@ output hash vary per cell.
 from __future__ import annotations
 
 import copy
+import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ import numpy as np
 
 from ._jsonio import dump_json, load_json
 from .errors import ConfigError, DimensionMismatchError, NumericRangeError, check_int
-from .fields import CLOCKS, FieldWindow, Window, read_csv, write_csv
+from .fields import CLOCKS, FieldWindow, Window, read_csvs, write_csvs
 
 # Largest site count for one Gram-matrix factorization (one window axis
 # when sampling).
@@ -65,12 +66,16 @@ INDEFINITE_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class HurstSpec:
-    """Per-component Hurst vectors: row k gives H^(k) for component k."""
+    """Per-component Hurst vectors: row k gives H^(k) for component k.
+
+    Entries must be numbers in (0, 1]; anything else, a bool included,
+    raises ConfigError.
+    """
 
     H: np.ndarray
 
     def __post_init__(self):
-        h = np.array(self.H, dtype=float)
+        h = _float_array(self.H, "H")
         if h.ndim == 1:
             h = h[np.newaxis, :]
         if h.ndim != 2 or h.size == 0:
@@ -309,8 +314,27 @@ def sheet_points(window: Window, clock: str) -> np.ndarray:
     return pts
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    """``value`` as a new float array; a bool entry raises ConfigError."""
+    def has_bool(v) -> bool:
+        if isinstance(v, np.ndarray):
+            return v.dtype == bool or v.dtype == object and any(map(has_bool, v.flat))
+        if isinstance(v, (list, tuple)):
+            return any(map(has_bool, v))
+        return isinstance(v, (bool, np.bool_))
+
+    if has_bool(value):
+        raise ConfigError(f"{what} entries must be numbers, not booleans: {value!r}")
+    return np.array(value, dtype=float)
+
+
 def as_mixing(a, n: int) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    """``a`` as a read-only float (n, n) matrix.
+
+    A bool entry raises ConfigError; a wrong shape or a non-finite entry
+    raises DimensionMismatchError.
+    """
+    a = _float_array(a, "mixing matrix")
     if a.shape != (n, n):
         raise DimensionMismatchError(f"mixing matrix has shape {a.shape}, expected ({n}, {n})")
     if not np.all(np.isfinite(a)):
@@ -424,6 +448,20 @@ class _FieldViews(Sequence):
         return FieldWindow(b.window, b.values[r], b.clock, meta)
 
 
+class _ReplicationPaths(Sequence):
+    """``rep_00000.csv``, ``rep_00001.csv``, ... in a batch directory,
+    built when indexed so that a large batch holds no list of paths."""
+
+    def __init__(self, directory, count: int):
+        self._directory, self._count = directory, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, r: int) -> str:
+        return os.path.join(self._directory, f"rep_{range(self._count)[r]:05d}.csv")
+
+
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """R replications of one field configuration, plus the manifest data.
@@ -471,11 +509,13 @@ class SampleBatch:
         return man
 
     def save(self, directory) -> None:
+        """Write ``rep_00000.csv``, ``rep_00001.csv``, ... and then
+        ``manifest.json``; a non-finite value writes neither."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        write_csvs(self.values, self.window,
+                   _ReplicationPaths(directory, self.replications))
         dump_json(self.manifest(), directory / "manifest.json")
-        for r, v in enumerate(self.values):
-            write_csv(FieldWindow(self.window, v, self.clock), directory / f"rep_{r:05d}.csv")
 
 
 def sample_sheet_batch(
@@ -532,12 +572,10 @@ def load_batch(directory) -> SampleBatch:
     last = directory / f"rep_{r_count - 1:05d}.csv"
     if not last.exists():
         raise ConfigError(f"batch directory is missing {last.name}")
-    values = np.empty((r_count,) + window.shape + (n,))
-    for r in range(r_count):
-        path = directory / f"rep_{r:05d}.csv"
-        try:
-            values[r] = read_csv(path, window, n, clock).values
-        except FileNotFoundError:
-            raise ConfigError(f"batch directory is missing {path.name}") from None
+    try:
+        values = read_csvs(_ReplicationPaths(directory, r_count), window, n)
+    except FileNotFoundError as exc:
+        raise ConfigError(
+            f"batch directory is missing {os.path.basename(exc.filename)}") from None
     config = {k: man[k] for k in man if k not in ("seed", "R")}
     return SampleBatch(seed, values, window, clock, config)

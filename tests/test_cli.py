@@ -193,6 +193,46 @@ def test_missing_config_file_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("H, A", [([[True, 0.5]], None), ([[0.3, 0.7]], [[False]]),
+                                  ([[0.3, 0.7], [0.5, 0.5]], [[1, 0], [True, 1]])])
+def test_simulate_bool_hurst_or_mixing_exits_2_before_writing(tmp_path, capsys, H, A):
+    cfg = sheet_config(tmp_path, H=H, **({} if A is None else {"A": A}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "entries must be numbers, not booleans" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["simulate-config", "fou-config", "theta",
+                                    "batch-replication"])
+def test_unreadable_input_path_exits_2_before_writing(tmp_path, capsys, target):
+    # An input path that names a directory cannot be read: a config error
+    # naming the path, like a missing file, not a traceback.
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    if target == "batch-replication":
+        batch = Path(make_batch(tmp_path, reps=3, name="bd"))
+        adir = batch / "rep_00001.csv"
+        adir.unlink()
+        adir.mkdir()
+        argv = ["stats", "--batch", str(batch), *STATIONARITY]
+    else:
+        argv = {
+            "simulate-config": ["simulate", "--config", str(adir)],
+            "fou-config": ["fou", "--config", str(adir), "--kind", "second"],
+            "theta": ["transform", "--input", str(tmp_path / "f.csv"), "--theta",
+                      str(adir), "--chain", "L"],
+        }[target]
+        if target == "theta":
+            save_field(FieldWindow(Window((0,), (3,)), np.ones(4), "exponential"),
+                       tmp_path / "f.csv")
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read input" in err and str(adir) in err
+    assert not out.exists()
+
+
 def test_bad_threads_exits_2(tmp_path):
     cfg = sheet_config(tmp_path)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -741,6 +781,19 @@ def test_stats_bad_manifest_count_exits_2_before_writing(tmp_path, capsys, key, 
     assert main(["stats", "--batch", batch, *check, "--out", str(out)]) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+def test_stats_names_the_bad_replication_exits_3_before_writing(tmp_path, capsys):
+    batch = Path(make_batch(tmp_path, reps=9, name="b7"))
+    path = batch / "rep_00006.csv"
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "rep"
+    assert main(["stats", "--batch", str(batch), *STATIONARITY, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric/window error: rep_00006.csv: CSV line 5 has a non-finite value" in err
+    assert not out.exists()
 
 
 def test_stats_missing_batch_exits_2(tmp_path):

@@ -17,12 +17,14 @@ from fieldcorrespond import (
     load_field,
     previous_value,
     read_csv,
+    read_csvs,
     rect_from_units,
     rect_increment,
     save_field,
     unit_increment,
     unit_increment_field,
     write_csv,
+    write_csvs,
 )
 
 from fieldcorrespond import fields
@@ -466,6 +468,152 @@ def test_csv_first_offending_row_wins(tmp_path):
     path, window = long_csv(tmp_path, 12, edit)
     with pytest.raises(DimensionMismatchError, match="CSV line 4 repeats site \\(1,\\)"):
         read_csv(path, window, 1)
+
+
+# ---------------------------------------------------------------------------
+# Batch-wide CSV I/O
+
+
+@st.composite
+def csv_batches(draw):
+    """(values, window): one to five fields on one small window."""
+    N = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2))
+    lo = tuple(draw(st.integers(-2, 0)) for _ in range(N))
+    hi = tuple(draw(st.integers(0, 2)) for _ in range(N))
+    w = Window(lo, hi)
+    k = draw(st.integers(1, 5))
+    vals = draw(st.lists(CSV_VALUES, min_size=k * w.volume * n, max_size=k * w.volume * n))
+    return np.array(vals).reshape((k,) + w.shape + (n,)), w
+
+
+CSV_EDITS = ("non-finite", "repeat", "missing", "outside", "float site", "cell count",
+             "header", "no rows", "blank")
+
+
+def edit_csv_lines(lines, kind, j):
+    """Apply edit ``kind`` to a CSV's line list (line 0 is the header) at
+    data line ``j``; every kind but "blank" makes the file bad."""
+    cells = lines[j].split(",")
+    if kind == "non-finite":
+        cells[-1] = "nan"
+    elif kind == "outside":
+        cells[0] = "99"
+    elif kind == "float site":
+        cells[0] = "1.0"
+    elif kind == "cell count":
+        cells.append("0.5")
+    lines[j] = ",".join(cells)
+    if kind == "repeat":
+        lines.insert(j, lines[j])
+    elif kind == "missing":
+        del lines[j]
+    elif kind == "header":
+        lines[0] = "t_1,bad"
+    elif kind == "no rows":
+        del lines[1:]
+    elif kind == "blank":
+        lines[j:j] = ["", "  "] * j
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=csv_batches(), block=st.sampled_from([1, 3, 7, fields.CSV_BLOCK_ROWS]),
+       first=st.integers(0, 4),
+       edits=st.integers(0, 2).flatmap(lambda count: st.lists(
+           st.tuples(st.sampled_from(CSV_EDITS), st.integers(1, 10 ** 6)),
+           min_size=count, max_size=count)))
+def test_batch_csv_io_matches_one_file_at_a_time(tmp_path_factory, batch, block, first,
+                                                 edits):
+    # Blocks of 1, 3 and 7 rows split files and span file boundaries; a
+    # block of 1024 holds several whole files.  Two edits go to adjacent
+    # files, which share a block or meet at a block boundary, so the
+    # fault of the later file is often met first.
+    values, window = batch
+    paths = [tmp_path_factory.getbasetemp() / f"rep_{r:05d}.csv" for r in range(len(values))]
+    with mock.patch.object(fields, "CSV_BLOCK_ROWS", block):
+        write_csvs(values, window, paths)
+        for v, path in zip(values, paths):
+            assert path.read_bytes() == reference_csv(FieldWindow(window, v)).encode()
+        for r, (kind, j) in enumerate(edits, first):
+            path = paths[r % len(paths)]
+            lines = path.read_text().splitlines()
+            if len(lines) > 1:  # else an earlier edit left no rows to edit
+                edit_csv_lines(lines, kind, 1 + j % (len(lines) - 1))
+            path.write_text("\n".join(lines) + "\n")
+        n = values.shape[-1]
+        try:
+            expected = np.stack([read_csv(path, window, n).values for path in paths])
+        except (DimensionMismatchError, WindowError) as exc:
+            with pytest.raises(type(exc)) as got:
+                read_csvs(paths, window, n)
+            assert str(got.value) == str(exc)
+            assert type(got.value) is type(exc)
+            return
+        got = read_csvs(paths, window, n)
+    assert got.tobytes() == expected.tobytes()
+    assert not got.flags.writeable
+
+
+def test_read_csvs_names_the_bad_file(tmp_path, rng):
+    w = Window((0, 0), (1, 1))
+    paths = [tmp_path / f"rep_{r:05d}.csv" for r in range(9)]
+    write_csvs(rng.normal(size=(9, 2, 2, 2)), w, paths)
+    lines = paths[6].read_text().splitlines()
+    lines[4] = "1,1,0.5,inf"
+    paths[6].write_text("\n".join(lines) + "\n")
+    with pytest.raises(DimensionMismatchError) as exc:
+        read_csvs(paths, w, 2)
+    assert str(exc.value) == "rep_00006.csv: CSV line 5 has a non-finite value: '1,1,0.5,inf'"
+
+
+def _edit_csv(path, fault):
+    lines = path.read_text().splitlines()
+    if fault == "no file":
+        path.unlink()
+        return
+    if fault == "missing site":
+        del lines[-1]
+    elif fault == "bad row":
+        lines[2] = "1,abc"
+    else:
+        lines[0] = "t_1,bad"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("later", ["bad row", "bad header", "no file"])
+@pytest.mark.parametrize("earlier, error, message", [
+    ("missing site", WindowError, "^rep_00001.csv: CSV is missing 1 of 4 window sites$"),
+    ("bad row", DimensionMismatchError, "^rep_00001.csv: CSV line 3 has a non-integer site"),
+])
+def test_read_csvs_first_bad_file_wins(tmp_path, earlier, error, message, later):
+    # rep_00001 and rep_00002 share a block, and the fault of rep_00002 is
+    # met first when the block is checked or read: the fault of rep_00001
+    # is still the one reported, as a file-by-file read reports it.
+    w = Window((0,), (3,))
+    paths = [tmp_path / f"rep_{r:05d}.csv" for r in range(3)]
+    write_csvs(np.ones((3, 4, 1)), w, paths)
+    _edit_csv(paths[1], earlier)
+    _edit_csv(paths[2], later)
+    with pytest.raises(error, match=message):
+        read_csvs(paths, w, 1)
+    with pytest.raises((DimensionMismatchError, FileNotFoundError)):
+        read_csvs(paths[2:], w, 1)
+
+
+def test_write_csvs_refuses_non_finite_before_opening_any_file(tmp_path):
+    vals = np.zeros((4, 3, 1))
+    vals[2, 1, 0] = np.nan
+    paths = [tmp_path / f"rep_{r}.csv" for r in range(4)]
+    with pytest.raises(NumericRangeError, match="not writing .*rep_2.csv"):
+        write_csvs(vals, Window((0,), (2,)), paths)
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_csvs_checks_the_file_count(tmp_path):
+    with pytest.raises(DimensionMismatchError, match="3 files"):
+        write_csvs(np.zeros((2, 3, 1)), Window((0,), (2,)),
+                   [tmp_path / f"{r}.csv" for r in range(3)])
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

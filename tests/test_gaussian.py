@@ -39,7 +39,7 @@ from fieldcorrespond import (
     sheet_points,
     substream,
 )
-from fieldcorrespond.gaussian import MAX_REPLICATION, stream_states
+from fieldcorrespond.gaussian import MAX_REPLICATION, as_mixing, stream_states
 
 from conftest import pcg64_normals
 
@@ -112,6 +112,20 @@ def test_hurst_spec_promotes_and_validates():
         HurstSpec([[0.0, 0.5]])
     with pytest.raises(ConfigError, match="0 < H <= 1"):
         HurstSpec([[1.2]])
+
+
+@pytest.mark.parametrize("h", [[[True, 0.5]], [False], np.array([[True]]),
+                               [[0.5], [np.True_]], np.array([0.5, True], dtype=object)])
+def test_hurst_spec_refuses_bools(h):
+    with pytest.raises(ConfigError, match="H entries must be numbers, not booleans"):
+        HurstSpec(h)
+
+
+@pytest.mark.parametrize("a", [[[True, 0.0], [0.0, 1.0]], np.eye(2, dtype=bool)])
+def test_as_mixing_refuses_bools(a):
+    with pytest.raises(ConfigError, match="mixing matrix entries must be numbers"):
+        as_mixing(a, 2)
+    np.testing.assert_array_equal(as_mixing(np.eye(2), 2), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +469,30 @@ def test_load_batch_missing_replication(tmp_path):
     (tmp_path / "rep_00002.csv").unlink()
     with pytest.raises(ConfigError, match="batch directory is missing rep_00002.csv"):
         load_batch(tmp_path)
+
+
+def test_load_batch_names_the_bad_replication(tmp_path):
+    # The seventh file holds a non-finite value; the error names that file
+    # and its line, and keeps the type of a one-file read.
+    batch = sample_sheet_batch(np.eye(1), HurstSpec([[0.3, 0.7]]),
+                               Window((0, 0), (2, 2)), "integer", seed=13, replications=9)
+    batch.save(tmp_path)
+    path = tmp_path / "rep_00006.csv"
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",-inf"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DimensionMismatchError,
+                       match="^rep_00006.csv: CSV line 5 has a non-finite value: "):
+        load_batch(tmp_path)
+
+
+def test_batch_save_refuses_non_finite_before_writing_anything(tmp_path):
+    vals = np.zeros((4, 3, 1))
+    vals[3, 2, 0] = np.nan
+    batch = SampleBatch(1, vals, Window((0,), (2,)), "integer", {"n": 1})
+    with pytest.raises(NumericRangeError, match="rep_00003.csv"):
+        batch.save(tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_batch_rep_equals_single_sample(monkeypatch):
