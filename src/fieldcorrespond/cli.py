@@ -14,9 +14,12 @@ config, flags and input files into library objects, a value that a
 library constructor or reader refuses is a configuration error (2),
 whichever one refuses it; malformed JSON in any input file is one, and so
 is an input path that cannot be read (missing, a directory, no
-permission).  Two refusals keep exit 3: NumericRangeError (GRID_CAP, the
-exponential-clock limit, overflow) and the data-line errors of a field CSV
-from read_csv or read_csvs.
+permission), a batch directory without values.npy, and an --out path that
+cannot be a directory, which is refused before any input is read.  Two
+refusals keep exit 3: NumericRangeError (GRID_CAP, the exponential-clock
+limit, overflow) and faults in the data of an input file: the data-line
+errors of a field CSV from read_csv, and a batch's values.npy that
+load_batch finds truncated, foreign or non-finite.
 
 --threads is still accepted, validated and recorded in
 resolved_config.json so that existing scripts keep working, but it has
@@ -172,6 +175,16 @@ def _parse_theta(spec) -> tuple:
     if isinstance(spec, dict):
         return ThetaTuple.from_dict(spec), "inline"
     raise ConfigError(f"theta must be a file path or an inline object, got {spec!r}")
+
+
+def _check_out(out: Path) -> None:
+    """Refuse an --out path that is, or lies under, an existing file, so
+    that the command fails before it reads or draws anything."""
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"--out {out}: {p} exists and is not a directory")
+            return
 
 
 def _outdir(args) -> Path:
@@ -476,6 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(Path(args.out))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

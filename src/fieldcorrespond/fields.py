@@ -389,155 +389,80 @@ def _site_cells(window: Window):
 
 
 def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldWindow:
-    """Read a field CSV whose dimensions are known from elsewhere: the
-    one-file case of read_csvs."""
-    return FieldWindow(window, read_csvs([csv_path], window, n)[0], clock)
+    """Read a field CSV whose dimensions are known from elsewhere.
 
-
-def read_csvs(paths, window: Window, n: int) -> np.ndarray:
-    """The fields in the CSVs ``paths``, as one read-only array of shape
-    (k, *window.shape, n) for a sequence of k paths.
-
-    In each file every window site must appear exactly once, with integer
-    site cells and finite values; a malformed, duplicate or non-finite row
-    raises DimensionMismatchError naming its file line, a site outside the
-    window raises WindowError.  Blank lines are skipped but counted in line
-    numbers.  Each error begins with the name of its file; when several
-    files are bad, the first of ``paths`` wins.  The lines of consecutive
-    files are parsed and checked together, ``CSV_BLOCK_ROWS`` at a time.
+    Every window site must appear exactly once, with integer site cells and
+    finite values; a malformed, duplicate or non-finite row raises
+    DimensionMismatchError naming its line, a site outside the window or a
+    missing site raises WindowError.  Blank lines are skipped but counted
+    in line numbers.  Each error begins with the name of the file.  Lines
+    are parsed and checked ``CSV_BLOCK_ROWS`` at a time.
     """
     expected = _csv_header(window.N, n)
-    blocks = _CsvBlocks(paths, window, n)
+    vals = np.empty((window.volume, n))
+    seen = np.zeros(window.volume, dtype=bool)
     try:
-        for i, path in enumerate(paths):
-            with open(path, "r", encoding="utf-8") as fh:
-                header = fh.readline().strip().split(",")
-                if header != expected:
-                    raise DimensionMismatchError(
-                        f"{os.path.basename(path)}: CSV header {header} does not "
-                        f"match expected {expected}"
-                    )
-                lineno = 2
-                while True:
-                    lines = list(itertools.islice(fh, CSV_BLOCK_ROWS - len(blocks.lines)))
-                    blocks.add(i, lines, lineno)
-                    lineno += len(lines)
-                    if len(blocks.lines) < CSV_BLOCK_ROWS:
-                        break
-                    blocks.flush()
-            blocks.ended.append(i)
-        blocks.flush()
-    except (OSError, ValueError):
-        # A fault of an earlier file, still pending in the block, comes first.
-        blocks.flush()
-        raise
-    vals = blocks.vals
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            if header != expected:
+                raise DimensionMismatchError(
+                    f"CSV header {header} does not match expected {expected}")
+            lineno = 2
+            while lines := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
+                _read_block(lines, lineno, window, vals, seen)
+                lineno += len(lines)
+        if not seen.all():
+            raise WindowError(f"CSV is missing {int((~seen).sum())} of "
+                              f"{window.volume} window sites")
+    except (DimensionMismatchError, WindowError) as exc:
+        raise type(exc)(f"{os.path.basename(csv_path)}: {exc}") from None
     vals.setflags(write=False)
-    return vals.reshape((len(paths),) + window.shape + (n,))
+    return FieldWindow(window, vals.reshape(window.shape + (n,)), clock)
 
 
-class _CsvBlocks:
-    """Pending data lines of consecutive files, checked and placed a block
-    at a time.
+def _read_block(lines: list, lineno: int, window: Window, vals: np.ndarray,
+                seen: np.ndarray) -> None:
+    """Parse, check and place ``lines``, the first at file line ``lineno``.
 
-    ``segments`` holds ``(file, start, lineno)``: from ``lines[start]`` on,
-    the lines come from file ``file``, starting at its line ``lineno``.
-    ``ended`` lists the files whose last line is pending or placed but
-    whose completeness is not yet checked.  Replication r owns rows
-    ``r * volume`` onward of ``vals`` and ``seen``.
+    The cell-count, finite, window and repeat checks run over the whole
+    block as arrays.  When one fails, the first offending row is named,
+    with the error a row-by-row read would raise for it.
     """
-
-    def __init__(self, paths, window: Window, n: int):
-        self.paths, self.window = paths, window
-        self.vals = np.empty((len(paths) * window.volume, n))
-        self.seen = np.zeros(len(paths) * window.volume, dtype=bool)
-        self.lines, self.segments, self.ended = [], [], []
-
-    def add(self, i: int, lines: list, lineno: int) -> None:
-        self.segments.append((i, len(self.lines), lineno))
-        self.lines += lines
-
-    def flush(self) -> None:
-        """Parse, check and place the pending lines, then check that each
-        ended file has every site.
-
-        The cell-count, finite, window and repeat checks run over the whole
-        block as arrays.  When one fails, the files that ended before the
-        offending row's file are checked first; then that row is named,
-        with the error a row-by-row read would raise for it.
-        """
-        lines, segments, ended = self.lines, self.segments, self.ended
-        self.lines, self.segments, self.ended = [], [], []
-        window, size = self.window, self.window.volume
-        nn, n = window.N, self.vals.shape[1]
-        ncol = nn + n
-        ends = [s[1] for s in segments[1:]] + [len(lines)]
-        # Rows keep their line ends: Python's int and float ignore
-        # surrounding whitespace, so the cells parse as stripped ones would.
-        rows, counts = [], []
-        for (_, start, _), end in zip(segments, ends):
-            part = list(itertools.filterfalse(str.isspace, lines[start:end]))
-            rows += part
-            counts.append(len(part))
-        counted = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64,
-                              len(rows)) == ncol - 1
-        stop = len(rows) if counted.all() else int(np.argmin(counted))
-        try:
-            sites, x = _parse_rows(rows[:stop], nn, ncol)
-        except (ValueError, OverflowError):
-            for stop, row in enumerate(rows):
-                try:
-                    _parse_rows([row], nn, ncol)
-                except (ValueError, OverflowError):
-                    break
-            sites, x = _parse_rows(rows[:stop], nn, ncol)
-        lo = np.array(window.lo)[:, np.newaxis]
-        hi = np.array(window.hi)[:, np.newaxis]
-        finite = np.isfinite(x).all(axis=1)
-        inside = ((sites >= lo) & (sites <= hi)).all(axis=0)
-        # Rows outside the window stand in at site lo; they fail regardless.
-        offsets = np.repeat(np.array([s[0] * size for s in segments], dtype=np.int64),
-                            counts)[:stop]
-        flat = offsets + np.ravel_multi_index(np.where(inside, sites, lo) - lo,
-                                              window.shape)
-        first = np.zeros(len(flat), dtype=bool)
-        first[np.unique(flat, return_index=True)[1]] = True
-        bad = ~finite | ~inside | self.seen[flat] | ~first
-        k = int(np.argmax(bad)) if bad.any() else stop
-        self.vals[flat[:k]] = x[:k]
-        self.seen[flat[:k]] = True
-        if k == len(rows):
-            self._check_complete(ended)
-            return
-        s = int(np.searchsorted(np.cumsum(counts), k, side="right"))
-        i, start, lineno = segments[s]
-        self._check_complete([j for j in ended if j < i])
-        nonblank = [j for j, line in enumerate(lines[start:ends[s]])
-                    if not line.isspace()]
-        k_lineno = lineno + nonblank[k - sum(counts[:s])]
-        try:
-            _check_row(rows[k].strip(), k_lineno, window, n)
-            raise DimensionMismatchError(
-                f"CSV line {k_lineno} repeats site {tuple(sites[:, k].tolist())}"
-            )
-        except (DimensionMismatchError, WindowError) as exc:
-            raise type(exc)(f"{os.path.basename(self.paths[i])}: {exc}") from None
-
-    def _check_complete(self, files: list) -> None:
-        """Raise WindowError for the first of ``files`` (consecutive) with a
-        site that no row gave."""
-        if not files:
-            return
-        size = self.window.volume
-        seen = self.seen[files[0] * size:(files[-1] + 1) * size].reshape(len(files), size)
-        complete = seen.all(axis=1)
-        if not complete.all():
-            j = int(np.argmin(complete))
-            missing = int(size - seen[j].sum())
-            raise WindowError(
-                f"{os.path.basename(self.paths[files[j]])}: CSV is missing "
-                f"{missing} of {size} window sites"
-            )
+    nn, n = window.N, vals.shape[1]
+    ncol = nn + n
+    # Rows keep their line ends: Python's int and float ignore surrounding
+    # whitespace, so the cells parse as stripped ones would.
+    rows = list(itertools.filterfalse(str.isspace, lines))
+    counted = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64,
+                          len(rows)) == ncol - 1
+    stop = len(rows) if counted.all() else int(np.argmin(counted))
+    try:
+        sites, x = _parse_rows(rows[:stop], nn, ncol)
+    except (ValueError, OverflowError):
+        for stop, row in enumerate(rows):
+            try:
+                _parse_rows([row], nn, ncol)
+            except (ValueError, OverflowError):
+                break
+        sites, x = _parse_rows(rows[:stop], nn, ncol)
+    lo = np.array(window.lo)[:, np.newaxis]
+    hi = np.array(window.hi)[:, np.newaxis]
+    finite = np.isfinite(x).all(axis=1)
+    inside = ((sites >= lo) & (sites <= hi)).all(axis=0)
+    # Rows outside the window stand in at site lo; they fail regardless.
+    flat = np.ravel_multi_index(np.where(inside, sites, lo) - lo, window.shape)
+    first = np.zeros(len(flat), dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    bad = ~finite | ~inside | seen[flat] | ~first
+    k = int(np.argmax(bad)) if bad.any() else stop
+    vals[flat[:k]] = x[:k]
+    seen[flat[:k]] = True
+    if k == len(rows):
+        return
+    k_lineno = lineno + [j for j, line in enumerate(lines) if not line.isspace()][k]
+    _check_row(rows[k].strip(), k_lineno, window, n)
+    raise DimensionMismatchError(
+        f"CSV line {k_lineno} repeats site {tuple(sites[:, k].tolist())}")
 
 
 def _parse_rows(rows: list, nn: int, ncol: int) -> tuple:

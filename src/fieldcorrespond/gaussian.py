@@ -43,7 +43,7 @@ import numpy as np
 
 from ._jsonio import dump_json, load_json
 from .errors import ConfigError, DimensionMismatchError, NumericRangeError, check_int
-from .fields import CLOCKS, FieldWindow, Window, read_csvs, write_csvs
+from .fields import CLOCKS, FieldWindow, Window, write_csvs
 
 # Largest site count for one Gram-matrix factorization (one window axis
 # when sampling).
@@ -51,6 +51,9 @@ GRID_CAP = 4096
 # Tag of the sampling algorithm, recorded in batch manifests: a change
 # that alters the draws for a given seed gets a new tag.
 SAMPLER_VERSION = "kron-v1"
+# Tag of the batch directory layout, recorded in batch manifests: the
+# values live in one ``values.npy``, and the replication CSVs are an export.
+BATCH_LAYOUT = "npy-v1"
 # Largest number of standard normals drawn and transformed together; a
 # bound in doubles keeps the temporaries of one block small whatever the
 # window size.
@@ -449,8 +452,9 @@ class _FieldViews(Sequence):
 
 
 class _ReplicationPaths(Sequence):
-    """``rep_00000.csv``, ``rep_00001.csv``, ... in a batch directory,
-    built when indexed so that a large batch holds no list of paths."""
+    """``rep_00000.csv``, ``rep_00001.csv``, ... in a batch directory, the
+    paths the batch's CSV export writes, built when indexed so that a large
+    batch holds no list of paths."""
 
     def __init__(self, directory, count: int):
         self._directory, self._count = directory, count
@@ -509,13 +513,21 @@ class SampleBatch:
         return man
 
     def save(self, directory) -> None:
-        """Write ``rep_00000.csv``, ``rep_00001.csv``, ... and then
-        ``manifest.json``; a non-finite value writes neither."""
+        """Write ``rep_00000.csv``, ``rep_00001.csv``, ..., then
+        ``values.npy`` and then ``manifest.json``; a non-finite value writes
+        none of them.
+
+        ``values.npy`` holds ``values`` as little-endian float64 in C order
+        and is what load_batch reads; the CSVs are a text export of the
+        same values, one per replication.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         write_csvs(self.values, self.window,
                    _ReplicationPaths(directory, self.replications))
-        dump_json(self.manifest(), directory / "manifest.json")
+        np.save(directory / "values.npy", np.ascontiguousarray(self.values, "<f8"),
+                allow_pickle=False)
+        dump_json({**self.manifest(), "layout": BATCH_LAYOUT}, directory / "manifest.json")
 
 
 def sample_sheet_batch(
@@ -563,19 +575,40 @@ def read_manifest(directory) -> tuple:
 
 def load_batch(directory) -> SampleBatch:
     """Rebuild a batch from ``manifest.json`` (see read_manifest) plus its
-    replication CSVs."""
+    ``values.npy``; the replication CSVs are never read.
+
+    A missing ``values.npy`` raises ConfigError; so does a batch saved
+    before the ``npy-v1`` layout, which holds only CSVs.  A file that is
+    truncated or not an NPY array, that holds another dtype or order than
+    little-endian float64 in C order or another shape than
+    (R, *window.shape, n) from the manifest, or that holds a non-finite
+    value raises DimensionMismatchError naming the file.  The header
+    is checked before the data is read, so a wrong shape allocates nothing.
+    """
     directory = Path(directory)
     man, window, clock, n = read_manifest(directory)
-    r_count, seed = man["R"], man["seed"]
-    # A count far beyond the files present fails here, before anything of
-    # that size is allocated.
-    last = directory / f"rep_{r_count - 1:05d}.csv"
-    if not last.exists():
-        raise ConfigError(f"batch directory is missing {last.name}")
+    shape = (man["R"],) + window.shape + (n,)
+    path = directory / "values.npy"
     try:
-        values = read_csvs(_ReplicationPaths(directory, r_count), window, n)
-    except FileNotFoundError as exc:
+        with open(path, "rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("not an NPY 1.0 file")
+            found, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            if (found, fortran, dtype) != (shape, False, np.dtype("<f8")):
+                raise ValueError(
+                    f"holds {dtype.str} values of shape {found} in "
+                    f"{'Fortran' if fortran else 'C'} order, expected <f8 values "
+                    f"of shape {shape} in C order")
+            fh.seek(0)
+            values = np.load(fh, allow_pickle=False)
+    except FileNotFoundError:
         raise ConfigError(
-            f"batch directory is missing {os.path.basename(exc.filename)}") from None
-    config = {k: man[k] for k in man if k not in ("seed", "R")}
-    return SampleBatch(seed, values, window, clock, config)
+            f"batch directory {directory} has no values.npy (a batch saved "
+            f"before layout {BATCH_LAYOUT} holds only CSVs and cannot be read)"
+        ) from None
+    except ValueError as exc:
+        raise DimensionMismatchError(f"{path}: {exc}") from None
+    if not np.isfinite(values).all():
+        raise DimensionMismatchError(f"{path} holds a non-finite value")
+    config = {k: man[k] for k in man if k not in ("seed", "R", "layout")}
+    return SampleBatch(man["seed"], values, window, clock, config)

@@ -8,6 +8,7 @@ import copy
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,6 +63,7 @@ def test_simulate_writes_batch(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
+    assert (out / "values.npy").exists()
     assert (out / "rep_00004.csv").exists()
     assert (out / "resolved_config.json").exists()
     man = json.loads((out / "manifest.json").read_text())
@@ -204,15 +206,15 @@ def test_simulate_bool_hurst_or_mixing_exits_2_before_writing(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("target", ["simulate-config", "fou-config", "theta",
-                                    "batch-replication"])
+                                    "batch-values"])
 def test_unreadable_input_path_exits_2_before_writing(tmp_path, capsys, target):
     # An input path that names a directory cannot be read: a config error
     # naming the path, like a missing file, not a traceback.
     adir = tmp_path / "adir"
     adir.mkdir()
-    if target == "batch-replication":
+    if target == "batch-values":
         batch = Path(make_batch(tmp_path, reps=3, name="bd"))
-        adir = batch / "rep_00001.csv"
+        adir = batch / "values.npy"
         adir.unlink()
         adir.mkdir()
         argv = ["stats", "--batch", str(batch), *STATIONARITY]
@@ -783,16 +785,35 @@ def test_stats_bad_manifest_count_exits_2_before_writing(tmp_path, capsys, key, 
     assert message in capsys.readouterr().err
 
 
-def test_stats_names_the_bad_replication_exits_3_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize("fault", ["nan", "truncated", "fewer replications"])
+def test_stats_bad_values_npy_exits_3_before_writing(tmp_path, capsys, fault):
     batch = Path(make_batch(tmp_path, reps=9, name="b7"))
-    path = batch / "rep_00006.csv"
-    lines = path.read_text().splitlines()
-    lines[4] = lines[4].rsplit(",", 1)[0] + ",nan"
-    path.write_text("\n".join(lines) + "\n")
+    path = batch / "values.npy"
+    values = np.load(path)
+    if fault == "nan":
+        values[6, 1, 2, 0] = np.nan
+        np.save(path, values)
+    elif fault == "truncated":
+        path.write_bytes(path.read_bytes()[:-100])
+    else:
+        np.save(path, values[:8])
     out = tmp_path / "rep"
     assert main(["stats", "--batch", str(batch), *STATIONARITY, "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "numeric/window error: rep_00006.csv: CSV line 5 has a non-finite value" in err
+    assert f"numeric/window error: {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layout", ["npy-v1", "csv-only"])
+def test_stats_missing_values_npy_exits_2_before_writing(tmp_path, capsys, layout):
+    batch = Path(make_batch(tmp_path, reps=3, name="bv"))
+    (batch / "values.npy").unlink()
+    if layout == "csv-only":
+        man = json.loads((batch / "manifest.json").read_text())
+        del man["layout"]
+        write_json(batch / "manifest.json", man)
+    out = tmp_path / "rep"
+    assert main(["stats", "--batch", str(batch), *STATIONARITY, "--out", str(out)]) == 2
+    assert "has no values.npy" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -800,6 +821,36 @@ def test_stats_missing_batch_exits_2(tmp_path):
     assert main(["stats", "--batch", str(tmp_path / "nope"),
                  "--check", "stationarity", "--shift", "1,0",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "fou", "stats", "transform"])
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_out_naming_a_file_exits_2_before_reading_inputs(tmp_path, capsys, command,
+                                                         where):
+    # --out that is, or lies under, an existing file is refused before any
+    # input is parsed or any replication drawn; the file is left alone.
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    if command == "stats":
+        argv = ["stats", "--batch", make_batch(tmp_path, reps=3, name="bf"), *STATIONARITY]
+    elif command == "transform":
+        save_field(FieldWindow(Window((0,), (3,)), np.ones(4), "exponential"),
+                   tmp_path / "f.csv")
+        argv = ["transform", "--input", str(tmp_path / "f.csv"), "--chain", "Linv",
+                "--theta", theta_file(tmp_path, [np.array([[1.0]])])]
+    elif command == "fou":
+        argv = ["fou", "--kind", "second", "--config", write_json(
+            tmp_path / "fou.json",
+            {"H": [[0.4]], "window": {"lo": [-1], "hi": [2]}, "seed": 3,
+             "replications": 2})]
+    else:
+        argv = ["simulate", "--config", sheet_config(tmp_path)]
+    out = afile / "sub" if where == "under-file" else afile
+    with mock.patch("builtins.open", side_effect=AssertionError("an input was opened")):
+        assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --out {out}: {afile} exists and is not a directory" in err
+    assert afile.read_text() == "keep"
 
 
 # ---------------------------------------------------------------------------

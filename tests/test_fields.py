@@ -17,7 +17,6 @@ from fieldcorrespond import (
     load_field,
     previous_value,
     read_csv,
-    read_csvs,
     rect_from_units,
     rect_increment,
     save_field,
@@ -428,6 +427,19 @@ def test_csv_bad_row_beyond_first_block(tmp_path):
         read_csv(path, window, 1)
 
 
+def test_csv_repeat_in_a_later_block(tmp_path):
+    # The site of line 4 comes again in the second block.
+    line = fields.CSV_BLOCK_ROWS + 60
+
+    def edit(lines):
+        lines[line - 1] = "2,7.5"
+
+    path, window = long_csv(tmp_path, fields.CSV_BLOCK_ROWS + 200, edit)
+    with pytest.raises(DimensionMismatchError,
+                       match=f"^long.csv: CSV line {line} repeats site \\(2,\\)$"):
+        read_csv(path, window, 1)
+
+
 def test_csv_blank_lines_count_toward_line_numbers(tmp_path):
     # 1,500 blank or whitespace lines push the bad row into a later block.
     def edit(lines):
@@ -471,7 +483,7 @@ def test_csv_first_offending_row_wins(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Batch-wide CSV I/O
+# Batch-wide CSV export
 
 
 @st.composite
@@ -516,88 +528,78 @@ def edit_csv_lines(lines, kind, j):
         lines[j:j] = ["", "  "] * j
 
 
-@settings(max_examples=150, deadline=None)
-@given(batch=csv_batches(), block=st.sampled_from([1, 3, 7, fields.CSV_BLOCK_ROWS]),
-       first=st.integers(0, 4),
-       edits=st.integers(0, 2).flatmap(lambda count: st.lists(
-           st.tuples(st.sampled_from(CSV_EDITS), st.integers(1, 10 ** 6)),
-           min_size=count, max_size=count)))
-def test_batch_csv_io_matches_one_file_at_a_time(tmp_path_factory, batch, block, first,
-                                                 edits):
+@settings(max_examples=100, deadline=None)
+@given(batch=csv_batches(), block=st.sampled_from([1, 3, 7, fields.CSV_BLOCK_ROWS]))
+def test_batch_csv_io_matches_one_file_at_a_time(tmp_path_factory, batch, block):
     # Blocks of 1, 3 and 7 rows split files and span file boundaries; a
-    # block of 1024 holds several whole files.  Two edits go to adjacent
-    # files, which share a block or meet at a block boundary, so the
-    # fault of the later file is often met first.
+    # block of 1024 holds several whole files.
     values, window = batch
     paths = [tmp_path_factory.getbasetemp() / f"rep_{r:05d}.csv" for r in range(len(values))]
     with mock.patch.object(fields, "CSV_BLOCK_ROWS", block):
         write_csvs(values, window, paths)
         for v, path in zip(values, paths):
             assert path.read_bytes() == reference_csv(FieldWindow(window, v)).encode()
-        for r, (kind, j) in enumerate(edits, first):
-            path = paths[r % len(paths)]
-            lines = path.read_text().splitlines()
-            if len(lines) > 1:  # else an earlier edit left no rows to edit
-                edit_csv_lines(lines, kind, 1 + j % (len(lines) - 1))
-            path.write_text("\n".join(lines) + "\n")
-        n = values.shape[-1]
-        try:
-            expected = np.stack([read_csv(path, window, n).values for path in paths])
-        except (DimensionMismatchError, WindowError) as exc:
+            back = read_csv(path, window, values.shape[-1])
+            assert back.values.tobytes() == v.tobytes()
+            assert not back.values.flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=csv_fields(), block=st.sampled_from([1, 3, 7]),
+       edits=st.lists(st.tuples(st.sampled_from(CSV_EDITS), st.integers(1, 10 ** 6)),
+                      max_size=2))
+def test_read_csv_is_the_same_in_any_block_size(tmp_path_factory, x, block, edits):
+    # Small blocks put the edited rows, and the first and second fault of
+    # a file, in different blocks or at a block boundary; the value or the
+    # error must be the one a read in a single block gives.
+    path = tmp_path_factory.getbasetemp() / "edited.csv"
+    write_csv(x, path)
+    for kind, j in edits:
+        lines = path.read_text().splitlines()
+        if len(lines) > 1:  # else an earlier edit left no rows to edit
+            edit_csv_lines(lines, kind, 1 + j % (len(lines) - 1))
+        path.write_text("\n".join(lines) + "\n")
+    window, n = x.window, x.n
+    try:
+        with mock.patch.object(fields, "CSV_BLOCK_ROWS", 10 ** 9):
+            expected = read_csv(path, window, n).values
+    except (DimensionMismatchError, WindowError) as exc:
+        with mock.patch.object(fields, "CSV_BLOCK_ROWS", block):
             with pytest.raises(type(exc)) as got:
-                read_csvs(paths, window, n)
-            assert str(got.value) == str(exc)
-            assert type(got.value) is type(exc)
-            return
-        got = read_csvs(paths, window, n)
-    assert got.tobytes() == expected.tobytes()
-    assert not got.flags.writeable
-
-
-def test_read_csvs_names_the_bad_file(tmp_path, rng):
-    w = Window((0, 0), (1, 1))
-    paths = [tmp_path / f"rep_{r:05d}.csv" for r in range(9)]
-    write_csvs(rng.normal(size=(9, 2, 2, 2)), w, paths)
-    lines = paths[6].read_text().splitlines()
-    lines[4] = "1,1,0.5,inf"
-    paths[6].write_text("\n".join(lines) + "\n")
-    with pytest.raises(DimensionMismatchError) as exc:
-        read_csvs(paths, w, 2)
-    assert str(exc.value) == "rep_00006.csv: CSV line 5 has a non-finite value: '1,1,0.5,inf'"
+                read_csv(path, window, n)
+        assert str(got.value) == str(exc)
+        assert type(got.value) is type(exc)
+        return
+    with mock.patch.object(fields, "CSV_BLOCK_ROWS", block):
+        assert read_csv(path, window, n).values.tobytes() == expected.tobytes()
 
 
 def _edit_csv(path, fault):
     lines = path.read_text().splitlines()
-    if fault == "no file":
-        path.unlink()
-        return
     if fault == "missing site":
         del lines[-1]
     elif fault == "bad row":
         lines[2] = "1,abc"
+    elif fault == "non-finite":
+        lines[2] = "1,inf"
     else:
         lines[0] = "t_1,bad"
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("later", ["bad row", "bad header", "no file"])
-@pytest.mark.parametrize("earlier, error, message", [
+@pytest.mark.parametrize("fault, error, message", [
     ("missing site", WindowError, "^rep_00001.csv: CSV is missing 1 of 4 window sites$"),
     ("bad row", DimensionMismatchError, "^rep_00001.csv: CSV line 3 has a non-integer site"),
-])
-def test_read_csvs_first_bad_file_wins(tmp_path, earlier, error, message, later):
-    # rep_00001 and rep_00002 share a block, and the fault of rep_00002 is
-    # met first when the block is checked or read: the fault of rep_00001
-    # is still the one reported, as a file-by-file read reports it.
-    w = Window((0,), (3,))
-    paths = [tmp_path / f"rep_{r:05d}.csv" for r in range(3)]
-    write_csvs(np.ones((3, 4, 1)), w, paths)
-    _edit_csv(paths[1], earlier)
-    _edit_csv(paths[2], later)
+    ("non-finite", DimensionMismatchError,
+     "^rep_00001.csv: CSV line 3 has a non-finite value: '1,inf'$"),
+    ("bad header", DimensionMismatchError, "^rep_00001.csv: CSV header "),
+], ids=["missing-site", "bad-row", "non-finite", "bad-header"])
+def test_read_csv_names_the_file_and_line(tmp_path, fault, error, message):
+    path = tmp_path / "rep_00001.csv"
+    write_csv(FieldWindow(Window((0,), (3,)), np.ones(4)), path)
+    _edit_csv(path, fault)
     with pytest.raises(error, match=message):
-        read_csvs(paths, w, 1)
-    with pytest.raises((DimensionMismatchError, FileNotFoundError)):
-        read_csvs(paths[2:], w, 1)
+        read_csv(path, Window((0,), (3,)), 1)
 
 
 def test_write_csvs_refuses_non_finite_before_opening_any_file(tmp_path):

@@ -7,8 +7,12 @@ linearity, and rank-deficient grids; the bulk stream derivation is checked
 against ``substream``, its reference.
 """
 
+import io
 import json
 import math
+import pickle
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -397,6 +401,7 @@ def test_batch_save_load_roundtrip(tmp_path):
     batch = sample_sheet_batch(np.eye(1), h, w, "integer", seed=13, replications=4)
     batch.save(tmp_path)
     assert (tmp_path / "manifest.json").exists()
+    assert (tmp_path / "values.npy").exists()
     assert (tmp_path / "rep_00003.csv").exists()
     back = load_batch(tmp_path)
     assert back.seed == 13
@@ -454,36 +459,101 @@ def test_load_batch_rejects_bad_manifest_fields(tmp_path, key, value):
 
 
 def test_load_batch_refuses_count_beyond_files_before_allocating(tmp_path):
+    # The header of values.npy is checked against the manifest before
+    # np.load reads (and allocates) anything.
     man = _saved_batch(tmp_path)
     man["R"] = 10**9
     (tmp_path / "manifest.json").write_text(json.dumps(man))
-    with pytest.raises(ConfigError, match="missing rep_999999999.csv"):
+    with mock.patch.object(np, "load", side_effect=AssertionError("data read")):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"values.npy: holds <f8 values of shape \(5, 3, 3, 1\)"):
+            load_batch(tmp_path)
+
+
+@pytest.mark.parametrize("layout", ["npy-v1", "csv-only"])
+def test_load_batch_missing_values_npy(tmp_path, layout):
+    # A batch saved before the npy-v1 layout has only its CSVs and a
+    # manifest without the layout tag: it is not readable.
+    man = _saved_batch(tmp_path)
+    (tmp_path / "values.npy").unlink()
+    if layout == "csv-only":
+        del man["layout"]
+        (tmp_path / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(ConfigError, match="has no values.npy"):
         load_batch(tmp_path)
 
 
-def test_load_batch_missing_replication(tmp_path):
-    h = HurstSpec([[0.3, 0.7]])
-    batch = sample_sheet_batch(np.eye(1), h, Window((0, 0), (2, 2)), "integer",
-                               seed=13, replications=4)
-    batch.save(tmp_path)
-    (tmp_path / "rep_00002.csv").unlink()
-    with pytest.raises(ConfigError, match="batch directory is missing rep_00002.csv"):
+def _npy_bytes(values, **save):
+    buf = io.BytesIO()
+    np.save(buf, values, **save)
+    return buf.getvalue()
+
+
+FOREIGN_VALUES = {
+    "truncated data": lambda v: _npy_bytes(v)[:-8],
+    "truncated header": lambda v: _npy_bytes(v)[:40],
+    "empty": lambda v: b"",
+    "pickle": lambda v: pickle.dumps(v),
+    "object array": lambda v: _npy_bytes(v.astype(object), allow_pickle=True),
+    "float32": lambda v: _npy_bytes(v.astype(np.float32)),
+    "int64": lambda v: _npy_bytes(v.astype(np.int64)),
+    "big-endian": lambda v: _npy_bytes(v.astype(">f8")),
+    "Fortran order": lambda v: _npy_bytes(np.asfortranarray(v)),
+    "fewer replications": lambda v: _npy_bytes(v[:4]),
+    "other window": lambda v: _npy_bytes(v[:, :2]),
+    "other n": lambda v: _npy_bytes(np.concatenate([v, v], axis=-1)),
+}
+
+
+@pytest.mark.parametrize("kind", FOREIGN_VALUES)
+def test_load_batch_refuses_a_foreign_values_npy(tmp_path, kind):
+    _saved_batch(tmp_path)
+    path = tmp_path / "values.npy"
+    path.write_bytes(FOREIGN_VALUES[kind](np.load(path)))
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(str(path))}: "):
         load_batch(tmp_path)
 
 
-def test_load_batch_names_the_bad_replication(tmp_path):
-    # The seventh file holds a non-finite value; the error names that file
-    # and its line, and keeps the type of a one-file read.
-    batch = sample_sheet_batch(np.eye(1), HurstSpec([[0.3, 0.7]]),
-                               Window((0, 0), (2, 2)), "integer", seed=13, replications=9)
-    batch.save(tmp_path)
-    path = tmp_path / "rep_00006.csv"
-    lines = path.read_text().splitlines()
-    lines[4] = lines[4].rsplit(",", 1)[0] + ",-inf"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DimensionMismatchError,
-                       match="^rep_00006.csv: CSV line 5 has a non-finite value: "):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_batch_refuses_non_finite_values(tmp_path, bad):
+    _saved_batch(tmp_path)
+    path = tmp_path / "values.npy"
+    values = np.load(path)
+    values[3, 1, 2, 0] = bad
+    np.save(path, values)
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(str(path))} holds a non-finite value$"):
         load_batch(tmp_path)
+
+
+BATCHES = {
+    "sheet": lambda: sample_sheet_batch(np.array([[1.0, 0.3], [0.3, 1.0]]),
+                                        HurstSpec([[0.3, 0.7], [0.6, 0.45]]),
+                                        Window((-1, 0), (2, 2)), "integer", 7, 6),
+    "first": lambda: fou_batch(FouConfig(
+        kind="first", hurst=HurstSpec([[0.55, 0.6]]), mixing=np.eye(1),
+        window=Window((0, 0), (3, 2)),
+        theta=ThetaTuple([np.array([[0.9]]), np.array([[1.1]])]),
+        policy=TruncationPolicy(depth=4), seed=3, replications=5)),
+    "second": lambda: fou_batch(FouConfig(
+        kind="second", hurst=HurstSpec([[0.55], [0.4]]), mixing=np.diag([1.0, 0.5]),
+        window=Window((-1,), (2,)), seed=4, replications=7)),
+}
+
+
+@pytest.mark.parametrize("kind", BATCHES)
+def test_load_batch_returns_the_saved_bytes(tmp_path, kind):
+    # values.npy is the batch's data of record: the loaded values are the
+    # saved ones bit for bit, and a rerun writes the same file.
+    batch = BATCHES[kind]()
+    batch.save(tmp_path / "a")
+    BATCHES[kind]().save(tmp_path / "b")
+    npy = (tmp_path / "a" / "values.npy").read_bytes()
+    assert npy == (tmp_path / "b" / "values.npy").read_bytes()
+    back = load_batch(tmp_path / "a")
+    assert back.values.tobytes() == batch.values.tobytes()
+    assert back.values.shape == batch.values.shape
+    assert back.config == batch.config and back.seed == batch.seed
+    assert json.loads((tmp_path / "a" / "manifest.json").read_text())["layout"] == "npy-v1"
 
 
 def test_batch_save_refuses_non_finite_before_writing_anything(tmp_path):
