@@ -577,16 +577,24 @@ def load_batch(directory) -> SampleBatch:
     """Rebuild a batch from ``manifest.json`` (see read_manifest) plus its
     ``values.npy``; the replication CSVs are never read.
 
-    A missing ``values.npy`` raises ConfigError; so does a batch saved
-    before the ``npy-v1`` layout, which holds only CSVs.  A file that is
-    truncated or not an NPY array, that holds another dtype or order than
-    little-endian float64 in C order or another shape than
+    A manifest whose ``layout`` is not BATCH_LAYOUT raises ConfigError;
+    so does one without the tag, which a batch saved before the ``npy-v1``
+    layout has (it holds only CSVs), and a missing ``values.npy``.  A file
+    that is truncated or not an NPY array, that holds another dtype or
+    order than little-endian float64 in C order or another shape than
     (R, *window.shape, n) from the manifest, or that holds a non-finite
     value raises DimensionMismatchError naming the file.  The header
     is checked before the data is read, so a wrong shape allocates nothing.
     """
     directory = Path(directory)
     man, window, clock, n = read_manifest(directory)
+    if "layout" not in man:
+        raise ConfigError(
+            f"batch directory {directory} has no layout tag: it was saved before "
+            f"layout {BATCH_LAYOUT}, holds only CSVs and no values.npy, and cannot be read")
+    if man["layout"] != BATCH_LAYOUT:
+        raise ConfigError(f"batch directory {directory} has layout {man['layout']!r}, "
+                          f"expected {BATCH_LAYOUT!r}")
     shape = (man["R"],) + window.shape + (n,)
     path = directory / "values.npy"
     try:
@@ -602,10 +610,7 @@ def load_batch(directory) -> SampleBatch:
             fh.seek(0)
             values = np.load(fh, allow_pickle=False)
     except FileNotFoundError:
-        raise ConfigError(
-            f"batch directory {directory} has no values.npy (a batch saved "
-            f"before layout {BATCH_LAYOUT} holds only CSVs and cannot be read)"
-        ) from None
+        raise ConfigError(f"batch directory {directory} has no values.npy") from None
     except ValueError as exc:
         raise DimensionMismatchError(f"{path}: {exc}") from None
     if not np.isfinite(values).all():

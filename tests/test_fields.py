@@ -528,7 +528,7 @@ def edit_csv_lines(lines, kind, j):
         lines[j:j] = ["", "  "] * j
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(batch=csv_batches(), block=st.sampled_from([1, 3, 7, fields.CSV_BLOCK_ROWS]))
 def test_batch_csv_io_matches_one_file_at_a_time(tmp_path_factory, batch, block):
     # Blocks of 1, 3 and 7 rows split files and span file boundaries; a

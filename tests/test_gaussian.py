@@ -470,16 +470,33 @@ def test_load_batch_refuses_count_beyond_files_before_allocating(tmp_path):
             load_batch(tmp_path)
 
 
-@pytest.mark.parametrize("layout", ["npy-v1", "csv-only"])
-def test_load_batch_missing_values_npy(tmp_path, layout):
-    # A batch saved before the npy-v1 layout has only its CSVs and a
-    # manifest without the layout tag: it is not readable.
-    man = _saved_batch(tmp_path)
+def test_load_batch_missing_values_npy(tmp_path):
+    _saved_batch(tmp_path)
     (tmp_path / "values.npy").unlink()
-    if layout == "csv-only":
-        del man["layout"]
-        (tmp_path / "manifest.json").write_text(json.dumps(man))
-    with pytest.raises(ConfigError, match="has no values.npy"):
+    with pytest.raises(ConfigError, match="has no values.npy$"):
+        load_batch(tmp_path)
+
+
+@pytest.mark.parametrize("values_npy", [False, True], ids=["csv-only", "with-npy"])
+def test_load_batch_refuses_a_manifest_without_layout(tmp_path, values_npy):
+    # A batch saved before the npy-v1 layout has only its CSVs and a
+    # manifest without the layout tag: it is not readable, even if a
+    # values.npy was put beside it later.
+    man = _saved_batch(tmp_path)
+    if not values_npy:
+        (tmp_path / "values.npy").unlink()
+    del man["layout"]
+    (tmp_path / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(ConfigError, match="has no layout tag: .* no values.npy"):
+        load_batch(tmp_path)
+
+
+@pytest.mark.parametrize("layout", ["npy-v2", "", None, 1])
+def test_load_batch_refuses_another_layout(tmp_path, layout):
+    man = _saved_batch(tmp_path)
+    man["layout"] = layout
+    (tmp_path / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(ConfigError, match=f"has layout {layout!r}, expected 'npy-v1'$"):
         load_batch(tmp_path)
 
 
