@@ -15,11 +15,12 @@ library constructor or reader refuses is a configuration error (2),
 whichever one refuses it; malformed JSON in any input file is one, and so
 is an input path that cannot be read (missing, a directory, no
 permission), a batch directory without values.npy, and an --out path that
-cannot be a directory, which is refused before any input is read.  Two
-refusals keep exit 3: NumericRangeError (GRID_CAP, the exponential-clock
-limit, overflow) and faults in the data of an input file: the data-line
-errors of a field CSV from read_csv, and a batch's values.npy that
-load_batch finds truncated, foreign or non-finite.
+is not a new or empty directory, which is refused before any input is
+read: a run never merges into, or leaves stale files beside, earlier
+output.  Two refusals keep exit 3: NumericRangeError (GRID_CAP, the
+exponential-clock limit, overflow) and faults in the data of an input
+file: the data-line errors of a field CSV from read_csv, and a batch's
+values.npy that load_batch finds truncated, foreign or non-finite.
 
 --threads is still accepted, validated and recorded in
 resolved_config.json so that existing scripts keep working, but it has
@@ -178,12 +179,21 @@ def _parse_theta(spec) -> tuple:
 
 
 def _check_out(out: Path) -> None:
-    """Refuse an --out path that is, or lies under, an existing file, so
-    that the command fails before it reads or draws anything."""
+    """Refuse an --out path that is a non-empty directory, or that is, or
+    lies under, an existing file, so that the command fails before it
+    reads or draws anything."""
     for p in (out, *out.parents):
         if p.exists():
             if not p.is_dir():
                 raise ConfigError(f"--out {out}: {p} exists and is not a directory")
+            if p == out:
+                try:
+                    entries = os.listdir(out)
+                except OSError as exc:
+                    raise ConfigError(f"--out {out}: {exc}") from None
+                if entries:
+                    raise ConfigError(f"--out {out} is not empty; give a new or "
+                                      f"empty directory")
             return
 
 

@@ -17,17 +17,14 @@ applies the factors to a standard normal array by mode products, so no
 matrix over the whole window is ever formed.  Zero-variance sites produce
 exact zeros, never jitter.
 
-Randomness contract: every draw is keyed by (seed, replication index,
-component index) through ``numpy.random.SeedSequence`` spawn keys, so any
-subset of replications can be reproduced byte-identically.  ``substream``
-is the reference for one cell.  The sampler derives the same streams
-without building a ``SeedSequence`` per cell: it repeats numpy's seeding
-arithmetic (the SeedSequence pool hash, ``generate_state(4, uint64)`` and
-PCG64's seeding step) on arrays over a whole block of cells, sets each
-resulting PCG64 state on one reused generator and draws its normals.  The
-pool after the seed words is common to every cell, so it is taken once
-from numpy's ``SeedSequence(seed)``; only the spawn-key words and the
-output hash vary per cell.
+Randomness contract: replication r of seed s draws from one Philox
+counter stream (Salmon, Moraes, Dror & Shaw, SC'11), keyed by
+``SeedSequence(s).generate_state(2, uint64)`` with counter [0, 0, 0, r];
+its first n * volume normals, in C order, are the (n, volume) standard
+normals of the replication.  So any subset of replications can be
+reproduced byte-identically.  ``substream`` is the reference for one
+replication; the sampler sets the same key and counter on one reused
+generator, so no stream is hashed or seeded per replication.
 """
 
 from __future__ import annotations
@@ -50,14 +47,14 @@ from .fields import CLOCKS, FieldWindow, Window, write_csvs
 GRID_CAP = 4096
 # Tag of the sampling algorithm, recorded in batch manifests: a change
 # that alters the draws for a given seed gets a new tag.
-SAMPLER_VERSION = "kron-v1"
+SAMPLER_VERSION = "kron-v2"
 # Tag of the batch directory layout, recorded in batch manifests: the
 # values live in one ``values.npy``, and the replication CSVs are an export.
 BATCH_LAYOUT = "npy-v1"
 # Largest number of standard normals drawn and transformed together; a
 # bound in doubles keeps the temporaries of one block small whatever the
 # window size.
-DRAW_BLOCK = 1 << 12
+DRAW_BLOCK = 1 << 15
 # Exponential-clock sites e^{t_j} overflow the usable double range well
 # before |t_j| reaches 300; the model keeps a conservative margin.
 EXP_CLOCK_LIMIT = 30
@@ -172,134 +169,27 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
     return l
 
 
-def substream(seed: int, replication: int, component: int) -> np.random.Generator:
-    """Deterministic generator for one (replication, component) cell.
-
-    The reference definition of the streams: ``SheetSampler`` draws cell
-    (r, k) from the same stream, derived in bulk (see ``stream_states``).
-    """
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(replication), int(component)))
-    return np.random.default_rng(ss)
-
-
-# numpy.random.SeedSequence: pool size in 32-bit words and hash constants.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
-# PCG64: 128-bit LCG multiplier.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
-# Largest replication index: the block derivation holds indices in uint64.
+# Largest replication index: the top word of the 256-bit Philox counter.
 MAX_REPLICATION = (1 << 64) - 1
 
-# The helpers below take Python ints or uint64 arrays of 32-bit values
-# alike: no product exceeds 64 bits, and every result is masked to 32.
+
+def _philox_key(seed: int) -> np.ndarray:
+    """The 128-bit Philox key of ``seed``, as two uint64 words."""
+    return np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
 
 
-def _words(value: int) -> list:
-    """Little-endian 32-bit words of a non-negative int (0 is one word)."""
-    words = [value & _M32]
-    while value > _M32:
-        value >>= 32
-        words.append(value & _M32)
-    return words
+def substream(seed: int, replication: int) -> np.random.Generator:
+    """Deterministic generator of one replication.
 
-
-def _hash_const(init: int, mult: int, steps: int) -> int:
-    """The running hash constant after ``steps`` hash steps.
-
-    Each step multiplies it by ``mult``, whatever the data hashed.
+    Philox keyed by ``seed`` with counter ``[0, 0, 0, replication]``.  Its
+    first ``n * volume`` standard normals, in C order, are the (n, volume)
+    draws of the replication; Philox counts up from word 0, so one
+    replication's draws never reach the next one's counter.  The reference
+    definition of the streams: ``SheetSampler`` sets the same counter on
+    one reused generator.
     """
-    return (init * pow(mult, steps, 1 << 32)) & _M32
-
-
-# generate_state(4, np.uint64) hashes eight pool words, cycling the pool;
-# step i xors with constant i and multiplies by constant i + 1.
-_GENERATE_CHAIN = tuple(
-    (_hash_const(_INIT_B, _MULT_B, i), _hash_const(_INIT_B, _MULT_B, i + 1))
-    for i in range(2 * _POOL_SIZE)
-)
-
-
-def _hash(value, const: int, nxt: int):
-    """One SeedSequence hash step, given its xor and multiply constants."""
-    h = ((value ^ const) * nxt) & _M32
-    return h ^ (h >> 16)
-
-
-def _absorb(pool, const: int, words) -> tuple:
-    """Mix entropy words past the pool size into every pool word.
-
-    Each pool word p becomes mix(p, hash(w)) with SeedSequence's mix, the
-    hash constant advancing once per pool word.
-    """
-    for w in words:
-        mixed = []
-        for p in pool:
-            nxt = (const * _MULT_A) & _M32
-            r = (_MIX_L * p - _MIX_R * _hash(w, const, nxt)) & _M32
-            mixed.append(r ^ (r >> 16))
-            const = nxt
-        pool = mixed
-    return pool, const
-
-
-def _seed_pool(seed: int) -> tuple:
-    """The pool of ``SeedSequence(seed, spawn_key=...)`` before the key.
-
-    A spawn key makes SeedSequence zero-pad the seed words to the pool
-    size; an unspawned ``SeedSequence(seed)`` hashes zeros into the same
-    pool positions, so its pool is this one.  Returns the pool and the
-    hash constant after the seed words: one hash step for each of the
-    first pool-size words and for each all-pairs mixing step (pool size
-    squared in all), then one per pool word for each further seed word.
-    """
-    extra = max(0, len(_words(seed)) - _POOL_SIZE)
-    steps = _POOL_SIZE ** 2 + _POOL_SIZE * extra
-    pool = np.random.SeedSequence(seed).pool.tolist()
-    return tuple(pool), _hash_const(_INIT_A, _MULT_A, steps)
-
-
-def _pcg64_words(pool: list) -> list:
-    """``generate_state(4, np.uint64)`` of a pool with its key absorbed.
-
-    Eight 32-bit outputs, read pairwise as little-endian 64-bit words.
-    """
-    half = [_hash(p, const, nxt) for (const, nxt), p in zip(_GENERATE_CHAIN, pool * 2)]
-    return [half[i] | (half[i + 1] << 32) for i in range(0, 2 * _POOL_SIZE, 2)]
-
-
-def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> tuple:
-    """PCG64's seeding step: (state, inc) from its four seed words."""
-    inc = (((w2 << 64 | w3) << 1) | 1) & _M128
-    return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128, inc
-
-
-def stream_states(seed: int, replications, n: int) -> list:
-    """PCG64 (state, inc) of ``substream(seed, r, k)`` for every cell.
-
-    Cells are ordered replication-major, components 0..n-1 within each.
-    One replication is derived with Python ints; more are derived with
-    uint64 arrays over all cells at once, one pass per spawn-key length
-    (an index above 2^32 - 1 takes two words).
-    """
-    pool, const = _seed_pool(seed)
-    if len(replications) == 1:
-        pool, const = _absorb(pool, const, _words(replications[0]))
-        return [_pcg64_state(*_pcg64_words(_absorb(pool, const, [k])[0]))
-                for k in range(n)]
-    reps = np.array(replications, dtype=np.uint64)[:, np.newaxis]
-    comps = np.arange(n, dtype=np.uint64)[np.newaxis, :]
-    words = np.empty((4, len(replications), n), dtype=np.uint64)
-    wide = reps[:, 0] > _M32
-    for sel, size in ((~wide, 1), (wide, 2)):
-        if sel.any():
-            r = reps[sel]
-            key_pool, key_const = _absorb(pool, const, [r & _M32, r >> 32][:size])
-            words[:, sel] = _pcg64_words(_absorb(key_pool, key_const, [comps])[0])
-    return [_pcg64_state(*w) for w in zip(*(a.ravel().tolist() for a in words))]
+    counter = np.array([0, 0, 0, int(replication)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed), counter=counter))
 
 
 def sheet_points(window: Window, clock: str) -> np.ndarray:
@@ -351,7 +241,8 @@ class SheetSampler:
 
     ``_factors[j][k]`` is the factor of the 1-D Gram of component k along
     axis j; the Kronecker product over j factors the Gram of the window.
-    Draws reuse one generator, re-seeded per cell under a lock.
+    Draws reuse one Philox generator, its counter set per replication under
+    a lock.
     """
 
     def __init__(self, mixing, hurst: HurstSpec, window: Window, clock: str):
@@ -370,7 +261,12 @@ class SheetSampler:
                 factor_covariance(build_cov_matrix(pts, hurst.H[k, j:j + 1]))
                 for k in range(hurst.n)
             ]))
-        self._gen = np.random.Generator(np.random.PCG64(0))
+        self._gen = np.random.Generator(np.random.Philox(0))
+        # The state every replication starts from: an empty output buffer
+        # (buffer_pos 4), so its first normal comes from the block at
+        # counter + 1.  _draw sets the key and the top counter word.
+        self._state = self._gen.bit_generator.state
+        self._state["buffer_pos"] = 4
         self._lock = threading.Lock()
 
     def sample(self, seed: int, replication: int = 0) -> FieldWindow:
@@ -381,7 +277,7 @@ class SheetSampler:
         """One field per index in ``replications``, drawn as one block.
 
         Field i equals ``sample(seed, replications[i])`` byte for byte:
-        cell (r, k) draws from ``substream(seed, r, k)``.
+        replication r draws from ``substream(seed, r)``.
         """
         seed = check_int(seed, "seed", 0)
         reps = [check_int(r, "replication index", 0) for r in replications]
@@ -414,13 +310,13 @@ class SheetSampler:
         """Read-only (len(reps), *window.shape, n) values of checked indices."""
         n, volume, count = self.hurst.n, self.window.volume, len(reps)
         x = np.empty((count, n, volume))
-        bitgen = self._gen.bit_generator
+        bitgen, state = self._gen.bit_generator, self._state
+        counter = state["state"]["counter"]
         with self._lock:
-            for row, (state, inc) in zip(x.reshape(-1, volume),
-                                         stream_states(seed, reps, n)):
-                bitgen.state = {"bit_generator": "PCG64",
-                                "state": {"state": state, "inc": inc},
-                                "has_uint32": 0, "uinteger": 0}
+            state["state"]["key"] = _philox_key(seed)
+            for row, r in zip(x.reshape(count, -1), reps):
+                counter[3] = r
+                bitgen.state = state
                 self._gen.standard_normal(out=row)
         # Mode product along the leading window axis of every component,
         # then rotate that axis to the back; after N steps the axes are in

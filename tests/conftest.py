@@ -70,16 +70,6 @@ def corner_sum_naive(x, t):
     return acc
 
 
-def pcg64_normals(states, size):
-    """Normals of each PCG64 (state, inc) pair, drawn on one reseeded generator."""
-    gen = np.random.Generator(np.random.PCG64(0))
-    for state, inc in states:
-        gen.bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        yield gen.standard_normal(size)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)

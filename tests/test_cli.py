@@ -68,7 +68,7 @@ def test_simulate_writes_batch(tmp_path, capsys):
     assert (out / "resolved_config.json").exists()
     man = json.loads((out / "manifest.json").read_text())
     assert man["seed"] == 11 and man["R"] == 5
-    assert man["sampler"] == "kron-v1"
+    assert man["sampler"] == "kron-v2"
     assert "wrote 5 replications" in capsys.readouterr().out
 
 
@@ -560,7 +560,7 @@ def test_fou_first_kind_runs(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "first"
     assert man["policy"]["depth"] == [5]
-    assert man["sampler"] == "kron-v1"
+    assert man["sampler"] == "kron-v2"
     assert (out / "rep_00003.csv").exists()
 
 
@@ -576,7 +576,7 @@ def test_fou_second_kind_runs(tmp_path):
     assert main(["fou", "--config", cfg, "--out", str(out)]) == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "second"
-    assert man["sampler"] == "kron-v1"
+    assert man["sampler"] == "kron-v2"
 
 
 def test_fou_kind_flag_overrides(tmp_path):
@@ -824,7 +824,33 @@ def test_stats_missing_batch_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("command", ["simulate", "fou", "stats", "transform"])
+def command_argv(tmp_path, command):
+    """A valid argv, without --out, of each command; its inputs live in
+    ``tmp_path``."""
+    if command == "stats":
+        return ["stats", "--batch", make_batch(tmp_path, name="bf"),
+                "--check", "increment-stationarity", "--shift", "1,1"]
+    if command in ("transform", "ar1-verify"):
+        clock = "exponential" if command == "transform" else "integer"
+        save_field(FieldWindow(Window((0,), (3,)), np.ones(4), clock), tmp_path / "f.csv")
+        theta = theta_file(tmp_path, [np.array([[1.0]])])
+        if command == "transform":
+            return ["transform", "--input", str(tmp_path / "f.csv"), "--chain", "Linv",
+                    "--theta", theta]
+        return ["ar1-verify", "--x", str(tmp_path / "f.csv"), "--extract-noise",
+                "--theta", theta]
+    if command == "fou":
+        return ["fou", "--kind", "second", "--config", write_json(
+            tmp_path / "fou.json",
+            {"H": [[0.4]], "window": {"lo": [-1], "hi": [2]}, "seed": 3,
+             "replications": 2})]
+    return ["simulate", "--config", sheet_config(tmp_path)]
+
+
+COMMANDS = ["simulate", "fou", "stats", "transform", "ar1-verify"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("where", ["file", "under-file"])
 def test_out_naming_a_file_exits_2_before_reading_inputs(tmp_path, capsys, command,
                                                          where):
@@ -832,26 +858,53 @@ def test_out_naming_a_file_exits_2_before_reading_inputs(tmp_path, capsys, comma
     # input is parsed or any replication drawn; the file is left alone.
     afile = tmp_path / "afile"
     afile.write_text("keep")
-    if command == "stats":
-        argv = ["stats", "--batch", make_batch(tmp_path, reps=3, name="bf"), *STATIONARITY]
-    elif command == "transform":
-        save_field(FieldWindow(Window((0,), (3,)), np.ones(4), "exponential"),
-                   tmp_path / "f.csv")
-        argv = ["transform", "--input", str(tmp_path / "f.csv"), "--chain", "Linv",
-                "--theta", theta_file(tmp_path, [np.array([[1.0]])])]
-    elif command == "fou":
-        argv = ["fou", "--kind", "second", "--config", write_json(
-            tmp_path / "fou.json",
-            {"H": [[0.4]], "window": {"lo": [-1], "hi": [2]}, "seed": 3,
-             "replications": 2})]
-    else:
-        argv = ["simulate", "--config", sheet_config(tmp_path)]
+    argv = command_argv(tmp_path, command)
     out = afile / "sub" if where == "under-file" else afile
     with mock.patch("builtins.open", side_effect=AssertionError("an input was opened")):
         assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config error: --out {out}: {afile} exists and is not a directory" in err
     assert afile.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_empty_out_exits_2_before_reading_inputs(tmp_path, capsys, command):
+    # An existing --out that holds anything, a hidden file included, is
+    # refused before any input is parsed; nothing in it changes.
+    argv = command_argv(tmp_path, command)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".keep").write_text("keep")
+    with mock.patch("builtins.open", side_effect=AssertionError("an input was opened")):
+        assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --out {out} is not empty" in err
+    assert read_tree(out) == {".keep": b"keep"}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_empty_existing_out_is_used(tmp_path, command):
+    argv = command_argv(tmp_path, command)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / "resolved_config.json").exists()
+
+
+def test_rerun_into_used_out_leaves_no_stale_replications(tmp_path, capsys):
+    # A second simulate with fewer replications into the same --out would
+    # leave rep_00002..4.csv beside a manifest with "R": 2; it is refused
+    # and the first run's files stay as they were.
+    cfg = sheet_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    before = read_tree(out)
+    assert json.loads(before["manifest.json"])["R"] == 5
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--replications", "2",
+                 "--out", str(out)]) == 2
+    assert "is not empty" in capsys.readouterr().err
+    assert read_tree(out) == before
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 fbs_cov is checked against an independent per-axis product formula and
 frozen hand values; the min(t,s) identity pins the N=1, H=1/2 case
 exactly.  Sampler tests cover determinism, zero hyperplanes, mixing
-linearity, and rank-deficient grids; the bulk stream derivation is checked
-against ``substream``, its reference.
+linearity, and rank-deficient grids; the batch draws are checked against
+``substream``, their reference.
 """
 
 import io
@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fieldcorrespond.gaussian as gaussian_module
@@ -43,9 +43,7 @@ from fieldcorrespond import (
     sheet_points,
     substream,
 )
-from fieldcorrespond.gaussian import MAX_REPLICATION, as_mixing, stream_states
-
-from conftest import pcg64_normals
+from fieldcorrespond.gaussian import MAX_REPLICATION, as_mixing
 
 
 def fbs_cov_reference(t, s, H):
@@ -220,42 +218,71 @@ def test_factor_covariance_clips_tiny_negatives():
 
 
 def test_substream_deterministic():
-    a = substream(7, 3, 1).standard_normal(5)
-    b = substream(7, 3, 1).standard_normal(5)
+    a = substream(7, 3).standard_normal(5)
+    b = substream(7, 3).standard_normal(5)
     np.testing.assert_array_equal(a, b)
 
 
 def test_substream_distinct_cells():
-    a = substream(7, 0, 1).standard_normal(5)
-    b = substream(7, 1, 0).standard_normal(5)
-    assert not np.array_equal(a, b)
+    # Each (seed, replication) cell has its own stream.
+    a = substream(7, 0).standard_normal(5)
+    assert not np.array_equal(a, substream(7, 1).standard_normal(5))
+    assert not np.array_equal(a, substream(8, 0).standard_normal(5))
+
+
+def test_substream_counter_layout():
+    # The replication index is the top counter word; the key is the first
+    # two uint64 words of SeedSequence(seed).
+    state = substream(2**64 + 1, MAX_REPLICATION).bit_generator.state
+    assert state["bit_generator"] == "Philox"
+    assert state["state"]["counter"].tolist() == [0, 0, 0, MAX_REPLICATION]
+    key = np.random.SeedSequence(2**64 + 1).generate_state(2, np.uint64)
+    assert state["state"]["key"].tolist() == key.tolist()
+
+
+def _identity_sampler(n, window):
+    """A sampler whose factors and mixing are identities: its values are
+    its standard normals, moved to (*window.shape, n)."""
+    sampler = SheetSampler(np.eye(n), HurstSpec(np.full((n, window.N), 0.5)),
+                           window, "integer")
+    sampler._factors = [np.stack([np.eye(m)] * n) for m in window.shape]
+    return sampler
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**130]) | st.integers(0, 2**70),
-    reps=st.lists(st.sampled_from([0, 1, 2**32 - 1]) | st.integers(2**32, MAX_REPLICATION)
-                  | st.integers(0, 10**6), min_size=1, max_size=5),
+    reps=st.lists(st.sampled_from([0, 1, MAX_REPLICATION - 1, MAX_REPLICATION])
+                  | st.integers(0, MAX_REPLICATION), min_size=1, max_size=5),
     n=st.integers(1, 3),
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=3),
 )
-def test_stream_states_match_substream(seed, reps, n):
-    # The bulk derivation (arrays for several replications, Python ints
-    # for one) reproduces SeedSequence(seed, spawn_key=(r, k)) exactly:
-    # the same PCG64 state, hence the same normals.
-    states = stream_states(seed, reps, n)
-    assert len(states) == len(reps) * n
-    refs = [substream(seed, r, k) for r in reps for k in range(n)]
-    for (state, inc), ref in zip(states, refs):
-        ref_state = ref.bit_generator.state["state"]
-        assert (state, inc) == (ref_state["state"], ref_state["inc"])
-    draws = pcg64_normals(states, 7)
-    refs = [substream(seed, r, k).standard_normal(7) for r in reps for k in range(n)]
-    for a, b in zip(draws, refs):
-        assert a.tobytes() == b.tobytes()
+@example(seed=2**32, reps=[MAX_REPLICATION, 0, 7], n=2, shape=[3, 2])
+@example(seed=2**64 + 1, reps=[0, MAX_REPLICATION], n=3, shape=[1, 4, 2])
+def test_batch_streams_and_blocks(seed, reps, n, shape):
+    # Batch row i is sample(seed, reps[i]) byte for byte, its normals are
+    # the first n * volume normals of substream(seed, reps[i]) in C order,
+    # and blocks() yields the same batch whatever the block size.
+    window = Window((0,) * len(shape), tuple(m - 1 for m in shape))
+    sampler = _identity_sampler(n, window)
+    many = sampler.sample_many(seed, reps)
+    for r, f in zip(reps, many):
+        assert f.values.tobytes() == sampler.sample(seed, r).values.tobytes()
+        normals = np.moveaxis(f.values, -1, 0).reshape(n, window.volume)
+        assert normals.tobytes() == substream(seed, r).standard_normal(
+            (n, window.volume)).tobytes()
+    count = len(reps) + 1
+    whole = np.stack([f.values for f in sampler.sample_many(seed, range(count))])
+    for block in (1, 1 << 15):
+        with mock.patch.object(gaussian_module, "DRAW_BLOCK", block):
+            parts = list(sampler.blocks(seed, count))
+        assert [start for start, _ in parts] == (
+            list(range(count)) if block == 1 else [0])
+        assert np.concatenate([v for _, v in parts]).tobytes() == whole.tobytes()
 
 
 def test_sample_many_equals_single_samples():
-    # One- and two-word spawn keys mixed in one block.
+    # Small and large counter words mixed in one block.
     h = HurstSpec([[0.5, 0.3], [0.9, 0.6]])
     sampler = SheetSampler(np.eye(2) + 0.2, h, Window((-1, 1), (2, 3)), "exponential")
     reps = [3, 2**32 + 5, 0, MAX_REPLICATION]
@@ -321,7 +348,7 @@ def test_sampler_kron_factors_match_window_gram(hurst, window, clock):
             kron_c = np.kron(kron_c, factors[k] @ factors[k].T)
         ref = build_cov_matrix(pts, h.row(k))
         assert np.abs(kron_c - ref).max() <= 1e-12 * np.abs(ref).max()
-        b[:, k] = kron_l @ substream(6, 2, k).standard_normal(window.volume)
+        b[:, k] = kron_l @ substream(6, 2).standard_normal((h.n, window.volume))[k]
     ref_draw = b @ mixing.T
     assert np.abs(draw - ref_draw).max() <= 1e-12 * np.abs(ref_draw).max()
 
@@ -407,7 +434,7 @@ def test_batch_save_load_roundtrip(tmp_path):
     assert back.seed == 13
     assert back.replications == 4
     assert back.config["H"] == [[0.3, 0.7]]
-    assert back.config["sampler"] == "kron-v1"
+    assert back.config["sampler"] == "kron-v2"
     for a, b in zip(batch.fields, back.fields):
         np.testing.assert_array_equal(a.values, b.values)
 

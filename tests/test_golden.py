@@ -1,14 +1,14 @@
-"""Golden digests of the ``kron-v1`` sampler.
+"""Golden digests of the ``kron-v2`` sampler.
 
-The manifest tag ``kron-v1`` promises the same draws for a given seed
+The manifest tag ``kron-v2`` promises the same draws for a given seed
 whatever the code path that produces them.  These tests pin, as sha256
 digests, the bytes of two sheet batches and of one batch of each FOU kind.
 
 Each case pins three digests:
 
-* ``normals``: the standard normals of every (replication, component)
-  cell as the bulk stream derivation gives them.  They involve no linear
-  algebra, so they are the same on every platform.
+* ``normals``: the (n, volume) standard normals of every replication, as
+  its reference stream ``substream(seed, r)`` gives them.  They involve
+  no linear algebra, so they are the same on every platform.
 * ``factors``: the per-axis Gram factors.  They come from LAPACK's
   ``eigh``, whose last bits depend on the BLAS build and CPU.
 * ``values``: the batch values.  These were recorded with numpy 2.4 and
@@ -41,9 +41,7 @@ from fieldcorrespond import (
 )
 from fieldcorrespond._jsonio import dumps_json
 from fieldcorrespond.fou import _sampler
-from fieldcorrespond.gaussian import stream_states
-
-from conftest import pcg64_normals
+from fieldcorrespond.gaussian import substream
 
 H2 = HurstSpec([[0.3, 0.7], [0.6, 0.45]])
 FIRST = FouConfig(kind="first", hurst=H2, mixing=np.diag([1.0, 0.5]),
@@ -80,29 +78,29 @@ CASES = {
 
 GOLDEN = {
     "sheet-integer": {
-        "normals": "be612bcc10437ec2cdd104c623167f7a3d58e12b99302a34fb5107fd525d0e9a",
+        "normals": "07c87f5ff41bb1963e70581930ad5ed2d5d36f24d6662c355cfc4e00d42ff19d",
         "factors": "dc4a06053400c9be35235d15530fb522b1d115f9ea253429423473bb766d8ff7",
-        "values": "9337bfd99ef107a1d59a5944989cf385224ab82f82631b033e0b9776717855f7",
+        "values": "231152585f1fd66f6ab87407de7ae4ac7005f684728e03934d83400e0b88fecc",
     },
     "sheet-exponential": {
-        "normals": "97ddfdefe3f8d48621f0d2bd49f3877bffd0d39726b2b912bd1a5427141aa3ba",
+        "normals": "44269913220a251b882302ef1cf2ae19e8bdf3c7adf6506d67977a43e2eff8f2",
         "factors": "a9e773efc0155e76bf01e3f1fd4239349ddd9d4ebbb22b01ccfb90b0246cfe69",
-        "values": "7a4c570cbcd4fc7ab8a630a51bb5413a4d8aa56b70301d5819e33d0cc7f9d825",
+        "values": "1bc7bb87fec044203d7f6cfec51d48ae85d60c2c060e4daa9227761a543152ad",
     },
     "fou-first": {
-        "normals": "c94090a5da667b0b806242d9f8583c83785ef38ca8500012f7f32123334047e6",
+        "normals": "b2525372d844f19d8bd47044e630660c2a732622bff2927b48e46b5fae0e8305",
         "factors": "8e73744f320d323b3ccd0e5f11596358ea561c4f4fe35f78496a9350a4ce22b0",
-        "values": "4c19bed744747a45d5835b55ebfa98e43cc0dd8294d70b0b693ae93364196800",
+        "values": "45b470fad98e8e223b9071f36c2712cc1cc64df0a27c336c12cdbcff27a378a2",
     },
     "fou-second": {
-        "normals": "3475c6159921a5801474fa0de7fc8de986bb82bbd5dfcda52ffc25b1b8aebe92",
+        "normals": "4289a4b103dcb91cdc2c77e8d8716f8dc7dfc683acb58c3115d7af6568c8ff5d",
         "factors": "cb081ed9721359f9f2c0510214fc8b5fb0d9264841a20544458ad039d2bdbb87",
-        "values": "df0a7950e926b59d798c38c3657781e109c2ef46e20a5c99fa03c9d691e5508c",
+        "values": "766f965ff7cf2e37abe7b269657eca5cbf7c8142b1cb410fc3e3e4aa6795ebe9",
     },
     "fou-second-large": {
-        "normals": "29a83d175962beb5a164039ac2e45d014193aeeb7f54169c4be8100aa8f83173",
+        "normals": "8d511eba9fe3d7aa4418ea2e0c00a81908ba70c998c742a0f9a1b7a307f51c12",
         "factors": "eb0007102a6be13557213a94b9256f3f649eb0d16dfd863d6099812de8ad2973",
-        "values": "c1de3a69fd3f72e6fb2a79536886931bce74f838a6712d0d885a091d32b362ab",
+        "values": "b0cca7187162d182da58214f6604ee04df64cbef9307b58af1e9e080d3f76dbe",
     },
 }
 
@@ -114,19 +112,21 @@ def digest(arrays) -> str:
     return h.hexdigest()
 
 
+# The test keeps the name it had under ``kron-v1`` so that its ids stay
+# stable across sampler tags; the digests are those of SAMPLER_VERSION.
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_kron_v1_golden_digests(name):
     make_sampler, seed, replications, make_batch = CASES[name]
     golden = GOLDEN[name]
     sampler = make_sampler()
-    states = stream_states(seed, range(replications), sampler.hurst.n)
-    normals = pcg64_normals(states, sampler.window.volume)
+    shape = (sampler.hurst.n, sampler.window.volume)
+    normals = (substream(seed, r).standard_normal(shape) for r in range(replications))
     assert digest(normals) == golden["normals"]
     if digest(sampler._factors) != golden["factors"]:
         pytest.skip("this platform's eigh rounds the Gram factors differently "
                     "from the recorded platform; value bytes are not comparable")
     batch = make_batch()
-    assert batch.config["sampler"] == "kron-v1"
+    assert batch.config["sampler"] == "kron-v2"
     assert batch.replications == replications
     assert digest(f.values for f in batch.fields) == golden["values"]
 
@@ -153,13 +153,13 @@ STATS_CASES = {
 }
 
 STATS_GOLDEN = {
-    "fidelity": "a0f16c0b88212193b1713ad5dfa78230872138bff30920ae4e9ac044ab228212",
-    "increment-stationarity": "d9f3b3185d0e931bf91d7c045f86fd6aa3518c7d9d2ab1a680e2e7744782d176",
-    "moments": "53f602d5eee4e0fc4aad9af58651ad4e1e6e4b1d8c8c2505562732c599594c6e",
-    "moments-large": "a83a678ea36b605140f581978e176a4d9a640a6e77dd419a1b1e721c2cdf3caa",
-    "self-similarity": "0636a981ba2b765ef83c9cdb71508d9548194e1e1bccf6b1084a2b49fd0cfbf5",
-    "stationarity": "c9922901f2236bd6ceeaa53809227f552b952840cc20209a1bdb2fe2650c7378",
-    "stationarity-large": "3661fa7fb9539bc2652300fdae9831504eac3f651b02cc32cfa67c97f83d0dde",
+    "fidelity": "98cd25b567e08d352bc3181bb245ee58a19e6989de581947709e8986fcaad0fc",
+    "increment-stationarity": "1185d9d9f24bdc5bf1a999e04f069b4dc36bc5410438f5ff421e60aa76b471ee",
+    "moments": "519d4c3553a81c14c5bcd00a0b181124ee091eebb0c389d48aff8feb041b34c0",
+    "moments-large": "fcf1a9c869bda33f3314b9f7fdabefcb2bfe7d8eff35130470de1ab0e648ff01",
+    "self-similarity": "ac2f26d8033adc2a22847baaa7ae17c085e3873a64989dd43033f5dbf96fd37c",
+    "stationarity": "a4f52aee16d55916feed1ddc1feb5ca54dd94bfe7bd0d0e43b9dfcc2b511b325",
+    "stationarity-large": "ac67a169bf82e06b2109869d2d1bbfe4c0b645a5a055a8c9e357094bb672411c",
 }
 
 

@@ -12,6 +12,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldcorrespond import (
     CommutationError,
@@ -629,3 +631,77 @@ def test_lamperti_inv_batch_matches_single_calls(rng):
         lamperti_values(stacked, Window((0, 0), (1, 1)), theta, -1)
     with pytest.raises(DimensionMismatchError, match="N=1, tuple has N=2"):
         lamperti_values(stacked[..., 0, :], Window((-2,), (1,)), theta, -1)
+
+
+# ---------------------------------------------------------------------------
+# Round trips as properties: criterion 4's chains over random windows, n, N
+# and commuting tuples, clustered spectra included, at depth 0.
+
+
+def property_theta(rng, N, n, clustered):
+    """A commuting tuple with one random eigenbasis.  Its spectra are spread
+    over [0.4, 1.4], or clustered: each eigenvalue one of a, a + 1e-9 and b,
+    so that exact and near ties occur within and across the matrices."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    mats = []
+    for _ in range(N):
+        if clustered:
+            a, b = rng.uniform(0.4, 1.4, size=2)
+            lam = rng.choice([a, a + 1e-9, b], size=n)
+        else:
+            lam = rng.uniform(0.4, 1.4, size=n)
+        m = (q * lam) @ q.T
+        mats.append((m + m.T) / 2.0)
+    return ThetaTuple(mats)
+
+
+@st.composite
+def round_trip_cases(draw):
+    """(rng, theta, window): lo <= -1, hi >= 0 and hi - lo >= 2 on every
+    axis, so that M applies on the window and on the window without its
+    lower boundary (it needs 0 and two sites on every axis)."""
+    N, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lo = tuple(draw(st.integers(-3, -1)) for _ in range(N))
+    hi = tuple(draw(st.integers(max(0, l + 2), 2)) for l in lo)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng, property_theta(rng, N, n, draw(st.booleans())), Window(lo, hi)
+
+
+def inner_window(w):
+    """The window without its lower boundary hyperplanes, and its slice."""
+    return (Window(tuple(l + 1 for l in w.lo), w.hi),
+            tuple(slice(1, None) for _ in range(w.N)))
+
+
+DEPTH0 = TruncationPolicy(depth=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=round_trip_cases())
+def test_property_lamperti_inv_after_lamperti(case):
+    rng, theta, w = case
+    x = random_field(rng, w, theta.n)
+    assert_rel_close(lamperti_inv(lamperti(x, theta), theta).values, x.values, 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=round_trip_cases())
+def test_property_m_inverse_after_m_forward(case):
+    # Anchored on the lower boundary, y is the sum of its unit increments,
+    # which Minv rebuilds from those of M(y).
+    rng, theta, w = case
+    inner, sub = inner_window(w)
+    y = anchored_field(rng, w, theta.n, clock="exponential")
+    back = m_inverse_truncated(m_forward(y, theta), theta, DEPTH0, inner)
+    assert_rel_close(back.values, y.values[sub], 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=round_trip_cases())
+def test_property_m_forward_after_m_inverse(case):
+    # M vanishes on the zero hyperplanes, so g must too.
+    rng, theta, w = case
+    inner, sub = inner_window(w)
+    g = zero_on_zero_hyperplanes(random_field(rng, w, theta.n))
+    fwd = m_forward(m_inverse_truncated(g, theta, DEPTH0, inner), theta)
+    assert_rel_close(fwd.values, g.values[sub], 1e-10)
