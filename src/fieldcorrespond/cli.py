@@ -18,9 +18,10 @@ permission), a batch directory without values.npy, and an --out path that
 is not a new or empty directory, which is refused before any input is
 read: a run never merges into, or leaves stale files beside, earlier
 output.  Two refusals keep exit 3: NumericRangeError (GRID_CAP, the
-exponential-clock limit, overflow) and faults in the data of an input
-file: the data-line errors of a field CSV from read_csv, and a batch's
-values.npy that load_batch finds truncated, foreign or non-finite.
+exponential-clock limit, overflow, a batch too large to allocate) and
+faults in the data of an input file: the data-line errors of a field CSV
+from read_csv, and a batch's values.npy that load_batch finds truncated,
+foreign or non-finite.
 
 --threads is still accepted, validated and recorded in
 resolved_config.json so that existing scripts keep working, but it has
@@ -54,6 +55,7 @@ from .fields import CLOCKS, Window, load_field, read_csv, save_field, sidecar_pa
 from .fou import FouConfig, derive_theta, fou_batch
 from .gaussian import HurstSpec, as_mixing, load_batch, read_manifest, sample_sheet_batch
 from .stats import (
+    STATS_VERSION,
     fidelity_check,
     increment_stationarity_check,
     self_similarity_check,
@@ -415,6 +417,7 @@ def cmd_stats(args) -> int:
             "check": args.check,
             "shifts": [list(s) for s in shifts],
             "z_max": args.z_max,
+            "stats": STATS_VERSION,
         },
     )
     status = "PASS" if report.passed else "FAIL"

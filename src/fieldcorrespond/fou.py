@@ -27,6 +27,7 @@ from .gaussian import (
     SampleBatch,
     SheetSampler,
     as_mixing,
+    empty_values,
 )
 from .transforms import (
     TRANSFORMS_VERSION,
@@ -164,13 +165,13 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
     """R replications of the configured construction.
 
     The per-axis Gram factors are computed once and shared across
-    replications; each replication keeps its own (seed, replication,
-    component) streams.  Replications are drawn in the sampler's blocks
+    replications; the draws follow the sampler's randomness contract
+    (``gaussian`` module docstring).  Replications are drawn in the sampler's blocks
     (``SheetSampler.blocks``) and each block is solved at once into one
     preallocated array.  Replication r equals ``fou_field(cfg, r)`` byte
     for byte, metadata included.
     """
-    values = np.empty((cfg.replications,) + cfg.window.shape + (cfg.hurst.n,))
+    values = empty_values(cfg.replications, cfg.window, cfg.hurst.n)
     for start, block in _sampler(cfg).blocks(cfg.seed, cfg.replications):
         values[start:start + len(block)], field_meta = _solve(cfg, block)
     config = {

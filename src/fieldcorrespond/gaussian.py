@@ -17,21 +17,20 @@ applies the factors to a standard normal array by mode products, so no
 matrix over the whole window is ever formed.  Zero-variance sites produce
 exact zeros, never jitter.
 
-Randomness contract: replication r of seed s draws from one Philox
-counter stream (Salmon, Moraes, Dror & Shaw, SC'11), keyed by
-``SeedSequence(s).generate_state(2, uint64)`` with counter [0, 0, 0, r];
-its first n * volume normals, in C order, are the (n, volume) standard
-normals of the replication.  So any subset of replications can be
-reproduced byte-identically.  ``substream`` is the reference for one
-replication; the sampler sets the same key and counter on one reused
-generator, so no stream is hashed or seeded per replication.
+Randomness contract: replication r of seed s lies in group g = r // G,
+G = max(1, DRAW_BLOCK // (n * volume)), and is row r - gG, in C order, of
+the (rows, n, volume) standard normals of ``substream(s, g)``: one Philox
+counter stream (Salmon, Moraes, Dror & Shaw, SC'11) per group.  The rows
+of a group are a prefix of its stream, so drawing its first k rows gives
+the bytes of drawing all G and slicing, and any subset of replications
+is reproduced byte-identically.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import os
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,13 +46,14 @@ from .fields import CLOCKS, FieldWindow, Window, write_csvs
 GRID_CAP = 4096
 # Tag of the sampling algorithm, recorded in batch manifests: a change
 # that alters the draws for a given seed gets a new tag.
-SAMPLER_VERSION = "kron-v2"
+SAMPLER_VERSION = "kron-v3"
 # Tag of the batch directory layout, recorded in batch manifests: the
 # values live in one ``values.npy``, and the replication CSVs are an export.
 BATCH_LAYOUT = "npy-v1"
 # Largest number of standard normals drawn and transformed together; a
 # bound in doubles keeps the temporaries of one block small whatever the
-# window size.
+# window size.  It also sets the group size G of the randomness contract,
+# so changing it changes the draws and needs a new SAMPLER_VERSION.
 DRAW_BLOCK = 1 << 15
 # Exponential-clock sites e^{t_j} overflow the usable double range well
 # before |t_j| reaches 300; the model keeps a conservative margin.
@@ -169,27 +169,31 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
     return l
 
 
-# Largest replication index: the top word of the 256-bit Philox counter.
+# Largest replication index; a group index is the top Philox counter word.
 MAX_REPLICATION = (1 << 64) - 1
 
 
-def _philox_key(seed: int) -> np.ndarray:
-    """The 128-bit Philox key of ``seed``, as two uint64 words."""
-    return np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+def substream(seed: int, group: int) -> np.random.Generator:
+    """The reference generator of one group of replications.
 
-
-def substream(seed: int, replication: int) -> np.random.Generator:
-    """Deterministic generator of one replication.
-
-    Philox keyed by ``seed`` with counter ``[0, 0, 0, replication]``.  Its
-    first ``n * volume`` standard normals, in C order, are the (n, volume)
-    draws of the replication; Philox counts up from word 0, so one
-    replication's draws never reach the next one's counter.  The reference
-    definition of the streams: ``SheetSampler`` sets the same counter on
-    one reused generator.
+    Philox keyed by ``SeedSequence(seed).generate_state(2, uint64)`` with
+    counter ``[0, 0, 0, group]``.  Philox counts up from word 0, so a
+    group's draws never reach the next group's counter.
     """
-    counter = np.array([0, 0, 0, int(replication)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed), counter=counter))
+    key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    counter = np.array([0, 0, 0, int(group)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def empty_values(replications: int, window: Window, n: int) -> np.ndarray:
+    """An empty (replications, *window.shape, n) array; NumericRangeError,
+    naming the count and the bytes, if it cannot be allocated."""
+    shape = (replications,) + window.shape + (n,)
+    try:
+        return np.empty(shape)
+    except (ValueError, MemoryError):
+        raise NumericRangeError(f"{replications} replications need {8 * math.prod(shape)} "
+                                "bytes, more than can be allocated") from None
 
 
 def sheet_points(window: Window, clock: str) -> np.ndarray:
@@ -241,8 +245,7 @@ class SheetSampler:
 
     ``_factors[j][k]`` is the factor of the 1-D Gram of component k along
     axis j; the Kronecker product over j factors the Gram of the window.
-    Draws reuse one Philox generator, its counter set per replication under
-    a lock.
+    Draws share no state, so a sampler is thread-safe.
     """
 
     def __init__(self, mixing, hurst: HurstSpec, window: Window, clock: str):
@@ -261,33 +264,36 @@ class SheetSampler:
                 factor_covariance(build_cov_matrix(pts, hurst.H[k, j:j + 1]))
                 for k in range(hurst.n)
             ]))
-        self._gen = np.random.Generator(np.random.Philox(0))
-        # The state every replication starts from: an empty output buffer
-        # (buffer_pos 4), so its first normal comes from the block at
-        # counter + 1.  _draw sets the key and the top counter word.
-        self._state = self._gen.bit_generator.state
-        self._state["buffer_pos"] = 4
-        self._lock = threading.Lock()
+
+    @property
+    def group_size(self) -> int:
+        """G: the replications per stream, and per block of ``blocks``."""
+        return max(1, DRAW_BLOCK // (self.hurst.n * self.window.volume))
 
     def sample(self, seed: int, replication: int = 0) -> FieldWindow:
         """Replication ``replication`` of the batch drawn from ``seed``."""
         return self.sample_many(seed, (replication,))[0]
 
     def sample_many(self, seed: int, replications) -> list:
-        """One field per index in ``replications``, drawn as one block.
+        """One field per index in ``replications``, mixed as one block.
 
-        Field i equals ``sample(seed, replications[i])`` byte for byte:
-        replication r draws from ``substream(seed, r)``.
+        Field i equals ``sample(seed, replications[i])`` byte for byte; each
+        group's stream draws only up to the last row asked of it.
         """
         seed = check_int(seed, "seed", 0)
         reps = [check_int(r, "replication index", 0) for r in replications]
         if any(r > MAX_REPLICATION for r in reps):
             raise ConfigError(f"replication indices must be <= {MAX_REPLICATION}")
-        if not reps:
-            return []
+        size, groups = self.group_size, {}
+        for i, r in enumerate(reps):
+            groups.setdefault(r // size, []).append(i)
+        x = np.empty((len(reps), self.hurst.n, self.window.volume))
+        for g, idx in groups.items():
+            rows = [reps[i] % size for i in idx]
+            x[idx] = substream(seed, g).standard_normal((max(rows) + 1,) + x.shape[1:])[rows]
         return [
             FieldWindow(self.window, v, self.clock, {"seed": seed, "replication": r})
-            for v, r in zip(self._draw(seed, reps), reps)
+            for v, r in zip(self._mix(x), reps)
         ]
 
     def blocks(self, seed: int, replications: int):
@@ -295,34 +301,27 @@ class SheetSampler:
 
         ``values`` is a read-only (count, *window.shape, n) array whose
         entry i is replication start + i, the values of
-        ``sample(seed, start + i)`` byte for byte.  A block holds at most
-        ``DRAW_BLOCK`` normals (at least one replication), so a caller that
-        consumes the blocks one at a time keeps only one block of draws
-        alive.
+        ``sample(seed, start + i)`` byte for byte.  Block b is group b, so
+        it holds at most ``DRAW_BLOCK`` normals (at least one replication)
+        and a caller that consumes the blocks one at a time keeps only one
+        block of draws alive.
         """
         seed = check_int(seed, "seed", 0)
         replications = check_int(replications, "replications", 0)
-        size = max(1, DRAW_BLOCK // (self.hurst.n * self.window.volume))
+        size, shape = self.group_size, (self.hurst.n, self.window.volume)
         for start in range(0, replications, size):
-            yield start, self._draw(seed, range(start, min(start + size, replications)))
+            x = np.empty((min(size, replications - start),) + shape)
+            substream(seed, start // size).standard_normal(out=x)
+            yield start, self._mix(x)
 
-    def _draw(self, seed: int, reps) -> np.ndarray:
-        """Read-only (len(reps), *window.shape, n) values of checked indices."""
-        n, volume, count = self.hurst.n, self.window.volume, len(reps)
-        x = np.empty((count, n, volume))
-        bitgen, state = self._gen.bit_generator, self._state
-        counter = state["state"]["counter"]
-        with self._lock:
-            state["state"]["key"] = _philox_key(seed)
-            for row, r in zip(x.reshape(count, -1), reps):
-                counter[3] = r
-                bitgen.state = state
-                self._gen.standard_normal(out=row)
+    def _mix(self, x: np.ndarray) -> np.ndarray:
+        """Read-only (count, *window.shape, n) values of (count, n, volume) normals."""
+        count, n, volume = x.shape
         # Mode product along the leading window axis of every component,
         # then rotate that axis to the back; after N steps the axes are in
         # order again.
         for m, f in zip(self.window.shape, self._factors):
-            x = np.matmul(f, x.reshape(count, n, m, -1)).transpose(0, 1, 3, 2)
+            x = np.matmul(f, x.reshape(count, n, m, volume // m)).transpose(0, 1, 3, 2)
         vals = np.matmul(x.reshape(count, n, volume).transpose(0, 2, 1), self.mixing.T)
         vals.setflags(write=False)
         return vals.reshape((count,) + self.window.shape + (n,))
@@ -434,7 +433,7 @@ def sample_sheet_batch(
     seed = check_int(seed, "seed", 0)
     replications = check_int(replications, "replications", 1)
     sampler = SheetSampler(mixing, hurst, window, clock)
-    values = np.empty((replications,) + window.shape + (hurst.n,))
+    values = empty_values(replications, window, hurst.n)
     for start, block in sampler.blocks(seed, replications):
         values[start:start + len(block)] = block
     config = {

@@ -3,10 +3,10 @@
 Every check reduces to z-scores of paired per-replication differences:
 the compared statistic is evaluated on the same replication for both
 sides, the difference is averaged over replications, and the standard
-error of that average comes from the leave-one-out jackknife (for a plain
-mean this equals the classic s/sqrt(R)).  The pass threshold starts from
-``z_max`` (default 3) and is Bonferroni-corrected across all comparisons
-in a report.
+error of that average is its leave-one-out jackknife SE, in closed form
+sqrt(sum (d - mean)^2 / (R (R - 1))) = s/sqrt(R).  The pass threshold
+starts from ``z_max`` (default 3) and is Bonferroni-corrected across all
+comparisons in a report.
 
 Degenerate comparisons (zero standard error) are flagged: they pass when
 the difference itself is exactly zero (e.g. a deterministic batch) and
@@ -28,6 +28,8 @@ from .errors import ConfigError, DimensionMismatchError, WindowError, check_thre
 from .fields import Window
 from .gaussian import HurstSpec, SampleBatch, as_mixing, fbs_cov, sheet_points
 
+# Tag of the SE arithmetic, recorded in resolved_config.json.
+STATS_VERSION = "closed-se-v1"
 # Doubles in one block of comparison rows (a row holds one value per
 # replication): bounds the temporaries of the row reductions whatever the
 # replication count.
@@ -99,17 +101,7 @@ def jackknife_se_mean(d: np.ndarray) -> float:
     """Leave-one-out jackknife SE of the sample mean of d (1-D array)."""
     if d.shape[0] < 2:
         raise ConfigError("jackknife needs at least 2 replications")
-    return float(_jackknife_se(np.array(d, dtype=float)))
-
-
-def _jackknife_se(d: np.ndarray) -> np.ndarray:
-    """Jackknife SEs of the means along the last axis of d, overwriting d."""
-    r = d.shape[-1]
-    loo = np.subtract(d.sum(axis=-1, keepdims=True), d, out=d)
-    loo /= r - 1
-    loo -= loo.mean(axis=-1, keepdims=True)
-    np.square(loo, out=loo)
-    return np.sqrt((r - 1) / r * loo.sum(axis=-1))
+    return float(_mean_se(lambda sl: np.array([d], dtype=float), 1, len(d))[1][0])
 
 
 def _mean_se(rows, count: int, r: int) -> tuple:
@@ -117,8 +109,9 @@ def _mean_se(rows, count: int, r: int) -> tuple:
 
     ``rows(sl)`` returns rows ``sl`` as a new C-ordered (rows, R) array,
     which is then overwritten; rows are formed ``ROW_BLOCK`` doubles at a
-    time.  Every reduction runs along the contiguous last axis, which numpy
-    sums pairwise just as it sums a 1-D array, so row i gives the bytes of
+    time.  Each row is centred on its mean, squared and summed in place.
+    Every reduction runs along the contiguous last axis, which numpy sums
+    pairwise just as it sums a 1-D array, so row i gives the bytes of
     ``d.mean()`` and ``jackknife_se_mean(d)`` for its values d.
     """
     mean, se = np.empty(count), np.empty(count)
@@ -127,7 +120,9 @@ def _mean_se(rows, count: int, r: int) -> tuple:
         sl = slice(start, min(start + step, count))
         d = rows(sl)
         mean[sl] = d.mean(axis=-1)
-        se[sl] = _jackknife_se(d)
+        d -= mean[sl, np.newaxis]
+        np.square(d, out=d)
+        se[sl] = np.sqrt(d.sum(axis=-1) / (r * (r - 1)))
     return mean, se
 
 

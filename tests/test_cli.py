@@ -23,6 +23,7 @@ from fieldcorrespond import (
     save_field,
 )
 from fieldcorrespond.cli import main
+from fieldcorrespond.stats import STATS_VERSION
 
 
 def write_json(path, obj):
@@ -68,7 +69,7 @@ def test_simulate_writes_batch(tmp_path, capsys):
     assert (out / "resolved_config.json").exists()
     man = json.loads((out / "manifest.json").read_text())
     assert man["seed"] == 11 and man["R"] == 5
-    assert man["sampler"] == "kron-v2"
+    assert man["sampler"] == "kron-v3"
     assert "wrote 5 replications" in capsys.readouterr().out
 
 
@@ -560,7 +561,7 @@ def test_fou_first_kind_runs(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "first"
     assert man["policy"]["depth"] == [5]
-    assert man["sampler"] == "kron-v2"
+    assert man["sampler"] == "kron-v3"
     assert (out / "rep_00003.csv").exists()
 
 
@@ -576,7 +577,7 @@ def test_fou_second_kind_runs(tmp_path):
     assert main(["fou", "--config", cfg, "--out", str(out)]) == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "second"
-    assert man["sampler"] == "kron-v2"
+    assert man["sampler"] == "kron-v3"
 
 
 def test_fou_kind_flag_overrides(tmp_path):
@@ -658,6 +659,45 @@ def test_fou_threads_byte_identical(tmp_path):
     assert t1 == t2
 
 
+def count_argv(tmp_path, command, count, out):
+    """simulate or fou argv asking for ``count`` replications."""
+    if command == "simulate":
+        cfg = sheet_config(tmp_path)
+    else:
+        cfg = fou_config(tmp_path, theta_file(tmp_path, [np.array([[1.0]])]))
+    return [command, "--config", cfg, "--replications", str(count), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "fou"])
+def test_count_beyond_numpy_dimensions_exits_3_before_writing(tmp_path, capsys, command):
+    # numpy refuses the batch shape itself: a NumericRangeError naming the
+    # count and the bytes, not a ValueError traceback.
+    out, count = tmp_path / "o", 99999999999999999999
+    assert main(count_argv(tmp_path, command, count, out)) == 3
+    err = capsys.readouterr().err
+    assert f"{count} replications" in err and "bytes" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fou"])
+def test_batch_out_of_memory_exits_3_before_writing(tmp_path, capsys, monkeypatch,
+                                                     command):
+    # A MemoryError from the batch allocation, simulated: nothing this
+    # large is allocated.
+    out, count, empty = tmp_path / "o", 10**6, np.empty
+
+    def refuse(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and shape[:1] == (count,):
+            raise MemoryError("simulated")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse)
+    assert main(count_argv(tmp_path, command, count, out)) == 3
+    err = capsys.readouterr().err
+    assert f"{count} replications" in err and "bytes" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # stats
 
@@ -683,6 +723,8 @@ def test_stats_increment_stationarity_passes(tmp_path, capsys):
     report = json.loads((out / "stats_report.json").read_text())
     assert report["passed"] is True
     assert "PASS" in capsys.readouterr().out
+    # The SE arithmetic is tagged like the sampler and the transforms.
+    assert json.loads((out / "resolved_config.json").read_text())["stats"] == STATS_VERSION
 
 
 def test_stats_stationarity_fails_on_sheet_exits_4(tmp_path, capsys):

@@ -255,7 +255,7 @@ def test_fou_batch_manifest_and_rerun():
     assert man["policy"]["depth"] == [5]
     assert man["clock"] == "integer"
     assert man["transforms"] == "eigenbasis-v1"
-    assert man["sampler"] == "kron-v2"
+    assert man["sampler"] == "kron-v3"
 
 
 def _explicit_route(cfg, r):

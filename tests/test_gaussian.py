@@ -231,9 +231,9 @@ def test_substream_distinct_cells():
 
 
 def test_substream_counter_layout():
-    # The replication index is the top counter word; the key is the first
-    # two uint64 words of SeedSequence(seed).
-    state = substream(2**64 + 1, MAX_REPLICATION).bit_generator.state
+    # The group index is the top counter word; the key is the first two
+    # uint64 words of SeedSequence(seed).
+    state = substream(2**64 + 1, group=MAX_REPLICATION).bit_generator.state
     assert state["bit_generator"] == "Philox"
     assert state["state"]["counter"].tolist() == [0, 0, 0, MAX_REPLICATION]
     key = np.random.SeedSequence(2**64 + 1).generate_state(2, np.uint64)
@@ -253,32 +253,45 @@ def _identity_sampler(n, window):
 @given(
     seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**130]) | st.integers(0, 2**70),
     reps=st.lists(st.sampled_from([0, 1, MAX_REPLICATION - 1, MAX_REPLICATION])
-                  | st.integers(0, MAX_REPLICATION), min_size=1, max_size=5),
+                  | st.integers(0, 600) | st.integers(0, MAX_REPLICATION),
+                  min_size=1, max_size=5),
     n=st.integers(1, 3),
     shape=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    block=st.sampled_from([1, 200, 1 << 15]),
 )
-@example(seed=2**32, reps=[MAX_REPLICATION, 0, 7], n=2, shape=[3, 2])
-@example(seed=2**64 + 1, reps=[0, MAX_REPLICATION], n=3, shape=[1, 4, 2])
-def test_batch_streams_and_blocks(seed, reps, n, shape):
-    # Batch row i is sample(seed, reps[i]) byte for byte, its normals are
-    # the first n * volume normals of substream(seed, reps[i]) in C order,
-    # and blocks() yields the same batch whatever the block size.
+@example(seed=2**32, reps=[MAX_REPLICATION, 0, 7], n=2, shape=[3, 2], block=200)
+@example(seed=2**64 + 1, reps=[0, MAX_REPLICATION], n=3, shape=[1, 4, 2], block=1 << 15)
+@example(seed=2**64 + 1, reps=[MAX_REPLICATION, 0], n=1, shape=[1], block=1)
+def test_group_stream_contract(seed, reps, n, shape, block):
+    # With G = max(1, DRAW_BLOCK // (n * volume)), replication r is row
+    # r % G of substream(seed, r // G) in C order: sample_many row i is
+    # sample(seed, reps[i]) byte for byte, a prefix draw of a group equals
+    # the slice of the whole group, and blocks() yields one group per block.
     window = Window((0,) * len(shape), tuple(m - 1 for m in shape))
     sampler = _identity_sampler(n, window)
-    many = sampler.sample_many(seed, reps)
-    for r, f in zip(reps, many):
-        assert f.values.tobytes() == sampler.sample(seed, r).values.tobytes()
-        normals = np.moveaxis(f.values, -1, 0).reshape(n, window.volume)
-        assert normals.tobytes() == substream(seed, r).standard_normal(
-            (n, window.volume)).tobytes()
-    count = len(reps) + 1
-    whole = np.stack([f.values for f in sampler.sample_many(seed, range(count))])
-    for block in (1, 1 << 15):
-        with mock.patch.object(gaussian_module, "DRAW_BLOCK", block):
-            parts = list(sampler.blocks(seed, count))
-        assert [start for start, _ in parts] == (
-            list(range(count)) if block == 1 else [0])
-        assert np.concatenate([v for _, v in parts]).tobytes() == whole.tobytes()
+    rows_shape = (n, window.volume)
+    with mock.patch.object(gaussian_module, "DRAW_BLOCK", block):
+        size = sampler.group_size
+        assert size == max(1, block // (n * window.volume))
+        many = sampler.sample_many(seed, reps)
+        for r, f in zip(reps, many):
+            assert f.values.tobytes() == sampler.sample(seed, r).values.tobytes()
+            g, row = divmod(r, size)
+            group = substream(seed, g).standard_normal((size,) + rows_shape)
+            prefix = substream(seed, g).standard_normal((row + 1,) + rows_shape)
+            assert prefix.tobytes() == group[:row + 1].tobytes()
+            normals = np.moveaxis(f.values, -1, 0).reshape(rows_shape)
+            assert normals.tobytes() == group[row].tobytes()
+        count = size + len(reps)
+        parts = list(sampler.blocks(seed, count))
+        assert [start for start, _ in parts] == list(range(0, count, size))
+        for g, (_, values) in enumerate(parts):
+            normals = np.moveaxis(values, -1, 1).reshape((len(values),) + rows_shape)
+            assert normals.tobytes() == substream(seed, g).standard_normal(
+                normals.shape).tobytes()
+        whole = np.concatenate([v for _, v in parts])
+        for r in {0, size - 1, size, count - 1}:
+            assert sampler.sample(seed, r).values.tobytes() == whole[r].tobytes()
 
 
 def test_sample_many_equals_single_samples():
@@ -340,6 +353,8 @@ def test_sampler_kron_factors_match_window_gram(hurst, window, clock):
     sampler = SheetSampler(mixing, h, window, clock)
     pts = sheet_points(window, clock)
     draw = sampler.sample(seed=6, replication=2).values.reshape(-1, h.n)
+    g, row = divmod(2, sampler.group_size)
+    z = substream(6, g).standard_normal((row + 1, h.n, window.volume))[row]
     b = np.empty_like(draw)
     for k in range(h.n):
         kron_l, kron_c = np.ones((1, 1)), np.ones((1, 1))
@@ -348,7 +363,7 @@ def test_sampler_kron_factors_match_window_gram(hurst, window, clock):
             kron_c = np.kron(kron_c, factors[k] @ factors[k].T)
         ref = build_cov_matrix(pts, h.row(k))
         assert np.abs(kron_c - ref).max() <= 1e-12 * np.abs(ref).max()
-        b[:, k] = kron_l @ substream(6, 2).standard_normal((h.n, window.volume))[k]
+        b[:, k] = kron_l @ z[k]
     ref_draw = b @ mixing.T
     assert np.abs(draw - ref_draw).max() <= 1e-12 * np.abs(ref_draw).max()
 
@@ -434,7 +449,7 @@ def test_batch_save_load_roundtrip(tmp_path):
     assert back.seed == 13
     assert back.replications == 4
     assert back.config["H"] == [[0.3, 0.7]]
-    assert back.config["sampler"] == "kron-v2"
+    assert back.config["sampler"] == "kron-v3"
     for a, b in zip(batch.fields, back.fields):
         np.testing.assert_array_equal(a.values, b.values)
 

@@ -1,13 +1,14 @@
-"""Golden digests of the ``kron-v2`` sampler.
+"""Golden digests of the ``kron-v3`` sampler.
 
-The manifest tag ``kron-v2`` promises the same draws for a given seed
+The manifest tag ``kron-v3`` promises the same draws for a given seed
 whatever the code path that produces them.  These tests pin, as sha256
 digests, the bytes of two sheet batches and of one batch of each FOU kind.
 
 Each case pins three digests:
 
 * ``normals``: the (n, volume) standard normals of every replication, as
-  its reference stream ``substream(seed, r)`` gives them.  They involve
+  the reference stream ``substream(seed, g)`` of each group g gives them
+  (G replications per group, the last group possibly fewer).  They involve
   no linear algebra, so they are the same on every platform.
 * ``factors``: the per-axis Gram factors.  They come from LAPACK's
   ``eigh``, whose last bits depend on the BLAS build and CPU.
@@ -78,29 +79,29 @@ CASES = {
 
 GOLDEN = {
     "sheet-integer": {
-        "normals": "07c87f5ff41bb1963e70581930ad5ed2d5d36f24d6662c355cfc4e00d42ff19d",
+        "normals": "1f7e7ba29f73481a189bca75793bc49b54422f0de3aa52f7efbbb49a8d0e057f",
         "factors": "dc4a06053400c9be35235d15530fb522b1d115f9ea253429423473bb766d8ff7",
-        "values": "231152585f1fd66f6ab87407de7ae4ac7005f684728e03934d83400e0b88fecc",
+        "values": "21420bad9ae40c9c496055fbebb09ed78d5018649987887cb4dd26698b53a4c9",
     },
     "sheet-exponential": {
-        "normals": "44269913220a251b882302ef1cf2ae19e8bdf3c7adf6506d67977a43e2eff8f2",
+        "normals": "d0a577ade9c64d7d6b72a86a013c00d66a285e4a5884d1f1959b26719c7af4be",
         "factors": "a9e773efc0155e76bf01e3f1fd4239349ddd9d4ebbb22b01ccfb90b0246cfe69",
-        "values": "1bc7bb87fec044203d7f6cfec51d48ae85d60c2c060e4daa9227761a543152ad",
+        "values": "1c4aad96fa81a7098c8dc16a9aa9d5061fc7bd5abed5cbc0ea169e720100e7fb",
     },
     "fou-first": {
-        "normals": "b2525372d844f19d8bd47044e630660c2a732622bff2927b48e46b5fae0e8305",
+        "normals": "e19a307342180d8a585f3b74723c101a72757c038ecb2daf5e7c300f88c500a2",
         "factors": "8e73744f320d323b3ccd0e5f11596358ea561c4f4fe35f78496a9350a4ce22b0",
-        "values": "45b470fad98e8e223b9071f36c2712cc1cc64df0a27c336c12cdbcff27a378a2",
+        "values": "4afd1f863db788939d637c525571d77c2dd1810e0edca040482237d2cf161699",
     },
     "fou-second": {
-        "normals": "4289a4b103dcb91cdc2c77e8d8716f8dc7dfc683acb58c3115d7af6568c8ff5d",
+        "normals": "28e7c5d6ac59bb28ebddcdcc750469f8d108f52a5d7d7d7fff487d67dec8bf13",
         "factors": "cb081ed9721359f9f2c0510214fc8b5fb0d9264841a20544458ad039d2bdbb87",
-        "values": "766f965ff7cf2e37abe7b269657eca5cbf7c8142b1cb410fc3e3e4aa6795ebe9",
+        "values": "3c48960b461a3a9e93ad104fee421d213c0bb48e8c62a48ad5b1705434d7c2b6",
     },
     "fou-second-large": {
-        "normals": "8d511eba9fe3d7aa4418ea2e0c00a81908ba70c998c742a0f9a1b7a307f51c12",
+        "normals": "7e96f69c2ef4a5507d48bc535f2ce4a95d0f2de2fd3a142a204a8b3347bb6784",
         "factors": "eb0007102a6be13557213a94b9256f3f649eb0d16dfd863d6099812de8ad2973",
-        "values": "b0cca7187162d182da58214f6604ee04df64cbef9307b58af1e9e080d3f76dbe",
+        "values": "6a1b1d4701ec9a7cecb2d0547bbd81c1d7cda391629563f2fe790b67138b2406",
     },
 }
 
@@ -119,14 +120,15 @@ def test_kron_v1_golden_digests(name):
     make_sampler, seed, replications, make_batch = CASES[name]
     golden = GOLDEN[name]
     sampler = make_sampler()
-    shape = (sampler.hurst.n, sampler.window.volume)
-    normals = (substream(seed, r).standard_normal(shape) for r in range(replications))
+    size, shape = sampler.group_size, (sampler.hurst.n, sampler.window.volume)
+    normals = (substream(seed, g).standard_normal((min(size, replications - start),) + shape)
+               for g, start in enumerate(range(0, replications, size)))
     assert digest(normals) == golden["normals"]
     if digest(sampler._factors) != golden["factors"]:
         pytest.skip("this platform's eigh rounds the Gram factors differently "
                     "from the recorded platform; value bytes are not comparable")
     batch = make_batch()
-    assert batch.config["sampler"] == "kron-v2"
+    assert batch.config["sampler"] == "kron-v3"
     assert batch.replications == replications
     assert digest(f.values for f in batch.fields) == golden["values"]
 
@@ -153,13 +155,13 @@ STATS_CASES = {
 }
 
 STATS_GOLDEN = {
-    "fidelity": "98cd25b567e08d352bc3181bb245ee58a19e6989de581947709e8986fcaad0fc",
-    "increment-stationarity": "1185d9d9f24bdc5bf1a999e04f069b4dc36bc5410438f5ff421e60aa76b471ee",
-    "moments": "519d4c3553a81c14c5bcd00a0b181124ee091eebb0c389d48aff8feb041b34c0",
-    "moments-large": "fcf1a9c869bda33f3314b9f7fdabefcb2bfe7d8eff35130470de1ab0e648ff01",
-    "self-similarity": "ac2f26d8033adc2a22847baaa7ae17c085e3873a64989dd43033f5dbf96fd37c",
-    "stationarity": "a4f52aee16d55916feed1ddc1feb5ca54dd94bfe7bd0d0e43b9dfcc2b511b325",
-    "stationarity-large": "ac67a169bf82e06b2109869d2d1bbfe4c0b645a5a055a8c9e357094bb672411c",
+    "fidelity": "be4e2ab5d1da641145af998a65ab8916db757bf8be80df440ce32d4ca58c1487",
+    "increment-stationarity": "915c6d0a9c6a20c8a6e7dff0b961bafe489b37be25fb596836dca425f730f5c9",
+    "moments": "65b8f81433e2f65a98c7466d2d06d1f2883fe938edb19eeef46326bf4f803e1f",
+    "moments-large": "6b514f1a1fec7a27317aa55299149917ab5f29fcbc3436dc2cb7394582d60c4c",
+    "self-similarity": "17bf25b82f3c85cb51e269c28d55b2425234dffae0cec68b710a71f62eb0a56a",
+    "stationarity": "88a7acb879c84a8765cb5bee1aafc580742a60332317830772fa7f5f432b16bd",
+    "stationarity-large": "71a6c29f974efe7287f8b7e86996b16db39cf5fd1fd9ee8af25844be8053559a",
 }
 
 

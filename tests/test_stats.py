@@ -62,6 +62,16 @@ def test_jackknife_equals_classical_se(rng):
         assert jackknife_se_mean(d) == pytest.approx(classical, rel=1e-10)
 
 
+def test_jackknife_equals_leave_one_out_loop(rng):
+    # The definition: the spread of the R leave-one-out means, scaled by
+    # (R - 1) / R; the closed form must agree to rounding.
+    for r in (2, 3, 17, 400):
+        d = rng.normal(loc=5.0, size=r)
+        loo = np.array([np.delete(d, k).mean() for k in range(r)])
+        ref = math.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2))
+        assert jackknife_se_mean(d) == pytest.approx(ref, rel=1e-12)
+
+
 def test_jackknife_needs_two():
     with pytest.raises(ConfigError, match="at least 2"):
         jackknife_se_mean(np.array([1.0]))

@@ -705,3 +705,22 @@ def test_property_m_forward_after_m_inverse(case):
     g = zero_on_zero_hyperplanes(random_field(rng, w, theta.n))
     fwd = m_forward(m_inverse_truncated(g, theta, DEPTH0, inner), theta)
     assert_rel_close(fwd.values, g.values[sub], 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=round_trip_cases(), depth=st.integers(1, 3))
+def test_property_increment_identities(case, depth):
+    # At every interior site t, unit_increment(Minv(G), t) =
+    # e^{t*Theta} unit_increment(G, t) whatever the depth, and
+    # unit_increment(M(Y), t) = e^{-t*Theta} unit_increment(Y, t).
+    rng, theta, w = case
+    inner = inner_window(w)[0]
+    g = random_field(rng, Window(tuple(l - depth - 1 for l in w.lo), w.hi), theta.n)
+    y = m_inverse_truncated(g, theta, TruncationPolicy(depth=depth), w)
+    x = random_field(rng, w, theta.n, clock="exponential")
+    fwd = m_forward(x, theta)
+    for field, source, sign in ((y, g, 1), (fwd, x, -1)):
+        got = np.array([unit_increment(field, t) for t in inner.sites()])
+        want = np.array([scipy.linalg.expm(sign * star(t, theta)) @ unit_increment(source, t)
+                         for t in inner.sites()])
+        assert_rel_close(got, want, 1e-10)
