@@ -23,7 +23,24 @@ def format_float(x: float) -> str:
     return format(v, ".17g")
 
 
+# What json.dumps writes for a str with its default settings.
+_quote = json.encoder.encode_basestring_ascii
+
+# Renderers of the leaf types met most, looked up by exact type; numpy
+# scalars and subclasses take the isinstance route of _render.
+_LEAVES = {
+    float: format_float,
+    int: str,
+    str: _quote,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _render(obj: Any, indent: int, level: int) -> str:
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
     if isinstance(obj, dict):
@@ -33,7 +50,7 @@ def _render(obj: Any, indent: int, level: int) -> str:
         for k, v in obj.items():
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
-            items.append(f"{pad_in}{json.dumps(k)}: {_render(v, indent, level + 1)}")
+            items.append(f"{pad_in}{_quote(k)}: {_render(v, indent, level + 1)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
@@ -53,7 +70,7 @@ def _render(obj: Any, indent: int, level: int) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 

@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,11 +310,11 @@ def write_csvs(values, window: Window, paths) -> None:
 
     ``values`` has shape (k, *window.shape, n) for a sequence of k paths.
     Each file holds one row per site (lexicographic order), columns
-    t_1..t_N then x_1..x_n; floats carry 17 significant digits so reloading
-    reproduces the doubles exactly.  A non-finite value raises
-    NumericRangeError before any file is opened.  Rows are formatted
-    ``CSV_BLOCK_ROWS`` at a time, and a block runs on across file
-    boundaries.
+    t_1..t_N then x_1..x_n; floats are written as ``'%.17g' %`` writes
+    them, so reloading reproduces the doubles exactly.  A non-finite value
+    raises NumericRangeError before any file is opened.  Rows are formatted
+    by array code ``CSV_BLOCK_ROWS`` at a time, and a block runs on across
+    file boundaries.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[:-1] != (len(paths),) + window.shape:
@@ -333,23 +334,21 @@ def write_csvs(values, window: Window, paths) -> None:
         )
     header = ",".join(_csv_header(window.N, n)) + "\n"
     site_cells = _site_cells(window)
-    row = "%s" + ",".join(["%.17g"] * n) + "\n"
-    block = np.empty((min(CSV_BLOCK_ROWS, len(flat)), 1 + n), dtype=object)
     fh = None
     try:
         for start in range(0, len(flat), CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, len(flat))
-            block[: stop - start, 0] = site_cells(np.arange(start, stop) % size)
-            block[: stop - start, 1:] = flat[start:stop]
-            cells = block[: stop - start].ravel().tolist()
+            rows = np.hstack([site_cells(np.arange(start, stop) % size),
+                              _float_cells(flat[start:stop])])
             a = start
             while a < stop:
                 if a % size == 0:
                     fh = open(paths[a // size], "w", encoding="utf-8")
                     fh.write(header)
                 b = min(stop, (a // size + 1) * size)
-                fh.write((row * (b - a)) % tuple(cells[(a - start) * (1 + n):
-                                                       (b - start) * (1 + n)]))
+                # The text of the rows is their non-NUL bytes, in order.
+                part = rows[a - start:b - start]
+                fh.write(part[part != 0].tobytes().decode("ascii"))
                 if b % size == 0:
                     fh.close()
                     fh = None
@@ -361,31 +360,162 @@ def write_csvs(values, window: Window, paths) -> None:
 
 def _site_cells(window: Window):
     """The function from row indices of ``window`` (an array) to their site
-    cells ``"t_1,..,t_N,"``, as an object array of strings.
+    cells ``"t_1,..,t_N,"``: a uint8 matrix with one row per index, holding
+    the text bytes in order with NUL bytes as padding.
 
-    Each axis value is formatted once.  The cells of the trailing axes
-    whose sites fit in one CSV block are joined once into a table; those
-    of the leading axes are prepended per call, so the table never holds
-    more strings than a block has rows, whatever the window size.
+    Each axis value is formatted once; a call gathers one table row per
+    axis, so no table is larger than its axis.
     """
-    axes = [np.array([f"{t}," for t in range(lo, hi + 1)], dtype=object)
-            for lo, hi in zip(window.lo, window.hi)]
-    lead = window.N
-    while lead and math.prod(window.shape[lead - 1:]) <= CSV_BLOCK_ROWS:
-        lead -= 1
-    table = np.array([""], dtype=object)
-    for axis in axes[lead:]:
-        table = np.add.outer(table, axis).ravel()
+    axes = []
+    for lo, hi in zip(window.lo, window.hi):
+        text = np.array([f"{t}," for t in range(lo, hi + 1)], dtype=np.bytes_)
+        axes.append(text.view(np.uint8).reshape(len(text), -1))
 
     def cells(rows: np.ndarray) -> np.ndarray:
-        rest, inner = np.divmod(rows, len(table))
-        out = table[inner]
-        for axis in reversed(axes[:lead]):
-            rest, i = np.divmod(rest, len(axis))
-            out = axis[i] + out
-        return out
+        parts = []
+        for axis in reversed(axes):
+            rows, i = np.divmod(rows, len(axis))
+            parts.append(axis[i])
+        return np.hstack(parts[::-1])
 
     return cells
+
+
+# Exact doubles 10^k, k = 0..20: the scales of _float_cells.
+_POW10 = np.array([float(10 ** k) for k in range(21)])
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each value v of ``x``, an (m, n) array of finite
+    floats, as an (m, 25 n) uint8 matrix: each row holds the text bytes of
+    its values in order, with NUL bytes between them, and each value is
+    followed by "," or, the last of a row, by a newline.
+
+    A value with 1e-4 <= |v| < 1e17 is written in fixed notation from its
+    17 significant digits (_decimal), a zero as "0" or "-0"; any other
+    value goes through ``%``.
+    """
+    words, trailing, layout = _format_tables()
+    v = x.ravel()
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    e, digits = _decimal(np.where(fixed, a, 1.0))
+    # Source bytes of each value: NUL, "-", ".", its separator, "000" and
+    # its 17 digits, gathered as six 4-byte words.
+    chunks = np.empty((len(v), 6), np.intp)
+    chunks[:, 0] = 10000
+    chunks.reshape(len(x), -1, 6)[:, -1, 0] = 10001
+    for j in range(5, 1, -1):
+        digits, chunks[:, j] = np.divmod(digits, 10000)
+    chunks[:, 1] = digits
+    src = words[chunks].view(np.uint8)
+    zeros = trailing[chunks[:, 5]]
+    for j in (4, 3, 2):
+        zeros = np.where(zeros == 4 * (5 - j), zeros + trailing[chunks[:, j]], zeros)
+    key = ((e + 4) * 2 + np.signbit(v)) * 17 + 16 - zeros
+    zero = v == 0
+    key[zero] = len(layout) - 2 + np.signbit(v[zero])
+    # The gather runs 256 values at a time, so that its index stays small.
+    cells = np.empty((len(v), 25), np.uint8)
+    offsets = 24 * np.arange(256)[:, np.newaxis]
+    for s in range(0, len(v), 256):
+        index = np.take(layout, key[s:s + 256], axis=0).astype(np.intp)
+        index += offsets[:len(index)]
+        cells[s:s + 256] = np.take(src[s:s + 256].ravel(), index)
+    other = np.flatnonzero(~fixed & ~zero)
+    if other.size:
+        # No value takes more than 24 bytes; the padding spaces become NUL.
+        text = ("%-24.17g" * len(other)) % tuple(v[other].tolist())
+        text = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
+        cells[other, :24] = np.where(text == ord(" "), 0, text)
+    return cells.reshape(len(x), -1)
+
+
+def _decimal(a: np.ndarray) -> tuple:
+    """The decimal exponent e and the 17 significant digits, as an integer
+    in [1e16, 1e17), of each value of ``a`` (1e-4 <= a < 1e17).
+
+    The product a 10^(16 - e) is taken exactly, as a sum of two doubles
+    (Dekker), so that rounding it to an integer, ties to even, gives the
+    correctly rounded digits that ``'%.17g' %`` prints.
+    """
+    # log10 can miss the exponent by one next to a power of ten; the exact
+    # product shows it, and the exponent steps until the product lies in
+    # [1e16, 1e17).
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    hi, lo, step = _scaled(a, e)
+    wrong = np.flatnonzero(step)
+    while wrong.size:
+        e[wrong] += step[wrong]
+        hi[wrong], lo[wrong], step[wrong] = _scaled(a[wrong], e[wrong])
+        wrong = wrong[step[wrong] != 0]
+    # hi is a multiple of 2 (its ulp is at least 2 above 1e16), so the
+    # nearest integer to hi + lo, ties to even, is hi + rint(lo).
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    return e + carry, digits
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple:
+    """a 10^(16 - e) as the exact sum hi + lo of two doubles, and the step
+    (-1, 0 or 1) to e that would bring it into [1e16, 1e17)."""
+    b = _POW10[16 - e]
+    hi = a * b
+    a1, a2 = _halves(a)
+    b1, b2 = _halves(b)
+    lo = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+    step = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.int64)
+    step -= (hi < 1e16) | (hi == 1e16) & (lo < 0)
+    return hi, lo, step
+
+
+def _halves(a: np.ndarray) -> tuple:
+    """Veltkamp's split of each double into two of at most 26 bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+@functools.cache
+def _format_tables() -> tuple:
+    """The tables of _float_cells, built on first use.
+
+    ``words``: the four digits of 0..9999 as 4-byte words, then the words
+    NUL "-" "." "," and NUL "-" "." newline.  ``trailing``: the trailing
+    zero digits of 0..9999 as four digits.  ``layout``: for each exponent
+    -4..16, sign and position 0..16 of the last nonzero digit, the source
+    byte of each of the 25 bytes of a value's cell; then those of 0 and -0.
+    """
+    # np.divmod, as _float_cells uses it: no other integer division loop
+    # is paged in.
+    words = np.empty((10002, 4), np.uint8)
+    rest = np.arange(10000)
+    for k in range(3, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        words[:10000, k] = digit + ord("0")
+    words[10000:] = [[0, ord("-"), ord("."), ord(sep)] for sep in ",\n"]
+    i = np.arange(10000)
+    trailing = sum((np.divmod(i, 10 ** k)[1] == 0).astype(np.intp) for k in (1, 2, 3, 4))
+    # Source byte 7 + j holds digit j, byte 4 a zero, bytes 0-3 the rest.
+    layout = np.zeros((21, 2, 17, 25), np.uint8)
+    layout[..., 24] = 3
+    for e in range(-4, 17):
+        for last in range(17):
+            if e >= 0:
+                text = list(range(7, 8 + e))
+                if last > e:
+                    text += [2] + list(range(8 + e, 8 + last))
+            else:
+                text = [4, 2] + [4] * (-e - 1) + list(range(7, 8 + last))
+            for neg in (0, 1):
+                layout[e + 4, neg, last, :neg + len(text)] = [1] * neg + text
+    zero = np.zeros((2, 25), np.uint8)
+    zero[:, 24] = 3
+    zero[0, 0] = zero[1, 1] = 4
+    zero[1, 0] = 1
+    return (words.view(np.uint32).ravel(), trailing,
+            np.concatenate([layout.reshape(-1, 25), zero]))
 
 
 def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldWindow:
@@ -399,6 +529,7 @@ def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldW
     are parsed and checked ``CSV_BLOCK_ROWS`` at a time.
     """
     expected = _csv_header(window.N, n)
+    dtype = np.dtype([("t", np.int64, (window.N,)), ("x", np.float64, (n,))])
     vals = np.empty((window.volume, n))
     seen = np.zeros(window.volume, dtype=bool)
     try:
@@ -409,7 +540,7 @@ def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldW
                     f"CSV header {header} does not match expected {expected}")
             lineno = 2
             while lines := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
-                _read_block(lines, lineno, window, vals, seen)
+                _read_block(lines, lineno, window, dtype, vals, seen)
                 lineno += len(lines)
         if not seen.all():
             raise WindowError(f"CSV is missing {int((~seen).sum())} of "
@@ -420,65 +551,63 @@ def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldW
     return FieldWindow(window, vals.reshape(window.shape + (n,)), clock)
 
 
-def _read_block(lines: list, lineno: int, window: Window, vals: np.ndarray,
-                seen: np.ndarray) -> None:
+def _read_block(lines: list, lineno: int, window: Window, dtype: np.dtype,
+                vals: np.ndarray, seen: np.ndarray) -> None:
     """Parse, check and place ``lines``, the first at file line ``lineno``.
 
-    The cell-count, finite, window and repeat checks run over the whole
-    block as arrays.  When one fails, the first offending row is named,
-    with the error a row-by-row read would raise for it.
+    numpy parses the block (_parse_block) and the finite, window and repeat
+    checks run over it as arrays.  A block that numpy refuses or that fails
+    a check is read again row by row, which accepts what Python's int and
+    float accept and raises the error of the first offending row.
     """
-    nn, n = window.N, vals.shape[1]
-    ncol = nn + n
-    # Rows keep their line ends: Python's int and float ignore surrounding
-    # whitespace, so the cells parse as stripped ones would.
-    rows = list(itertools.filterfalse(str.isspace, lines))
-    counted = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64,
-                          len(rows)) == ncol - 1
-    stop = len(rows) if counted.all() else int(np.argmin(counted))
+    rows = _parse_block(lines, dtype)
+    if rows is not None:
+        sites, x = rows["t"], rows["x"]
+        lo = np.array(window.lo)
+        if np.isfinite(x).all() and ((sites >= lo) & (sites <= window.hi)).all():
+            flat = np.ravel_multi_index(tuple((sites - lo).T), window.shape)
+            # Rows in write order have increasing indices; others are sorted.
+            if not seen[flat].any() and (
+                    (flat[1:] > flat[:-1]).all() or len(np.unique(flat)) == len(flat)):
+                vals[flat] = x
+                seen[flat] = True
+                return
+    n = vals.shape[1]
+    for i, line in enumerate(lines, lineno):
+        if line.isspace():
+            continue
+        t, index, row = _check_row(line.strip(), i, window, n)
+        k = np.ravel_multi_index(index, window.shape)
+        if seen[k]:
+            raise DimensionMismatchError(f"CSV line {i} repeats site {t}")
+        vals[k] = row
+        seen[k] = True
+
+
+def _parse_block(lines: list, dtype: np.dtype):
+    """The rows of ``lines`` as records of ``dtype`` read by numpy's C
+    tokenizer, or None if it refuses a line.
+
+    Warnings are errors: numpy 1.24 only warns when it reads "1.0" as an
+    integer.  With both guards, every spelling numpy accepts is one that
+    Python's int or float accepts, with the same value.
+    """
+    # numpy strips the ASCII separators U+001C..U+001F around a number as
+    # whitespace; Python's int and float refuse them.
+    text = "".join(lines)
+    if any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
     try:
-        sites, x = _parse_rows(rows[:stop], nn, ncol)
-    except (ValueError, OverflowError):
-        for stop, row in enumerate(rows):
-            try:
-                _parse_rows([row], nn, ncol)
-            except (ValueError, OverflowError):
-                break
-        sites, x = _parse_rows(rows[:stop], nn, ncol)
-    lo = np.array(window.lo)[:, np.newaxis]
-    hi = np.array(window.hi)[:, np.newaxis]
-    finite = np.isfinite(x).all(axis=1)
-    inside = ((sites >= lo) & (sites <= hi)).all(axis=0)
-    # Rows outside the window stand in at site lo; they fail regardless.
-    flat = np.ravel_multi_index(np.where(inside, sites, lo) - lo, window.shape)
-    first = np.zeros(len(flat), dtype=bool)
-    first[np.unique(flat, return_index=True)[1]] = True
-    bad = ~finite | ~inside | seen[flat] | ~first
-    k = int(np.argmax(bad)) if bad.any() else stop
-    vals[flat[:k]] = x[:k]
-    seen[flat[:k]] = True
-    if k == len(rows):
-        return
-    k_lineno = lineno + [j for j, line in enumerate(lines) if not line.isspace()][k]
-    _check_row(rows[k].strip(), k_lineno, window, n)
-    raise DimensionMismatchError(
-        f"CSV line {k_lineno} repeats site {tuple(sites[:, k].tolist())}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
 
 
-def _parse_rows(rows: list, nn: int, ncol: int) -> tuple:
-    """Site columns (nn, m) as int64 and values (m, n) as float.
-
-    numpy hands each cell to Python's ``int`` or ``float``, so the accepted
-    spellings are those of a row-by-row read.
-    """
-    cells = ",".join(rows).split(",") if rows else []
-    sites = np.array([cells[j::ncol] for j in range(nn)], dtype=np.int64)
-    x = np.array([cells[j::ncol] for j in range(nn, ncol)], dtype=float).T
-    return sites.reshape(nn, len(rows)), x.reshape(len(rows), ncol - nn)
-
-
-def _check_row(line: str, lineno: int, window: Window, n: int) -> None:
-    """The checks of one CSV line that need no other row (error path only).
+def _check_row(line: str, lineno: int, window: Window, n: int) -> tuple:
+    """The site, its index in the window and the values of one CSV line,
+    with the checks that need no other row.
 
     A site too large for int64 passes the parse here and is refused by the
     window check, as any site outside the window is.
@@ -499,7 +628,7 @@ def _check_row(line: str, lineno: int, window: Window, n: int) -> None:
         raise DimensionMismatchError(
             f"CSV line {lineno} has a non-finite value: {line!r}"
         )
-    window.index(t)
+    return t, window.index(t), row
 
 
 def save_field(x: FieldWindow, csv_path) -> None:

@@ -180,9 +180,19 @@ def substream(seed: int, group: int) -> np.random.Generator:
     counter ``[0, 0, 0, group]``.  Philox counts up from word 0, so a
     group's draws never reach the next group's counter.
     """
+    return _streams(seed)(group)
+
+
+def _streams(seed: int):
+    """The function from a group index to its generator under ``seed``, as
+    ``substream`` defines it; the key is hashed once, not once per group."""
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
-    counter = np.array([0, 0, 0, int(group)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+    def stream(group: int) -> np.random.Generator:
+        counter = np.array([0, 0, 0, int(group)], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+    return stream
 
 
 def empty_values(replications: int, window: Window, n: int) -> np.ndarray:
@@ -284,13 +294,13 @@ class SheetSampler:
         reps = [check_int(r, "replication index", 0) for r in replications]
         if any(r > MAX_REPLICATION for r in reps):
             raise ConfigError(f"replication indices must be <= {MAX_REPLICATION}")
-        size, groups = self.group_size, {}
+        size, groups, stream = self.group_size, {}, _streams(seed)
         for i, r in enumerate(reps):
             groups.setdefault(r // size, []).append(i)
         x = np.empty((len(reps), self.hurst.n, self.window.volume))
         for g, idx in groups.items():
             rows = [reps[i] % size for i in idx]
-            x[idx] = substream(seed, g).standard_normal((max(rows) + 1,) + x.shape[1:])[rows]
+            x[idx] = stream(g).standard_normal((max(rows) + 1,) + x.shape[1:])[rows]
         return [
             FieldWindow(self.window, v, self.clock, {"seed": seed, "replication": r})
             for v, r in zip(self._mix(x), reps)
@@ -309,9 +319,10 @@ class SheetSampler:
         seed = check_int(seed, "seed", 0)
         replications = check_int(replications, "replications", 0)
         size, shape = self.group_size, (self.hurst.n, self.window.volume)
+        stream = _streams(seed)
         for start in range(0, replications, size):
             x = np.empty((min(size, replications - start),) + shape)
-            substream(seed, start // size).standard_normal(out=x)
+            stream(start // size).standard_normal(out=x)
             yield start, self._mix(x)
 
     def _mix(self, x: np.ndarray) -> np.ndarray:

@@ -97,8 +97,14 @@ def bonferroni_threshold(z_max: float, m: int) -> float:
     return math.inf if p == 0.0 else -NormalDist().inv_cdf(p)
 
 
-def jackknife_se_mean(d: np.ndarray) -> float:
-    """Leave-one-out jackknife SE of the sample mean of d (1-D array)."""
+def jackknife_se_mean(d) -> float:
+    """Leave-one-out jackknife SE of the sample mean of d (1-D array-like).
+
+    Input that is not 1-D or has fewer than 2 values raises ConfigError.
+    """
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1:
+        raise ConfigError(f"jackknife needs a 1-D sample, got shape {d.shape}")
     if d.shape[0] < 2:
         raise ConfigError("jackknife needs at least 2 replications")
     return float(_mean_se(lambda sl: np.array([d], dtype=float), 1, len(d))[1][0])
@@ -176,11 +182,27 @@ def _overlap(window: Window, shift: tuple) -> Window:
 
 
 def _site_pairs(m: int, cap: int):
-    pairs = list(itertools.combinations_with_replacement(range(m), 2))
-    if len(pairs) <= cap:
-        return pairs
-    idx = np.unique(np.linspace(0, len(pairs) - 1, cap).astype(int))
-    return [pairs[i] for i in idx]
+    """Pairs i <= j of ``range(m)`` in lexicographic order, or at most
+    ``cap`` of them at an even stride through that list.
+
+    Entry p of the list is (i, j) with p = i m - i (i - 1) / 2 + j - i, so a
+    chosen position maps straight to its pair; the list is never built.
+    """
+    total = m * (m + 1) // 2
+    if total > cap:
+        p = np.unique(np.linspace(0, total - 1, cap).astype(int))
+    else:
+        p = np.arange(total)
+
+    def start(i):
+        return i * (2 * m - i + 1) // 2
+
+    # Row i starts at start(i); the float root is an estimate that the
+    # exact integer comparisons then correct.
+    i = np.floor((2 * m + 1 - np.sqrt((2 * m + 1) ** 2 - 8.0 * p)) / 2).astype(np.int64)
+    i -= start(i) > p
+    i += start(i + 1) <= p
+    return list(zip(i.tolist(), (p - start(i) + i).tolist()))
 
 
 def _comp_pairs(n: int):

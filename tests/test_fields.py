@@ -362,6 +362,17 @@ def test_csv_rejects_bad_rows(tmp_path, rng, new_row, match):
         read_csv(path, window, 2)
 
 
+@pytest.mark.parametrize("new_row", ["1,1,0.5,\x1c0.25", "1,\x1f1,0.5,0.25"])
+def test_csv_refuses_separators_that_only_numpy_strips(tmp_path, rng, new_row):
+    # numpy's reader takes U+001C..U+001F around a cell for whitespace;
+    # Python's int and float refuse them, and so does read_csv (only the
+    # ends of a whole line are stripped, as str.strip does).
+    path, window = csv_with_row(tmp_path, rng, 3, new_row)
+    with pytest.raises(DimensionMismatchError,
+                       match="line 5 has a non-integer site or non-numeric value"):
+        read_csv(path, window, 2)
+
+
 def reference_csv(x):
     """Field CSV text written row by row, independently of write_csv."""
     lines = [",".join([f"t_{j + 1}" for j in range(x.N)]
@@ -572,6 +583,108 @@ def test_read_csv_is_the_same_in_any_block_size(tmp_path_factory, x, block, edit
         return
     with mock.patch.object(fields, "CSV_BLOCK_ROWS", block):
         assert read_csv(path, window, n).values.tobytes() == expected.tobytes()
+
+
+def formatter_cases():
+    """Over 10^6 doubles: every binade, dense cover of the fixed-notation
+    range [1e-4, 1e17), powers of ten and their neighbours, exact ties at
+    the 17th digit, integers around 2^53, zeros and the extremes."""
+    rng = np.random.default_rng(20261019)
+    binades = np.ldexp(rng.uniform(1.0, 2.0, (2098, 120)), np.arange(-1074, 1024)[:, None])
+    fixed = np.ldexp(rng.uniform(1.0, 2.0, (72, 3500)), np.arange(-14, 58)[:, None])
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [np.nextafter(tens, s) for s in (0.0, np.inf)]
+    # v = m 2^(x - 17) with m odd lies exactly halfway between two 17-digit
+    # decimals when 10^x <= v < 10^(x + 1).
+    ties = []
+    for x in range(-4, 16):
+        low = int(np.ceil(10.0 ** x * 2.0 ** (17 - x)))
+        high = min(int(10.0 ** (x + 1) * 2.0 ** (17 - x)), 2 ** 53)
+        m = rng.integers(low, high, 1000) | 1
+        ties.append(np.ldexp(m.astype(float), x - 17))
+    ints = np.concatenate([rng.integers(2 ** 52, 2 ** 53, 20000),
+                           rng.integers(2 ** 53, 10 ** 17, 20000)]).astype(float)
+    edges = np.array([0.0, 1e-4, 1e17, 5e-324, 2.2250738585072014e-308,
+                      1.7976931348623157e308, 0.1, 0.5, 1.0, 9.999999999999999e16])
+    with np.errstate(over="ignore"):
+        edges = np.concatenate([edges] + [np.nextafter(edges, s) for s in (0.0, np.inf)])
+    v = np.concatenate([binades.ravel(), fixed.ravel(), tens, *near, *ties, ints, edges])
+    v = v[np.isfinite(v)]
+    return np.concatenate([v, -v])
+
+
+def test_float_cells_match_percent_format():
+    v = formatter_cases()
+    assert len(v) >= 10 ** 6
+    for start in range(0, len(v), 1 << 15):
+        chunk = v[start:start + (1 << 15)]
+        cells = fields._float_cells(chunk[:, np.newaxis])
+        got = cells[cells != 0].tobytes().decode("ascii").split("\n")[:-1]
+        want = ["%.17g" % f for f in chunk.tolist()]
+        if got != want:
+            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+            pytest.fail(f"{chunk[i]!r}: wrote {got[i]!r}, '%.17g' gives {want[i]!r}")
+
+
+SPACES = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+ODD_CELLS = ["", "+", "-", ".", "e5", "1e", "inf", "-Infinity", "nan", "+NaN", "nan(1)",
+             "1_0", "1__0", "_1", "0x1p3", "1j", "1d5", "1#2", "\u0661", "\u0663.5", "1\x00",
+             "1.0", "1e0", "99999999999999999999", "-9223372036854775809",
+             "9223372036854775807", "1e400", "-1e-400", "2.4703282292062328e-324",
+             "4.9406564584124654e-324", "0.1e-310", "00012", "-0", "+.5e-3",
+             "1 5", "- 1", "1e 5", "1.5\x1c", "\x1f2", "1\x1d.5", "\x1e-\x1e3"]
+
+
+def csv_cell(draw, site: bool) -> str:
+    """One cell, mostly an integer (site) or a decimal with optional point
+    and exponent (value), sometimes an odd spelling, with whitespace of
+    several kinds around it."""
+    if draw(st.integers(0, 9)) == 0:
+        body = draw(st.sampled_from(ODD_CELLS))
+    elif site:
+        body = (draw(st.sampled_from(["", "+", "-"]))
+                + draw(st.text("0123456789", min_size=1, max_size=20)))
+    else:
+        body = (draw(st.sampled_from(["", "+", "-"]))
+                + draw(st.text("0123456789", max_size=25))
+                + draw(st.sampled_from(["", "."]))
+                + draw(st.text("0123456789", min_size=1, max_size=25))
+                + draw(st.sampled_from(["", "e", "E-", "e+"]))
+                + draw(st.text("0123456789", max_size=3)))
+    pad = st.sampled_from(SPACES[:1] * 6 + SPACES)
+    return draw(pad) + body + draw(pad)
+
+
+@st.composite
+def csv_rows(draw):
+    """A row of two site and two value cells, now and then one cell more
+    or less."""
+    cells = [csv_cell(draw, k < 2) for k in range(4)]
+    extra = draw(st.integers(0, 19))
+    if extra == 0:
+        cells.pop()
+    elif extra == 1:
+        cells.append(csv_cell(draw, False))
+    return ",".join(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(csv_rows() | st.sampled_from(SPACES), min_size=1, max_size=4))
+def test_numpy_parse_accepts_only_what_python_accepts(rows):
+    # Every block numpy's reader accepts, the row-by-row route accepts too,
+    # with bitwise-equal values; blank lines are skipped by both.
+    dtype = np.dtype([("t", np.int64, (2,)), ("x", np.float64, (2,))])
+    parsed = fields._parse_block([row + "\n" for row in rows], dtype)
+    if parsed is None:
+        return
+    lines = [row for row in rows if not (row + "\n").isspace()]
+    assert len(parsed) == len(lines)
+    for record, line in zip(parsed, lines):
+        cells = line.strip().split(",")
+        assert len(cells) == 4
+        assert record["t"].tolist() == [int(c) for c in cells[:2]]
+        want = np.array([float(c) for c in cells[2:]])
+        assert record["x"].tobytes() == want.tobytes()
 
 
 def _edit_csv(path, fault):

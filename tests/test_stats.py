@@ -77,6 +77,25 @@ def test_jackknife_needs_two():
         jackknife_se_mean(np.array([1.0]))
 
 
+def test_jackknife_takes_a_list_and_refuses_other_shapes():
+    assert jackknife_se_mean([1.0, 2.0, 3.0, 4.0]) == pytest.approx(
+        math.sqrt(5 / 12), rel=1e-14)
+    for d in ([[1.0, 2.0], [3.0, 4.0]], 2.5):
+        with pytest.raises(ConfigError, match="1-D"):
+            jackknife_se_mean(d)
+
+
+def test_site_pairs_match_the_pair_list():
+    # The stride through combinations_with_replacement, taken without
+    # building the list.
+    for m in range(1, 301):
+        pairs = list(itertools.combinations_with_replacement(range(m), 2))
+        for cap in (1, 2, 7, 60, len(pairs)):
+            want = pairs if len(pairs) <= cap else [
+                pairs[i] for i in np.unique(np.linspace(0, len(pairs) - 1, cap).astype(int))]
+            assert stats_module._site_pairs(m, cap) == want, (m, cap)
+
+
 def test_bonferroni_frozen():
     assert bonferroni_threshold(3.0, 1) == 3.0
     assert bonferroni_threshold(3.0, 2) == pytest.approx(3.2051549205989334, rel=1e-12)
