@@ -1,8 +1,13 @@
 """Command-line interface.
 
 Subcommands: simulate | transform | ar1-verify | fou | stats.  Runs are
-configured by JSON files with flag overrides, write their outputs plus a
-resolved-config snapshot into --out, and use exit codes
+configured by JSON files with flag overrides.  Each subcommand only
+computes; main writes its outputs plus a resolved-config snapshot into a
+hidden staging directory and only then moves them to --out (a new --out
+is the staging sibling renamed; an existing empty one is kept and filled
+from a stage inside it), so --out appears only once complete, a failed
+run leaves nothing behind, and a failed check (exit 4) still publishes
+its report.  Exit codes:
 
     0  success / checks passed
     2  configuration or schema error
@@ -17,11 +22,12 @@ is an input path that cannot be read (missing, a directory, no
 permission), a batch directory without values.npy, and an --out path that
 is not a new or empty directory, which is refused before any input is
 read: a run never merges into, or leaves stale files beside, earlier
-output.  Two refusals keep exit 3: NumericRangeError (GRID_CAP, the
-exponential-clock limit, overflow, a batch too large to allocate) and
-faults in the data of an input file: the data-line errors of a field CSV
-from read_csv, and a batch's values.npy that load_batch finds truncated,
-foreign or non-finite.
+output; so is an OSError while --out is made, filled or renamed.  Two
+refusals keep exit 3: NumericRangeError (GRID_CAP, the exponential-clock
+limit, overflow, a batch too large to allocate) and faults in the data of
+an input file: the data-line errors of a field CSV from read_csv, and a
+batch's values.npy that load_batch finds truncated, foreign or
+non-finite.
 
 --threads is still accepted, validated and recorded in
 resolved_config.json so that existing scripts keep working, but it has
@@ -33,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -47,7 +54,6 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     NumericRangeError,
-    VerificationError,
     WindowError,
     check_threshold,
 )
@@ -199,14 +205,48 @@ def _check_out(out: Path) -> None:
             return
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _publish(out: str, write, resolved: dict) -> None:
+    """Write the outputs into a hidden stage directory, then move them to ``out``.
 
-
-def _write_resolved(out: Path, payload: dict) -> None:
-    dump_json(payload, out / "resolved_config.json")
+    A new ``out`` is staged as a sibling, made with its missing parents by
+    a plain mkdir (so with the mode the umask gives), and renamed to
+    ``out``.  An existing, empty ``out`` (a mount point, say, or a
+    directory in a parent the user cannot write) is kept with its inode,
+    mode and owner: the stage is made inside it and each entry is moved
+    up, resolved_config.json last.  On any exception the stage, the
+    entries moved and the parents made here are removed, so ``out`` is
+    left as it was; an OSError becomes a ConfigError naming ``out``.
+    """
+    target = Path(os.path.realpath(out))
+    fresh = not target.exists()
+    made = [p for p in target.parents if not p.exists()]
+    home = target.parent if fresh else target
+    stage = home / f".{target.name}.{os.urandom(4).hex()}.partial"
+    moved = []
+    try:
+        if fresh:
+            target.parent.mkdir(parents=True, exist_ok=True)
+        stage.mkdir()
+        write(stage)
+        dump_json(resolved, stage / "resolved_config.json")
+        if fresh:
+            stage.rename(target)
+            return
+        for name in sorted(os.listdir(stage), key="resolved_config.json".__eq__):
+            os.replace(stage / name, target / name)
+            moved.append(target / name)
+        stage.rmdir()
+    except BaseException as exc:
+        shutil.rmtree(stage, ignore_errors=True)
+        for p in moved:
+            with contextlib.suppress(OSError):
+                p.unlink()
+        for p in made:
+            with contextlib.suppress(OSError):
+                p.rmdir()
+        if isinstance(exc, OSError):
+            raise ConfigError(f"--out {out}: {exc}") from None
+        raise
 
 
 def _int_list(text: str, what: str) -> tuple:
@@ -217,11 +257,13 @@ def _int_list(text: str, what: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands.  Each maps args to what it computed, which main publishes:
+# (its resolved_config.json entries after "command" and "threads", a writer
+# of its files into a given directory, its summary line, and the text of a
+# failed check or None).
 
 
-def cmd_simulate(args) -> int:
-    threads = _threads(args)
+def cmd_simulate(args) -> tuple:
     cfg = _load_config(args.config)
     _check_keys(
         cfg,
@@ -234,22 +276,11 @@ def cmd_simulate(args) -> int:
     if clock not in CLOCKS:
         raise ConfigError(f"clock must be one of {CLOCKS}, got {clock!r}")
     batch = sample_sheet_batch(mixing, hurst, window, clock, seed, reps)
-    out = _outdir(args)
-    batch.save(out)
-    _write_resolved(
-        out,
-        {
-            "command": "simulate",
-            "threads": threads,
-            "config": batch.manifest(),
-        },
-    )
-    print(f"simulate: wrote {batch.replications} replications to {out}")
-    return EXIT_OK
+    summary = f"simulate: wrote {batch.replications} replications to {Path(args.out)}"
+    return {"config": batch.manifest()}, batch.save, summary, None
 
 
-def cmd_transform(args) -> int:
-    threads = _threads(args)
+def cmd_transform(args) -> tuple:
     x = _load_field_arg(args.input)
     theta, theta_ref = _parse_theta(args.theta)
     steps = [s.strip() for s in args.chain.split(",") if s.strip()]
@@ -269,28 +300,20 @@ def cmd_transform(args) -> int:
             x = m_forward(x, theta, theta_ref)
         else:
             x = m_inverse_truncated(x, theta, policy, theta_ref=theta_ref)
-    out = _outdir(args)
-    save_field(x, out / "transformed.csv")
-    _write_resolved(
-        out,
-        {
-            "command": "transform",
-            "threads": threads,
-            "input": str(args.input),
-            "theta": theta_ref,
-            "chain": steps,
-            "policy": {"eps": policy.eps, "depth": None if depth is None else list(depth)},
-            "output_window": x.window.to_dict(),
-            "clock": x.clock,
-            "transforms": TRANSFORMS_VERSION,
-        },
-    )
-    print(f"transform: {','.join(steps)} -> window {x.window} ({x.clock} clock)")
-    return EXIT_OK
+    resolved = {
+        "input": str(args.input),
+        "theta": theta_ref,
+        "chain": steps,
+        "policy": {"eps": policy.eps, "depth": None if depth is None else list(depth)},
+        "output_window": x.window.to_dict(),
+        "clock": x.clock,
+        "transforms": TRANSFORMS_VERSION,
+    }
+    summary = f"transform: {','.join(steps)} -> window {x.window} ({x.clock} clock)"
+    return resolved, lambda d: save_field(x, d / "transformed.csv"), summary, None
 
 
-def cmd_ar1_verify(args) -> int:
-    threads = _threads(args)
+def cmd_ar1_verify(args) -> tuple:
     check_threshold(args.tolerance, "--tolerance", zero_ok=True)
     x = _load_field_arg(args.x)
     theta, theta_ref = _parse_theta(args.theta)
@@ -301,33 +324,29 @@ def cmd_ar1_verify(args) -> int:
     else:
         raise ConfigError("ar1-verify needs --g FIELD or --extract-noise")
     report = verify_ar1(x, g, theta, args.tolerance)
-    out = _outdir(args)
-    if args.extract_noise:
-        save_field(g, out / "noise.csv")
-    dump_json(report, out / "ar1_report.json")
-    _write_resolved(
-        out,
-        {
-            "command": "ar1-verify",
-            "threads": threads,
-            "x": str(args.x),
-            "g": str(args.g) if args.g else "extracted",
-            "theta": theta_ref,
-            "tolerance": args.tolerance,
-            "transforms": TRANSFORMS_VERSION,
-        },
-    )
+
+    def write(directory: Path) -> None:
+        if args.extract_noise:
+            save_field(g, directory / "noise.csv")
+        dump_json(report, directory / "ar1_report.json")
+
+    resolved = {
+        "x": str(args.x),
+        "g": str(args.g) if args.g else "extracted",
+        "theta": theta_ref,
+        "tolerance": args.tolerance,
+        "transforms": TRANSFORMS_VERSION,
+    }
     status = "PASS" if report["pass"] else "FAIL"
-    print(
+    summary = (
         f"ar1-verify: {status} max residual {report['max_residual']:.3e} over "
         f"{report['sites']} sites (tolerance {report['tolerance']:g})"
     )
-    if not report["pass"]:
-        raise VerificationError(
-            f"AR(1) residual {report['max_residual']:.3e} exceeds tolerance "
-            f"{report['tolerance']:g} at {len(report['offending_sites'])} listed sites"
-        )
-    return EXIT_OK
+    failure = None if report["pass"] else (
+        f"AR(1) residual {report['max_residual']:.3e} exceeds tolerance "
+        f"{report['tolerance']:g} at {len(report['offending_sites'])} listed sites"
+    )
+    return resolved, write, summary, failure
 
 
 def _build_fou_config(args) -> FouConfig:
@@ -357,24 +376,14 @@ def _build_fou_config(args) -> FouConfig:
         )
 
 
-def cmd_fou(args) -> int:
-    threads = _threads(args)
+def cmd_fou(args) -> tuple:
     cfg = _build_fou_config(args)
     batch = fou_batch(cfg)
-    out = _outdir(args)
-    batch.save(out)
-    _write_resolved(
-        out,
-        {"command": "fou", "threads": threads, "config": batch.manifest()},
-    )
-    print(
-        f"fou: kind={cfg.kind} wrote {batch.replications} replications to {out}"
-    )
-    return EXIT_OK
+    summary = f"fou: kind={cfg.kind} wrote {batch.replications} replications to {Path(args.out)}"
+    return {"config": batch.manifest()}, batch.save, summary, None
 
 
-def cmd_stats(args) -> int:
-    threads = _threads(args)
+def cmd_stats(args) -> tuple:
     check_threshold(args.z_max, "--z-max")
     with _input_file():
         batch = load_batch(args.batch)
@@ -406,30 +415,23 @@ def cmd_stats(args) -> int:
         report = fidelity_check(batch, hurst, mixing, z_max=args.z_max)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown check {args.check!r}")
-    out = _outdir(args)
-    dump_json(report.to_dict(), out / "stats_report.json")
-    _write_resolved(
-        out,
-        {
-            "command": "stats",
-            "threads": threads,
-            "batch": str(args.batch),
-            "check": args.check,
-            "shifts": [list(s) for s in shifts],
-            "z_max": args.z_max,
-            "stats": STATS_VERSION,
-        },
-    )
+    resolved = {
+        "batch": str(args.batch),
+        "check": args.check,
+        "shifts": [list(s) for s in shifts],
+        "z_max": args.z_max,
+        "stats": STATS_VERSION,
+    }
     status = "PASS" if report.passed else "FAIL"
     mz = report.max_abs_z
-    print(
+    summary = (
         f"stats[{report.check}]: {status} ({report.n_comparisons} comparisons, "
         f"max |z| = {'inf' if mz == float('inf') else f'{mz:.2f}'}, "
         f"threshold {report.z_threshold:.2f})"
     )
-    if not report.passed:
-        raise VerificationError(f"{report.check} check failed")
-    return EXIT_OK
+    failure = None if report.passed else f"{report.check} check failed"
+    return (resolved, lambda d: dump_json(report.to_dict(), d / "stats_report.json"),
+            summary, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +505,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_out(Path(args.out))
-        return args.func(args)
+        threads = _threads(args)
+        resolved, write, summary, failure = args.func(args)
+        _publish(args.out, write, {"command": args.command, "threads": threads, **resolved})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -518,9 +522,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numeric/window error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    print(summary)
+    if failure is not None:
+        print(f"verification failure: {failure}", file=sys.stderr)
+    return EXIT_OK if failure is None else EXIT_VERIFY
 
 
 if __name__ == "__main__":

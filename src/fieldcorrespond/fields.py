@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 
@@ -526,18 +527,24 @@ def read_csv(csv_path, window: Window, n: int, clock: str = "integer") -> FieldW
     DimensionMismatchError naming its line, a site outside the window or a
     missing site raises WindowError.  Blank lines are skipped but counted
     in line numbers.  Each error begins with the name of the file.  Lines
-    are parsed and checked ``CSV_BLOCK_ROWS`` at a time.
+    are parsed and checked ``CSV_BLOCK_ROWS`` at a time.  The header and,
+    for a regular file, its size are checked first: a row takes at least
+    2 * (N + n) - 1 bytes, so a file too short for the window raises
+    WindowError, and nothing larger than a few times the file is allocated.
     """
-    expected = _csv_header(window.N, n)
-    dtype = np.dtype([("t", np.int64, (window.N,)), ("x", np.float64, (n,))])
-    vals = np.empty((window.volume, n))
-    seen = np.zeros(window.volume, dtype=bool)
+    nn = window.N
     try:
         with open(csv_path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            if header != expected:
+            if len(header) != nn + n or header != _csv_header(nn, n):
                 raise DimensionMismatchError(
-                    f"CSV header {header} does not match expected {expected}")
+                    f"CSV header {header} does not match expected t_1..t_{nn}, x_1..x_{n}")
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode) and st.st_size < window.volume * (2 * (nn + n) - 1):
+                raise WindowError(f"CSV is too short for {window.volume} window sites")
+            dtype = np.dtype([("t", np.int64, (nn,)), ("x", np.float64, (n,))])
+            vals = np.empty((window.volume, n))
+            seen = np.zeros(window.volume, dtype=bool)
             lineno = 2
             while lines := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
                 _read_block(lines, lineno, window, dtype, vals, seen)

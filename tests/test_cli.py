@@ -4,8 +4,15 @@ Each run goes through cli.main(argv) so the mapping from exception to
 exit code is exercised exactly as the console entry point would.
 """
 
+import contextlib
 import copy
+import errno
+import functools
+import io
 import json
+import os
+import stat
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -22,7 +29,10 @@ from fieldcorrespond import (
     Window,
     save_field,
 )
+from fieldcorrespond import gaussian
 from fieldcorrespond.cli import main
+from fieldcorrespond.errors import NumericRangeError
+from fieldcorrespond.fields import CLOCKS
 from fieldcorrespond.stats import STATS_VERSION
 
 
@@ -950,6 +960,157 @@ def test_rerun_into_used_out_leaves_no_stale_replications(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# atomic --out: a run publishes its complete output or nothing
+
+
+@pytest.mark.parametrize("fault, code", [
+    pytest.param(lambda: NumericRangeError("simulated"), 3, id="numeric"),
+    pytest.param(lambda: OSError(errno.ENOSPC, "No space left on device"), 2, id="os"),
+    pytest.param(KeyboardInterrupt, None, id="interrupt"),
+])
+@pytest.mark.parametrize("where", ["new", "nested", "existing"])
+def test_writer_failing_halfway_leaves_nothing(tmp_path, capsys, monkeypatch, fault,
+                                               code, where):
+    # The CSV export writes one replication file and then fails: neither a
+    # new --out, nor a staging directory, nor a parent the run made is
+    # left, and an existing empty --out stays empty.
+    cfg = sheet_config(tmp_path)
+    out = tmp_path / "new" / "deeper" / "o" if where == "nested" else tmp_path / "o"
+    if where == "existing":
+        out.mkdir()
+    before = set(tmp_path.iterdir())
+
+    def write_one_then_fail(values, window, paths):
+        Path(paths[0]).write_text("partial")
+        raise fault()
+
+    monkeypatch.setattr(gaussian, "write_csvs", write_one_then_fail)
+    argv = ["simulate", "--config", cfg, "--out", str(out)]
+    if code is None:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out " if code == 2 else "numeric/window error")
+    assert set(tmp_path.iterdir()) == before
+    if where == "existing":
+        assert list(out.iterdir()) == []
+
+
+def test_interrupt_while_moving_into_existing_out_leaves_it_empty(tmp_path, monkeypatch):
+    # The outputs are moved into an existing --out one by one; an interrupt
+    # after some of them are moved takes those back out.
+    cfg = sheet_config(tmp_path)
+    out = tmp_path / "o"
+    out.mkdir()
+    replace = os.replace
+    calls = []
+
+    def replace_twice_then_interrupt(src, dst):
+        calls.append(dst)
+        if len(calls) > 2:
+            raise KeyboardInterrupt
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_twice_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--config", cfg, "--out", str(out)])
+    assert len(calls) == 3 and list(out.iterdir()) == []
+
+
+def test_existing_out_keeps_its_inode_and_mode_in_a_read_only_parent(tmp_path, monkeypatch):
+    # An existing empty --out is filled in place, never replaced: its inode,
+    # mode and setgid bit stay, its parent is not written (a directory made
+    # ahead of time in a read-only parent) and it is never renamed (a mount
+    # point, where rename fails with EBUSY).
+    cfg = sheet_config(tmp_path)
+    parent = tmp_path / "ro"
+    out = parent / "o"
+    out.mkdir(parents=True)
+    out.chmod(0o2751)
+    before = out.stat()
+
+    def refuse(self, target):
+        raise OSError(errno.EBUSY, "Device or resource busy", str(self))
+
+    monkeypatch.setattr(Path, "rename", refuse)
+    parent.chmod(0o555)
+    try:
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in parent.iterdir()) == ["o"]
+    finally:
+        parent.chmod(0o755)
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert stat.S_IMODE(after.st_mode) == 0o2751
+    assert "resolved_config.json" in {p.name for p in out.iterdir()}
+    assert not [p for p in out.iterdir() if p.name.startswith(".")]
+
+
+def test_published_out_has_the_mode_of_mkdir(tmp_path):
+    cfg = sheet_config(tmp_path)
+    old = os.umask(0o027)
+    try:
+        os.mkdir(tmp_path / "ref")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "o").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "ref").stat().st_mode) == 0o750
+
+
+def test_out_dot_in_empty_working_directory(tmp_path, monkeypatch):
+    # The working directory is filled in place: the shell sitting in it
+    # sees the files, and its inode and mode stay.
+    cfg = sheet_config(tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    work.chmod(0o701)
+    before = work.stat()
+    monkeypatch.chdir(work)
+    assert main(["simulate", "--config", cfg, "--out", "."]) == 0
+    assert os.path.exists("manifest.json") and os.path.exists("resolved_config.json")
+    after = work.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert not [name for name in os.listdir(".") if name.startswith(".")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json", "work"]
+
+
+@pytest.mark.parametrize("how", ["proc", "rename"])
+def test_out_oserror_exits_2_and_leaves_nothing(tmp_path, capsys, monkeypatch, how):
+    # An OSError while --out is made, filled or renamed is a config error,
+    # not a traceback, and the staging sibling is removed.
+    cfg = sheet_config(tmp_path)
+    if how == "proc":
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs a /proc file system")
+        out = "/proc/self/newdir"
+    else:
+        out = str(tmp_path / "o")
+
+        def refuse(self, target):
+            raise PermissionError(errno.EACCES, "Permission denied", str(target))
+
+        monkeypatch.setattr(Path, "rename", refuse)
+    before = set(tmp_path.iterdir())
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {out}: ") and "Traceback" not in err
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_failed_check_still_publishes_its_report(tmp_path, capsys):
+    batch = make_batch(tmp_path, reps=60)
+    out = tmp_path / "rep"
+    assert main(["stats", "--batch", batch, "--check", "stationarity", "--shift", "2,2",
+                 "--out", str(out)]) == 4
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json",
+                                                      "stats_report.json"]
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+
+# ---------------------------------------------------------------------------
 # broken configs (property)
 
 
@@ -1021,6 +1182,186 @@ def test_broken_config_exits_2_or_3_before_writing(command, data):
         code, out = run_config(cfg, command, Path(tmp))
         assert code in (2, 3)
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed transform and stats inputs (property)
+
+
+def parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+# A CSV cell that Python's float (and so int) refuses, or a non-finite one.
+BAD_CELLS = (st.sampled_from(["nan", "inf", "-inf", "1e999", "0x1", ""])
+             | st.text(max_size=4).filter(lambda c: not parses_as_float(c)))
+SIDECAR_KEYS = ["N", "n", "lo", "hi", "clock"]
+MANIFEST_KEYS = ["window", "clock", "n", "R", "seed", "layout"]
+# The argv of a run whose inputs are in directory {d}.
+INPUT_ARGV = {
+    "transform": ["transform", "--input", "{d}/f.csv", "--theta", "{d}/theta.json",
+                  "--chain", "Linv"],
+    "stats": ["stats", "--batch", "{d}", "--check", "increment-stationarity",
+              "--shift", "1,1"],
+}
+
+
+@functools.cache
+def valid_inputs(command: str) -> dict:
+    """File name -> bytes of the inputs of a valid transform or stats run:
+    a field on a 3x3 window with n = 2 and its sidecar, or a 400-replication
+    sheet batch (manifest.json and values.npy)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        if command == "transform":
+            save_field(FieldWindow(Window((-1, 0), (1, 2)),
+                                   np.random.default_rng(3).normal(size=(3, 3, 2)),
+                                   "exponential"), d / "f.csv")
+            ThetaTuple([np.diag([0.9, 1.2]), np.diag([1.1, 1.0])]).save(d / "theta.json")
+        else:
+            make_batch(d, name="b")
+            d = d / "b"
+        return {name: (d / name).read_bytes() for name in (
+            ["f.csv", "f.json", "theta.json"] if command == "transform"
+            else ["manifest.json", "values.npy"])}
+
+
+def run_inputs(command: str, files: dict) -> tuple:
+    """Write ``files`` into a new directory and run ``command`` on them with
+    an --out there; ``(exit code, stderr, whether the directory holds
+    exactly the inputs afterwards)``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, data in files.items():
+            (d / name).write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*(a.format(d=d) for a in INPUT_ARGV[command]),
+                         "--out", str(d / "out")])
+        return code, err.getvalue(), sorted(p.name for p in d.iterdir()) == sorted(files)
+
+
+def break_field(data, files: dict) -> None:
+    """One change to the field CSV or its sidecar that makes the pair invalid."""
+    lines = files["f.csv"].decode().splitlines()
+    side = json.loads(files["f.json"])
+    how = data.draw(st.sampled_from(["cell", "site", "short", "long", "drop", "repeat",
+                                     "header", "no-key", "key", "not-object", "cut"]))
+    i = data.draw(st.integers(1, len(lines) - 1))
+    cells = lines[i].split(",")
+    if how == "cell":
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(BAD_CELLS)
+    elif how == "site":
+        axis = data.draw(st.integers(0, 1))
+        cells[axis] = str(data.draw(st.integers(max_value=side["lo"][axis] - 1)
+                                    | st.integers(min_value=side["hi"][axis] + 1)))
+    elif how == "short":
+        cells.pop()
+    elif how == "long":
+        cells.append("0.5")
+    elif how == "drop":
+        del lines[i]
+    elif how == "repeat":
+        lines.insert(data.draw(st.integers(1, len(lines))), lines[i])
+    elif how == "header":
+        names = lines[0].split(",")
+        k = data.draw(st.integers(0, len(names) - 1))
+        names[k] = data.draw(st.text(max_size=4).filter(lambda c: c.strip() != names[k]))
+        lines[0] = ",".join(names)
+    elif how == "no-key":
+        del side[data.draw(st.sampled_from(SIDECAR_KEYS))]
+    elif how == "key":
+        key = data.draw(st.sampled_from(SIDECAR_KEYS))
+        old = side[key]
+        side[key] = data.draw((JSON_VALUES | st.lists(st.integers(), max_size=3)).filter(
+            lambda v: v != old and v not in CLOCKS))
+    elif how == "not-object":
+        side = data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    if how in ("cell", "site", "short", "long"):
+        lines[i] = ",".join(cells)
+    files["f.csv"] = "\n".join(lines).encode() + b"\n"
+    files["f.json"] = json.dumps(side).encode()
+    if how == "cut":
+        text = files["f.json"]
+        files["f.json"] = text[:data.draw(st.integers(0, len(text) - 1))]
+
+
+def same_shape_window(value, shape: tuple) -> bool:
+    try:
+        return Window.from_dict(value).shape == shape
+    except ValueError:
+        return False
+
+
+def break_batch(data, files: dict) -> None:
+    """One change to a batch's manifest or values.npy that makes it invalid."""
+    man = json.loads(files["manifest.json"])
+    raw = bytearray(files["values.npy"])
+    how = data.draw(st.sampled_from(["no-key", "key", "not-object", "cut-manifest",
+                                     "cut-npy", "magic", "non-finite"]))
+    if how == "no-key":
+        del man[data.draw(st.sampled_from(MANIFEST_KEYS))]
+    elif how == "key":
+        key = data.draw(st.sampled_from(MANIFEST_KEYS))
+        old, shape = man[key], Window.from_dict(man["window"]).shape
+        invalid = {
+            "seed": lambda v: not isinstance(v, int) or isinstance(v, bool) or v < 0,
+            "clock": lambda v: v not in CLOCKS,
+            "window": lambda v: not same_shape_window(v, shape),
+        }.get(key, lambda v: v != old)
+        man[key] = data.draw((JSON_VALUES | st.integers(-3, 3)
+                              | st.fixed_dictionaries({"lo": st.lists(st.integers(-3, 3)),
+                                                       "hi": st.lists(st.integers(-3, 3))})
+                              ).filter(invalid))
+    elif how == "not-object":
+        man = data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    elif how == "cut-npy":
+        del raw[data.draw(st.integers(0, len(raw) - 1)):]
+    elif how == "magic":
+        k = data.draw(st.integers(0, 7))
+        raw[k] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[k]))
+    elif how == "non-finite":
+        start = len(raw) - 8 * data.draw(st.integers(1, (len(raw) - 128) // 8))
+        raw[start:start + 8] = struct.pack("<d", data.draw(
+            st.sampled_from([float("nan"), float("inf"), -float("inf")])))
+    files["manifest.json"] = json.dumps(man).encode()
+    files["values.npy"] = bytes(raw)
+    if how == "cut-manifest":
+        text = files["manifest.json"]
+        files["manifest.json"] = text[:data.draw(st.integers(0, len(text) - 1))]
+
+
+@pytest.mark.parametrize("command", ["transform", "stats"])
+def test_property_valid_inputs_run(command):
+    code, err, _ = run_inputs(command, valid_inputs(command))
+    assert code == 0, err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["transform", "stats"]), data=st.data())
+def test_malformed_input_exits_2_or_3_and_leaves_nothing(command, data):
+    # One invalidating change to a transform input (a field CSV line or a
+    # sidecar key or value) or to a stats input (a manifest entry, or a
+    # truncated or garbled values.npy) is refused with exit 2 or 3 and a
+    # "config error:" or "numeric/window error:" line: no traceback, no
+    # --out and no staging directory.
+    files = dict(valid_inputs(command))
+    (break_field if command == "transform" else break_batch)(data, files)
+    code, err, untouched = run_inputs(command, files)
+    assert code in (2, 3), err
+    assert err.startswith(("config error: ", "numeric/window error: ")), err
+    assert "Traceback" not in err
+    assert untouched
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -713,6 +715,38 @@ def test_read_csv_names_the_file_and_line(tmp_path, fault, error, message):
     _edit_csv(path, fault)
     with pytest.raises(error, match=message):
         read_csv(path, Window((0,), (3,)), 1)
+
+
+@pytest.mark.parametrize("window, n, error, message", [
+    (Window((0,), (10**12,)), 1, WindowError,
+     "^f.csv: CSV is too short for 1000000000001 window sites$"),
+    (Window((0,), (1,)), 10**6, DimensionMismatchError,
+     r"^f.csv: CSV header \['t_1', 'x_1'\] does not match expected "
+     r"t_1..t_1, x_1..x_1000000$"),
+], ids=["window", "n"])
+def test_read_csv_refuses_geometry_the_file_cannot_hold(tmp_path, window, n, error,
+                                                        message):
+    # A window or component count (from a sidecar or a manifest) far beyond
+    # what the file holds is refused from its header and size, before
+    # anything the size of the window or n is built.
+    path = tmp_path / "f.csv"
+    path.write_text("t_1,x_1\n0,1.0\n1,2.0\n")
+    with pytest.raises(error, match=message):
+        read_csv(path, window, n)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_csv_reads_a_pipe(tmp_path):
+    # A pipe reports size 0, so the size check applies to regular files only.
+    path = tmp_path / "f.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=("t_1,x_1\n0,1.0\n1,2.0\n",))
+    writer.start()
+    try:
+        x = read_csv(path, Window((0,), (1,)), 1)
+    finally:
+        writer.join()
+    assert x.values.tolist() == [[1.0], [2.0]]
 
 
 def test_write_csvs_refuses_non_finite_before_opening_any_file(tmp_path):
