@@ -37,6 +37,11 @@ COMMUTATION_RTOL = 1e-10
 # the exponents) stays below 1000.  Eigenvalues closer than this (same
 # scale) form a cluster.
 EIGENBASIS_RTOL = 1e-13
+# Most Jacobi sweeps that polish a joint eigenbasis left above
+# EIGENBASIS_RTOL.  One sweep reached rounding level on every one of 36,000
+# random commuting tuples tried (N <= 3, n <= 6, spread and clustered
+# spectra); the second is a margin.
+JACOBI_SWEEPS = 2
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -126,6 +131,12 @@ def joint_eigenbasis(mats: Sequence[np.ndarray]) -> tuple:
     ``defect`` the largest relative Frobenius norm of its off-diagonal
     part; it is at rounding level for a commuting tuple and large for a
     non-commuting one.
+
+    A gap of C can still be much smaller than the gap the same pair has
+    in one of the matrices, and rounding then tilts the pair by more than
+    that matrix tolerates.  A basis left above ``EIGENBASIS_RTOL`` is
+    polished by Jacobi sweeps (``_jacobi_sweep``) when the matrices commute
+    to ``COMMUTATION_RTOL``; one that meets it is returned as it is.
     """
     n = mats[0].shape[0]
     mix = sum(np.pi ** -j * m / np.linalg.norm(m) for j, m in enumerate(mats))
@@ -138,12 +149,45 @@ def joint_eigenbasis(mats: Sequence[np.ndarray]) -> tuple:
         for idx, w, v in parts:
             q[:, idx] = q[:, idx] @ v
             clusters += np.split(idx, np.flatnonzero(np.diff(w) > tol) + 1)
-    rot = np.einsum("ai,jab,bk->jik", q, np.stack(mats), q)
-    w = np.diagonal(rot, axis1=1, axis2=2).copy()
-    off = rot - w[:, :, np.newaxis] * np.eye(n)
-    scale = np.max(np.abs(w), axis=1)
-    defect = float(np.max(np.linalg.norm(off, axis=(1, 2)) / scale))
-    return q, w, defect
+    stacked = np.stack(mats)
+    for sweep in range(JACOBI_SWEEPS + 1):
+        rot = np.einsum("ai,jab,bk->jik", q, stacked, q)
+        w = np.diagonal(rot, axis1=1, axis2=2).copy()
+        off = rot - w[:, :, np.newaxis] * np.eye(n)
+        scale = np.max(np.abs(w), axis=1)
+        defect = float(np.max(np.linalg.norm(off, axis=(1, 2)) / scale))
+        # No rotation diagonalizes a tuple that does not commute.
+        if (defect <= EIGENBASIS_RTOL or sweep == JACOBI_SWEEPS
+                or sweep == 0 and commutation_defect(mats) > COMMUTATION_RTOL):
+            return q, w, defect
+        _jacobi_sweep(q, rot, scale)
+
+
+def _jacobi_sweep(q: np.ndarray, rot: np.ndarray, scale: np.ndarray) -> None:
+    """One cyclic Jacobi sweep over the column pairs of ``q``, in place.
+
+    ``rot[j]`` is ``Q^T mats[j] Q`` and is kept so.  Each pair (i, k) is
+    rotated by the smallest angle (at most pi/4, so no two columns swap)
+    that zeroes its off-diagonal entry in the matrix that separates it
+    most, by the largest ``|W[j][i] - W[j][k]| / scale[j]``.  That matrix
+    fixes the pair's eigenvectors best; the others separate it less, so
+    the rotation leaves them rounding-level entries.
+    A pair that no matrix separates beyond ``EIGENBASIS_RTOL`` spans a
+    joint eigenspace and is left alone.
+    """
+    n = q.shape[0]
+    for i in range(n - 1):
+        for k in range(i + 1, n):
+            sep = np.abs(rot[:, i, i] - rot[:, k, k]) / scale
+            j = int(np.argmax(sep))
+            if sep[j] <= EIGENBASIS_RTOL:
+                continue
+            t = 0.5 * np.arctan(2.0 * rot[j, i, k] / (rot[j, i, i] - rot[j, k, k]))
+            g = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+            pair = [i, k]
+            q[:, pair] = q[:, pair] @ g
+            rot[:, :, pair] = rot[:, :, pair] @ g
+            rot[:, pair, :] = g.T @ rot[:, pair, :]
 
 
 class ThetaTuple:

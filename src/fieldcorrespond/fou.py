@@ -9,7 +9,10 @@ Hurst spec, Theta_j = diag(H_j^(1), ..., H_j^(n)).  The derived tuple is
 never user-supplied: for the second kind the scaling exponents ARE the
 Hurst indices, and the mixing matrix must commute with the clock
 exponentials for the pullback to stay Gaussian-consistent (checked at the
-axis unit vectors).
+axis unit vectors).  Because it commutes, the pullback is folded into the
+sampler: e^{-t*Theta} = prod_j diag_k(e^{-t_j H_j^(k)}) scales row t_j of
+component k's axis-j Gram factor, and no Lamperti pass runs.  Batches of
+the second kind carry ``"solver": FOLDED_SOLVER`` in their manifest.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ from .transforms import (
 )
 
 MIXING_COMMUTE_RTOL = 1e-10
+# Tag of the second kind's solver, recorded in its batch manifests: the
+# inverse Lamperti map is folded into the sampler's per-axis factors.
+FOLDED_SOLVER = "folded-v1"
 
 
 def derive_theta(hurst: HurstSpec) -> ThetaTuple:
@@ -121,20 +127,25 @@ def _noise_window(cfg: FouConfig) -> Window:
 
 
 def _sampler(cfg: FouConfig) -> SheetSampler:
-    """The first kind's integer-clock noise, or the second kind's exponential-clock sheet."""
+    """The first kind's integer-clock noise, or the second kind's field: the
+    exponential-clock sheet with e^{-t*Theta} folded into its factors."""
     if cfg.kind == "first":
         return SheetSampler(cfg.mixing, cfg.hurst, _noise_window(cfg), "integer")
-    return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential")
+    sampler = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential")
+    sampler._scale_rows([np.exp(-np.outer(cfg.hurst.H[:, j], np.arange(lo, hi + 1)))
+                         for j, (lo, hi) in enumerate(zip(cfg.window.lo, cfg.window.hi))])
+    return sampler
 
 
 def _solve(cfg: FouConfig, draws: np.ndarray) -> tuple:
-    """(values, field metadata) on cfg.window from a (count, *sampler window, n) block."""
-    chain = [transform_record("Linv")]
-    if cfg.kind == "first":
-        depth = cfg.policy.resolve(cfg.theta)
-        draws = m_inverse_values(draws, _noise_window(cfg), cfg.theta, depth, cfg.window)
-        chain.insert(0, transform_record("Minv", None, list(depth),
-                                         tail_bound_value(cfg.theta, depth)))
+    """(values, field metadata) on cfg.window from a (count, *sampler window, n)
+    block; a second-kind block is already the field."""
+    if cfg.kind == "second":
+        return draws, {"transforms": [transform_record("Linv")]}
+    depth = cfg.policy.resolve(cfg.theta)
+    draws = m_inverse_values(draws, _noise_window(cfg), cfg.theta, depth, cfg.window)
+    chain = [transform_record("Minv", None, list(depth), tail_bound_value(cfg.theta, depth)),
+             transform_record("Linv")]
     return lamperti_values(draws, cfg.window, cfg.theta, -1), {"transforms": chain}
 
 
@@ -153,8 +164,11 @@ def fou_field(cfg: FouConfig, replication: int = 0) -> FieldWindow:
     """Replication ``replication`` of ``fou_batch(cfg)``, solved as a block of one.
 
     The first kind equals ``stationary_solution`` of an ``Ar1System`` driven
-    by ``fou_noise(cfg, replication)``; the second kind equals
-    ``lamperti_inv`` of the exponential-clock sheet.
+    by ``fou_noise(cfg, replication)``.  The second kind equals
+    ``lamperti_inv`` of the exponential-clock sheet to rounding (to the
+    mixing matrix's commutation defect, at most MIXING_COMMUTE_RTOL, when A
+    commutes with the clock only to that tolerance): it applies
+    e^{-t*Theta} to the sheet's per-axis factors, before A mixes.
     """
     y = _sampler(cfg).sample(cfg.seed, replication)
     values, meta = _solve(cfg, y.values[np.newaxis])
@@ -167,8 +181,8 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
     The per-axis Gram factors are computed once and shared across
     replications; the draws follow the sampler's randomness contract
     (``gaussian`` module docstring).  Replications are drawn in the sampler's blocks
-    (``SheetSampler.blocks``) and each block is solved at once into one
-    preallocated array.  Replication r equals ``fou_field(cfg, r)`` byte
+    (``SheetSampler.blocks``) into one preallocated array, and a first-kind
+    block is solved at once.  Replication r equals ``fou_field(cfg, r)`` byte
     for byte, metadata included.
     """
     values = empty_values(cfg.replications, cfg.window, cfg.hurst.n)
@@ -188,4 +202,6 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
         "transforms": TRANSFORMS_VERSION,
         "sampler": SAMPLER_VERSION,
     }
+    if cfg.kind == "second":
+        config["solver"] = FOLDED_SOLVER
     return SampleBatch(cfg.seed, values, cfg.window, "integer", config, field_meta)

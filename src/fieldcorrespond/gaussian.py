@@ -183,14 +183,32 @@ def substream(seed: int, group: int) -> np.random.Generator:
     return _streams(seed)(group)
 
 
+class _Key:
+    """A seed sequence that hands Philox a key already hashed.
+
+    ``Philox(key=)`` also builds an unseeded ``SeedSequence``, which reads
+    OS entropy it never uses.  Seeded with this object instead, Philox
+    takes its key from ``generate_state`` and reads no entropy.
+    ``_streams`` registers it as a numpy ``ISeedSequence``; subclassing that
+    here would import ``numpy.random`` with this module.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self._key
+
+
 def _streams(seed: int):
     """The function from a group index to its generator under ``seed``, as
     ``substream`` defines it; the key is hashed once, not once per group."""
-    key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    np.random.bit_generator.ISeedSequence.register(_Key)
+    key = _Key(np.random.SeedSequence(int(seed)).generate_state(2, np.uint64))
 
     def stream(group: int) -> np.random.Generator:
         counter = np.array([0, 0, 0, int(group)], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+        return np.random.Generator(np.random.Philox(key, counter=counter))
 
     return stream
 
@@ -274,6 +292,16 @@ class SheetSampler:
                 factor_covariance(build_cov_matrix(pts, hurst.H[k, j:j + 1]))
                 for k in range(hurst.n)
             ]))
+
+    def _scale_rows(self, weights) -> None:
+        """Scale row i of ``_factors[j][k]`` by ``weights[j][k, i]``.
+
+        A private hook for the second-kind FOU.  The sampler then draws
+        ``A D B`` for the sheet ``A B``, where D scales component k at site
+        t by ``prod_j weights[j][k, t_j - lo_j]``; that is ``D A B`` when D
+        commutes with A.
+        """
+        self._factors = [f * w[:, :, np.newaxis] for f, w in zip(self._factors, weights)]
 
     @property
     def group_size(self) -> int:

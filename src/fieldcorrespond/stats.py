@@ -12,10 +12,32 @@ Degenerate comparisons (zero standard error) are flagged: they pass when
 the difference itself is exactly zero (e.g. a deterministic batch) and
 fail otherwise.  ``z_max`` must be a positive finite number
 (ConfigError otherwise).
+
+The stationarity, increment-stationarity and self-similarity checks
+compute their rows by one of two routes, picked from the shapes alone:
+
+* Rows: each comparison row d (R values) is formed and reduced on its own,
+  in blocks of ``ROW_BLOCK`` doubles.
+* Gram: a row needs only sum d and sum d^2, and for d = x_a - x_c or
+  d = x_a x_b - x_c x_e these are entries of a few matrices built once per
+  check with BLAS: the row sums, the Gram X X^T of the q value rows, the
+  Gram of their squares, and per shift P P^T with P = X_shifted * X_base.
+
+The Gram route costs about q^2 R multiply-adds and q^2 doubles, the row
+route about ten passes over R values per row; a check takes the Gram route
+when it needs at most ``GRAM_ENTRIES_PER_ROW`` Gram entries per row (small
+windows, such as q = 50 at R = 10^4), the rows otherwise (q = 512).  The
+Gram route's sum d^2 - (sum d)^2 / R cancels: a row where it is at most
+``GRAM_RTOL`` of the size of its terms, zero-variance rows included, is
+recomputed by the row route, so a constant difference still gets
+se == 0.0 exactly.  Elsewhere the two routes agree to rounding (about
+1e-14 of an SE on the estimates), not byte for byte; ``STATS_VERSION``
+tags this arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,12 +50,27 @@ from .errors import ConfigError, DimensionMismatchError, WindowError, check_thre
 from .fields import Window
 from .gaussian import HurstSpec, SampleBatch, as_mixing, fbs_cov, sheet_points
 
-# Tag of the SE arithmetic, recorded in resolved_config.json.
-STATS_VERSION = "closed-se-v1"
+# Tag of the comparison arithmetic, recorded in resolved_config.json.
+STATS_VERSION = "gram-v1"
 # Doubles in one block of comparison rows (a row holds one value per
 # replication): bounds the temporaries of the row reductions whatever the
 # replication count.
 ROW_BLOCK = 1 << 15
+# Route choice: a check takes the Gram route when its Gram entries number
+# at most this many per comparison row.  An entry costs one BLAS
+# multiply-add per replication, a row about ten numpy passes over its
+# replications; with OpenBLAS on one x86-64 core the two routes took the
+# same time at 45 to 70 entries per row, over windows of q = 30 to 512
+# rows and R = 2,000 to 10^4 replications.
+GRAM_ENTRIES_PER_ROW = 48
+# Doubles in one block of replications on the Gram route: bounds the
+# temporaries of its products whatever the replication count.
+GRAM_BLOCK = 1 << 15
+# A Gram-route row whose variance sum is at most this fraction of the size
+# of its terms is recomputed by the row route.  Rounding leaves a zero
+# variance within a few R * eps of that size, far below; a kept row has
+# lost at most 5 of the 16 digits of its variance.
+GRAM_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -158,11 +195,6 @@ def _stack(fields) -> tuple:
     return data, w, clock
 
 
-def _by_row(x: np.ndarray) -> np.ndarray:
-    """(R, ..., n) values as C-ordered (sites * n, R) rows, site-major."""
-    return np.ascontiguousarray(np.moveaxis(x, 0, -1)).reshape(-1, x.shape[0])
-
-
 def _part_rows(full: Window, part: Window, n: int) -> np.ndarray:
     """Indices, in the rows of ``full``, of the rows of ``part`` (site-major)."""
     offset = np.subtract(part.lo, full.lo)[:, np.newaxis]
@@ -209,47 +241,135 @@ def _comp_pairs(n: int):
     return list(itertools.combinations_with_replacement(range(n), 2))
 
 
-def _shift_rows(x, window, n, shift, tag, max_pairs=60, mapped=None) -> list:
-    """First/second moment comparison rows for one shift.
+def _shift_plan(window, n, shift, tag, max_pairs, sides=None) -> tuple:
+    """``(labels, a, c, i, j)``: the comparison rows of one shift.
 
-    ``x`` holds the batch as (sites * n, R) rows over ``window``; both
-    sides of every comparison are read from it by row index.  ``mapped``,
-    when given, replaces the base side by its own rows, one per base site
-    and component.
+    Rows index a (sites * n, R) array z of per-replication values.  Mean
+    row k compares z[a[k]] (shifted side) with z[c[k]] (base side);
+    product row p compares z[a[i[p]]] z[a[j[p]]] with z[c[i[p]]] z[c[j[p]]].
+    The rows (a, c) of the shifted and base sites are those in ``window``
+    unless ``sides`` gives them.
     """
     shift = tuple(int(v) for v in shift)
     base = _overlap(window, shift)
     sites = list(base.sites())
-    si = _part_rows(window, base.shifted(shift), n)
-    bx, bi = (x, _part_rows(window, base, n)) if mapped is None else (
-        mapped, np.arange(len(mapped)))
-    r = x.shape[1]
-
-    def diffs(sl):
-        d = x[si[sl]]
-        d -= bx[bi[sl]]
-        return d
-
-    mean, se = _mean_se(diffs, len(si), r)
-    labels = (f"{tag} mean s={shift} t={t} k={k + 1}" for t in sites for k in range(n))
-    rows = list(map(_diff_row, labels, mean, se))
-    pairs = [(a, b, k, l) for a, b in _site_pairs(len(sites), max_pairs)
+    a, c = sides or (_part_rows(window, base.shifted(shift), n), _part_rows(window, base, n))
+    pairs = [(s, t, k, l) for s, t in _site_pairs(len(sites), max_pairs)
              for k, l in _comp_pairs(n)]
-    i = np.array([a * n + k for a, _, k, _ in pairs])
-    j = np.array([b * n + l for _, b, _, l in pairs])
+    i = np.array([s * n + k for s, _, k, _ in pairs], dtype=np.intp)
+    j = np.array([t * n + l for _, t, _, l in pairs], dtype=np.intp)
+    # Each site and the shift are formatted once, not once per row.
+    at = [str(t) for t in sites]
+    mean, cov = f"{tag} mean s={shift} t=", f"{tag} cov s={shift} t="
+    labels = [f"{mean}{t} k={k + 1}" for t in at for k in range(n)]
+    labels += [f"{cov}{at[s]},{at[t]} k={k + 1},l={l + 1}" for s, t, k, l in pairs]
+    return labels, a, c, i, j
 
-    def products(sl):
-        d = x[si[i[sl]]]
-        d *= x[si[j[sl]]]
-        p = bx[bi[i[sl]]]
-        p *= bx[bi[j[sl]]]
-        d -= p
+
+def _row_stats(z, a, c, b=None, e=None) -> tuple:
+    """Means and SEs, row by row, of z[a] - z[c], or of z[a] z[b] - z[c] z[e]
+    when ``b`` and ``e`` are given; z holds one row per index."""
+    def rows(sl):
+        d = z[a[sl]]
+        if b is None:
+            d -= z[c[sl]]
+        else:
+            d *= z[b[sl]]
+            p = z[c[sl]]
+            p *= z[e[sl]]
+            d -= p
         return d
 
-    mean, se = _mean_se(products, len(pairs), r)
-    labels = (f"{tag} cov s={shift} t={sites[a]},{sites[b]} k={k + 1},l={l + 1}"
-              for a, b, k, l in pairs)
-    return rows + list(map(_diff_row, labels, mean, se))
+    return _mean_se(rows, len(a), z.shape[1])
+
+
+def _plan_rows(z, plan) -> tuple:
+    """Means and SEs of the mean rows, then the product rows, of a plan."""
+    _, a, c, i, j = plan
+    parts = (_row_stats(z, a, c), _row_stats(z, a[i], c[i], a[j], c[j]))
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
+def _gram_products(values, r, q, plans) -> tuple:
+    """``(sums, gram, gram_sq, crosses)`` of ``r`` replications of ``values``.
+
+    With X the (q, R) rows: the row sums, X X^T, (X*X)(X*X)^T, and per
+    plan P P^T with P = X[a] * X[c] row by row.  They are accumulated over
+    blocks of replications, each read as rows of at most ``GRAM_BLOCK``
+    doubles, so no temporary grows with R.
+    """
+    sums, gram, gram_sq = np.zeros(q), np.zeros((q, q)), np.zeros((q, q))
+    crosses = [np.zeros((len(a), len(a))) for _, a, _, _, _ in plans]
+    step = max(1, GRAM_BLOCK // q)
+    for start in range(0, r, step):
+        x = values(slice(start, start + step)).T.copy()
+        sums += x.sum(axis=1)
+        gram += x @ x.T
+        for (_, a, c, _, _), cross in zip(plans, crosses):
+            p = x[a]
+            p *= x[c]
+            cross += p @ p.T
+        np.square(x, out=x)
+        gram_sq += x @ x.T
+    return sums, gram, gram_sq, crosses
+
+
+def _gram_plan_rows(plan, r, sums, gram, gram_sq, cross, rows) -> tuple:
+    """Means and SEs of a plan's rows from the Gram products of R
+    replications (``_gram_products``), by the row route over ``rows()``,
+    the (q, R) rows, for those whose Gram variance is within rounding of
+    zero.
+
+    For d = x_a - x_c, sum d = sums[a] - sums[c] and sum d^2 =
+    gram[a, a] + gram[c, c] - 2 gram[a, c].  For d = x_a x_b - x_c x_e,
+    sum d = gram[a, b] - gram[c, e] and sum d^2 = gram_sq[a, b] +
+    gram_sq[c, e] - 2 cross[i, j].
+    """
+    _, a, c, i, j = plan
+    ai, aj, ci, cj = a[i], a[j], c[i], c[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.concatenate([sums[a] - sums[c], gram[ai, aj] - gram[ci, cj]])
+        outer = np.concatenate([gram[a, a] + gram[c, c], gram_sq[ai, aj] + gram_sq[ci, cj]])
+        cross = np.concatenate([gram[a, c], cross[i, j]])
+        mean = total / r
+        var = outer - 2.0 * cross - total * mean
+        # Every term of var is at most outer + 2 |cross| in size, so rounding
+        # leaves var within a few R eps of that; a row below GRAM_RTOL of it
+        # (zero variance, most digits cancelled, or an overflow) takes the
+        # row route.
+        bad = np.flatnonzero(~(var > GRAM_RTOL * (outer + 2.0 * np.abs(cross))))
+        se = np.sqrt(np.where(var > 0.0, var, 0.0) / (r * (r - 1)))
+    if len(bad):
+        m, z = len(a), rows()
+        mean_rows, prod_rows = bad[bad < m], bad[bad >= m] - m
+        mean[mean_rows], se[mean_rows] = _row_stats(z, a[mean_rows], c[mean_rows])
+        mean[m + prod_rows], se[m + prod_rows] = _row_stats(
+            z, ai[prod_rows], ci[prod_rows], aj[prod_rows], cj[prod_rows])
+    return mean, se
+
+
+def _compare(values, r, plans) -> list:
+    """The ComparisonRows of ``plans``, in order.
+
+    ``values(sl)`` returns the (replications sl, q) values, whose column k
+    is row index k of the plans.  The route follows from the shapes alone
+    (module docstring): Gram products when they cost less than the rows,
+    the rows otherwise.  The rows, all R values transposed to (q, R), are
+    built only when a route needs them.
+    """
+    rows = functools.cache(lambda: np.ascontiguousarray(values(slice(None)).T))
+    q = values(slice(0, 1)).shape[1]
+    n_rows = sum(len(a) + len(i) for _, a, _, i, _ in plans)
+    entries = 2 * q * q + sum(len(a) ** 2 for _, a, _, _, _ in plans)
+    if entries <= GRAM_ENTRIES_PER_ROW * n_rows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums, gram, gram_sq, crosses = _gram_products(values, r, q, plans)
+        stats = [_gram_plan_rows(plan, r, sums, gram, gram_sq, cross, rows)
+                 for plan, cross in zip(plans, crosses)]
+    else:
+        stats = [_plan_rows(rows(), plan) for plan in plans]
+    return [row for (labels, *_), (mean, se) in zip(plans, stats)
+            for row in map(_diff_row, labels, mean, se)]
 
 
 def _finish(check: str, rows, z_max: float, threshold: float = None) -> EnsembleReport:
@@ -276,10 +396,10 @@ def stationarity_check(fields, shifts, z_max: float = 3.0, max_pairs: int = 60) 
     """
     z_max = check_threshold(z_max, "z_max")
     data, window, _ = _stack(fields)
-    x, n = _by_row(data), data.shape[-1]
-    rows = [row for s in shifts
-            for row in _shift_rows(x, window, n, s, "stat", max_pairs)]
-    return _finish("stationarity", rows, z_max)
+    n = data.shape[-1]
+    plans = [_shift_plan(window, n, s, "stat", max_pairs) for s in shifts]
+    flat = data.reshape(len(data), -1)
+    return _finish("stationarity", _compare(lambda sl: flat[sl], len(flat), plans), z_max)
 
 
 def increment_stationarity_check(fields, shifts, z_max: float = 3.0, max_pairs: int = 60) -> EnsembleReport:
@@ -289,14 +409,16 @@ def increment_stationarity_check(fields, shifts, z_max: float = 3.0, max_pairs: 
     if any(s < 2 for s in window.shape):
         raise WindowError(f"window {window} too small for increments")
     r, n = data.shape[0], data.shape[-1]
-    x = np.moveaxis(data, 0, -1)
-    for axis in range(window.N):
-        x = np.diff(x, axis=axis)
-    x = np.ascontiguousarray(x).reshape(-1, r)
     inc_window = Window(tuple(l + 1 for l in window.lo), window.hi)
-    rows = [row for s in shifts
-            for row in _shift_rows(x, inc_window, n, s, "incr", max_pairs)]
-    return _finish("increment-stationarity", rows, z_max)
+
+    def values(sl):
+        x = data[sl]
+        for axis in range(window.N):
+            x = np.diff(x, axis=axis + 1)
+        return x.reshape(len(x), -1)
+
+    plans = [_shift_plan(inc_window, n, s, "incr", max_pairs) for s in shifts]
+    return _finish("increment-stationarity", _compare(values, r, plans), z_max)
 
 
 def self_similarity_check(fields, shift, theta: ThetaTuple, z_max: float = 3.0,
@@ -318,12 +440,26 @@ def self_similarity_check(fields, shift, theta: ThetaTuple, z_max: float = 3.0,
     shift = tuple(int(v) for v in shift)
     r, n = data.shape[0], data.shape[-1]
     base = _overlap(window, shift)
-    # Each replication's base values, (sites, n), times e^{s*Theta}^T.
-    sl = tuple(slice(a - b, a - b + m) for a, b, m in zip(base.lo, window.lo, base.shape))
-    mapped = data[(slice(None),) + sl].reshape(r, -1, n) @ theta.exp(shift).T
-    rows = _shift_rows(_by_row(data), window, n, shift, "selfsim", max_pairs,
-                       _by_row(mapped))
-    return _finish("self-similarity", rows, z_max)
+
+    def slab(part):
+        sl = tuple(slice(a - b, a - b + m) for a, b, m in zip(part.lo, window.lo, part.shape))
+        return data[(slice(None),) + sl]
+
+    shifted, based, e = slab(base.shifted(shift)), slab(base), theta.exp(shift).T
+    q = base.volume * n
+
+    def values(sl):
+        # The shifted sites' values, then the base sites' values of every
+        # replication, as one (replications * sites, n) matrix, times
+        # e^{s*Theta}^T.
+        part = shifted[sl]
+        mapped = based[sl].reshape(-1, n) @ e
+        return np.concatenate([part.reshape(len(part), q), mapped.reshape(len(part), q)],
+                              axis=1)
+
+    plan = _shift_plan(window, n, shift, "selfsim", max_pairs,
+                       (np.arange(q), np.arange(q, 2 * q)))
+    return _finish("self-similarity", _compare(values, r, [plan]), z_max)
 
 
 def fidelity_check(fields, hurst: HurstSpec, mixing, n_pairs: int = 10,
@@ -394,14 +530,15 @@ def empirical_moments(fields, sites=None) -> MomentSummary:
     if r < 3:
         raise ConfigError("moment summary needs at least 3 replications")
     n = data.shape[-1]
-    if sites is None:
-        sites = list(window.sites())
-    sites = [tuple(int(v) for v in t) for t in sites]
-    idx = [window.index(t) for t in sites]
-    d = np.stack([data[(slice(None),) + i] for i in idx], axis=1)  # (R, m, n)
+    every = list(window.sites())
+    sites = every if sites is None else [tuple(int(v) for v in t) for t in sites]
     m = len(sites)
     q = m * n
-    flat = d.reshape(r, q)
+    if sites == every:
+        flat = data.reshape(r, q)
+    else:
+        idx = [window.index(t) for t in sites]
+        flat = np.stack([data[(slice(None),) + i] for i in idx], axis=1).reshape(r, q)
     mean = flat.mean(axis=0)
     _, mean_se = _mean_se(lambda sl: flat[:, sl].T.copy(), q, r)
     centered = flat - mean

@@ -270,6 +270,28 @@ def test_joint_eigenbasis_clustered_spectra(rng):
     assert sorted(map(tuple, np.round(w.T, 12))) == sorted(map(tuple, np.array(spectra).T))
 
 
+def commuting_tuple(seed, N, n):
+    """The spread-spectrum tuple of ``property_theta`` in test_transforms."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    mats = [(q * rng.uniform(0.4, 1.4, size=n)) @ q.T for _ in range(N)]
+    return [(m + m.T) / 2.0 for m in mats]
+
+
+@pytest.mark.parametrize("seed,N,n", [(39, 2, 3), (967, 3, 6), (1421, 3, 6)])
+def test_joint_eigenbasis_polishes_a_small_gap_of_the_combination(seed, N, n):
+    # Exactly commuting up to rounding, with well separated spectra, but a
+    # pair whose gap in the fixed combination C is far below its gap in
+    # one matrix: eigh of C alone leaves a defect above EIGENBASIS_RTOL.
+    mats = commuting_tuple(seed, N, n)
+    assert commutation_defect(mats) < 1e-15
+    q, w, defect = joint_eigenbasis(mats)
+    assert defect <= EIGENBASIS_RTOL
+    assert_joint_basis(mats, q, w)
+    theta = ThetaTuple(mats)
+    assert theta.eigenbasis()[1].tobytes() == w.tobytes()
+
+
 def test_joint_eigenbasis_scalar_tuple():
     mats = [0.3 * np.eye(3), 0.7 * np.eye(3)]
     q, w, defect = joint_eigenbasis(mats)

@@ -256,6 +256,7 @@ def test_fou_batch_manifest_and_rerun():
     assert man["clock"] == "integer"
     assert man["transforms"] == "eigenbasis-v1"
     assert man["sampler"] == "kron-v3"
+    assert "solver" not in man
 
 
 def _explicit_route(cfg, r):
@@ -272,8 +273,11 @@ def test_fou_batch_equals_single_replications(monkeypatch, kind):
     # The batch draws and solves replications in blocks of 640 normals:
     # 16 replications of 2 x 20 sites for the second kind, 2 of 2 x 12 x 11
     # noise sites for the first, so 37 spans several blocks and a partial
-    # last one.  Each replication must equal the explicit single-field
-    # route and fou_field byte for byte, metadata included.
+    # last one.  Each replication must equal fou_field byte for byte and
+    # the explicit single-field route with the same metadata: byte for
+    # byte for the first kind, and for the second, which folds the
+    # inverse Lamperti map into the sampler's factors, to 1e-12 relative
+    # to the field's largest value.
     import fieldcorrespond.gaussian as gaussian_module
 
     monkeypatch.setattr(gaussian_module, "DRAW_BLOCK", 640)
@@ -287,10 +291,16 @@ def test_fou_batch_equals_single_replications(monkeypatch, kind):
     batch = fou_batch(cfg)
     assert batch.replications == 37
     for r, f in enumerate(batch.fields):
-        for one in (_explicit_route(cfg, r), fou_field(cfg, r)):
-            assert f.values.tobytes() == one.values.tobytes()
-            assert f.meta == one.meta
-            assert f.clock == one.clock and f.window == one.window
+        explicit, one = _explicit_route(cfg, r), fou_field(cfg, r)
+        assert f.values.tobytes() == one.values.tobytes()
+        if kind == "first":
+            assert f.values.tobytes() == explicit.values.tobytes()
+        else:
+            gap = np.max(np.abs(f.values - explicit.values))
+            assert gap <= 1e-12 * np.max(np.abs(explicit.values))
+        for other in (explicit, one):
+            assert f.meta == other.meta
+            assert f.clock == other.clock and f.window == other.window
 
 
 def test_fou_batch_save_load(tmp_path):
@@ -302,6 +312,7 @@ def test_fou_batch_save_load(tmp_path):
 
     back = load_batch(tmp_path)
     assert back.config["kind"] == "second"
+    assert back.config["solver"] == "folded-v1"
     for a, b in zip(batch.fields, back.fields):
         np.testing.assert_array_equal(a.values, b.values)
 

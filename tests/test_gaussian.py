@@ -242,15 +242,21 @@ def test_substream_counter_layout():
 
 def test_sampling_hashes_the_seed_once():
     # blocks() and sample_many derive the stream key once per call, not
-    # once per group (G = 1 here, so ten groups).
+    # once per group (G = 1 here, so ten groups), and no group stream
+    # draws OS entropy: numpy's SeedSequence reads it through
+    # bit_generator.randbits.
     sampler = _identity_sampler(1, Window((0,), (3,)))
     want = [substream(5, g).standard_normal(4).tobytes() for g in range(10)]
     with mock.patch.object(gaussian_module, "DRAW_BLOCK", 4), \
-            mock.patch.object(np.random, "SeedSequence", wraps=np.random.SeedSequence) as seq:
+            mock.patch.object(np.random, "SeedSequence", wraps=np.random.SeedSequence) as seq, \
+            mock.patch.object(np.random.bit_generator, "randbits",
+                              wraps=np.random.bit_generator.randbits) as entropy:
         blocks = [v.tobytes() for _, v in sampler.blocks(5, 10)]
         assert seq.call_count == 1
         many = [f.values.tobytes() for f in sampler.sample_many(5, range(10))]
         assert seq.call_count == 2
+        substream(5, 3)
+        assert entropy.call_count == 0
     assert blocks == many == want
 
 

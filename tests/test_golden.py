@@ -3,6 +3,8 @@
 The manifest tag ``kron-v3`` promises the same draws for a given seed
 whatever the code path that produces them.  These tests pin, as sha256
 digests, the bytes of two sheet batches and of one batch of each FOU kind.
+The second kind's values are those of its ``folded-v1`` solver, and the
+stats digests those of stats ``gram-v1``.
 
 Each case pins three digests:
 
@@ -96,12 +98,12 @@ GOLDEN = {
     "fou-second": {
         "normals": "28e7c5d6ac59bb28ebddcdcc750469f8d108f52a5d7d7d7fff487d67dec8bf13",
         "factors": "cb081ed9721359f9f2c0510214fc8b5fb0d9264841a20544458ad039d2bdbb87",
-        "values": "3c48960b461a3a9e93ad104fee421d213c0bb48e8c62a48ad5b1705434d7c2b6",
+        "values": "3a413e3bb0346640045ca133959634d4285d4958e071a42121b2c0b1e106c00f",
     },
     "fou-second-large": {
         "normals": "7e96f69c2ef4a5507d48bc535f2ce4a95d0f2de2fd3a142a204a8b3347bb6784",
         "factors": "eb0007102a6be13557213a94b9256f3f649eb0d16dfd863d6099812de8ad2973",
-        "values": "6a1b1d4701ec9a7cecb2d0547bbd81c1d7cda391629563f2fe790b67138b2406",
+        "values": "538fe1d1f17825ea58e29418bf0136ea1f6db80fd93429e64191a34670849e9c",
     },
 }
 
@@ -156,12 +158,12 @@ STATS_CASES = {
 
 STATS_GOLDEN = {
     "fidelity": "be4e2ab5d1da641145af998a65ab8916db757bf8be80df440ce32d4ca58c1487",
-    "increment-stationarity": "915c6d0a9c6a20c8a6e7dff0b961bafe489b37be25fb596836dca425f730f5c9",
-    "moments": "65b8f81433e2f65a98c7466d2d06d1f2883fe938edb19eeef46326bf4f803e1f",
-    "moments-large": "6b514f1a1fec7a27317aa55299149917ab5f29fcbc3436dc2cb7394582d60c4c",
-    "self-similarity": "17bf25b82f3c85cb51e269c28d55b2425234dffae0cec68b710a71f62eb0a56a",
-    "stationarity": "88a7acb879c84a8765cb5bee1aafc580742a60332317830772fa7f5f432b16bd",
-    "stationarity-large": "71a6c29f974efe7287f8b7e86996b16db39cf5fd1fd9ee8af25844be8053559a",
+    "increment-stationarity": "64ca167ce2115469e713285cdefa7344e2c48cae77939ab2807b61cf846c9293",
+    "moments": "275b0291d2298c71b153ce513935d0a4b538079fd2740ec1966d3f1b2562dce1",
+    "moments-large": "e21c5384f43a5afa5c12ebdc6707d30efeb94bd45fc893e4e71a8af80163443c",
+    "self-similarity": "ab3b909801995e5054036da084ef2d578644493705db26501855b54a2579023c",
+    "stationarity": "c51d75b7f32363a6e12b6906894d216b6dd21aec910b457cad60cd2d0eeab4b5",
+    "stationarity-large": "5898597ae2116f295ffe79942d70e8dde42fe389e9bbe14318e7ad3a15a3cbbe",
 }
 
 

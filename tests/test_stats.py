@@ -5,15 +5,19 @@ hand-computed leave-one-out example; the checks themselves are exercised
 on batches whose pass/fail status is known by construction.
 """
 
+import hashlib
 import itertools
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import fieldcorrespond.stats as stats_module
@@ -22,6 +26,7 @@ from fieldcorrespond import (
     DimensionMismatchError,
     FieldWindow,
     HurstSpec,
+    SampleBatch,
     Window,
     bonferroni_threshold,
     derive_theta,
@@ -163,33 +168,59 @@ def test_stationarity_requires_shift_overlap(rng):
         stationarity_check(fields, [(5,)])
 
 
-def test_degenerate_rows_pass_when_identical(rng):
+def gram_route():
+    """A spy on the Gram route: its call count is nonzero when a check took it."""
+    return mock.patch.object(stats_module, "_gram_plan_rows",
+                             wraps=stats_module._gram_plan_rows)
+
+
+def check_identical_rows_pass(sites, gram):
     # A batch that is exactly constant along the shift direction: all
     # differences are identically zero, SEs vanish, and the check passes
     # with the degenerate flag raised.
-    w = Window((0,), (3,))
+    w = Window((0,), (sites - 1,))
     fields = []
     for r in range(12):
         v = float(r + 1)
-        fields.append(FieldWindow(w, np.full((4, 1), v)))
-    report = stationarity_check(fields, [(1,)])
+        fields.append(FieldWindow(w, np.full((sites, 1), v)))
+    with gram_route() as spy:
+        report = stationarity_check(fields, [(1,)])
+    assert bool(spy.call_count) == gram
     assert report.passed
     assert report.degenerate
     assert report.max_abs_z == 0.0
+    assert all(c.se == 0.0 and c.estimate == 0.0 for c in report.comparisons)
 
 
-def test_degenerate_rows_fail_when_offset(rng):
+def check_offset_rows_fail(sites, gram):
     # Constant per replication but different across sites: zero SE with a
     # nonzero difference must fail, not sneak through.
-    w = Window((0,), (1,))
+    w = Window((0,), (sites - 1,))
     fields = []
     for r in range(10):
-        vals = np.array([[1.0], [2.0]])
+        vals = np.arange(1.0, sites + 1.0)[:, np.newaxis]
         fields.append(FieldWindow(w, vals))
-    report = stationarity_check(fields, [(1,)])
+    with gram_route() as spy:
+        report = stationarity_check(fields, [(1,)])
+    assert bool(spy.call_count) == gram
     assert not report.passed
     assert report.max_abs_z == math.inf
     assert report.to_dict()["max_abs_z"] is None
+    assert report.comparisons[0].se == 0.0 and report.comparisons[0].estimate == 1.0
+
+
+# Windows of 4 and 2 sites take the Gram route, 100 sites the row route.
+def test_degenerate_rows_pass_when_identical():
+    check_identical_rows_pass(4, gram=True)
+
+
+def test_degenerate_rows_fail_when_offset():
+    check_offset_rows_fail(2, gram=True)
+
+
+def test_degenerate_rows_on_the_row_route():
+    check_identical_rows_pass(100, gram=False)
+    check_offset_rows_fail(100, gram=False)
 
 
 def test_stack_rejects_mixed_geometry(rng):
@@ -417,14 +448,85 @@ def loop_shift_rows(data, window, shift, max_pairs=60):
     return [(float(d.mean()), jackknife_se_mean(d)) for d in diffs]
 
 
-def test_stationarity_rows_equal_the_row_loop(rng):
-    w = Window((0, -1), (3, 2))
+def assert_rows_match(report, ref, gram):
+    """Rows equal to the per-row reference: byte for byte on the row route
+    and wherever the reference SE is 0; on the Gram route, estimates within
+    1e-10 SE and SEs within 1e-10 relative."""
+    assert len(report.comparisons) == len(ref)
+    for c, (est, se) in zip(report.comparisons, ref):
+        if not gram or se == 0.0:
+            assert (c.estimate, c.se) == (est, se), c.label
+        else:
+            assert abs(c.estimate - est) <= 1e-10 * se, c.label
+            assert abs(c.se - se) <= 1e-10 * se, c.label
+
+
+def check_rows_equal_the_row_loop(rng, hi, gram):
+    w = Window((0, -1), hi)
     fields = iid_batch(rng, w, 2, 37)
     data = np.stack([f.values for f in fields])
     shifts = [(1, 0), (0, 2), (2, 1)]
-    report = stationarity_check(fields, shifts, max_pairs=25)
+    with gram_route() as spy:
+        report = stationarity_check(fields, shifts, max_pairs=25)
+    assert bool(spy.call_count) == gram
     ref = [row for s in shifts for row in loop_shift_rows(data, w, s, max_pairs=25)]
+    assert_rows_match(report, ref, gram)
+
+
+def test_stationarity_rows_equal_the_row_loop(rng):
+    # A 4 x 4, n = 2 window: the Gram route.
+    check_rows_equal_the_row_loop(rng, (3, 2), gram=True)
+
+
+def test_stationarity_rows_equal_the_row_loop_on_the_row_route(rng):
+    # A 10 x 10, n = 2 window: the row route, byte for byte.
+    check_rows_equal_the_row_loop(rng, (9, 8), gram=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    shape=st.lists(st.integers(1, 8), min_size=1, max_size=2)
+    | st.lists(st.integers(1, 70), min_size=1, max_size=1),
+    n=st.integers(1, 3),
+    r=st.integers(3, 200),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    constant=st.booleans(),
+)
+def test_property_both_routes_match_the_row_loop(shape, n, r, seed, shift, constant):
+    # Windows of 1 to 70 sites fall on both sides of the route choice; the
+    # zero shift makes every row degenerate.  Each site gets its own
+    # offset and scale, and with ``constant`` component 1 does not vary
+    # across replications, so its mean rows have zero variance.
+    w = Window(tuple(0 for _ in shape), tuple(v - 1 for v in shape))
+    shift = tuple(min(v, m - 1) for v, m in zip(shift, shape))
+    rng = np.random.default_rng(seed)
+    data = (rng.normal(size=(r,) + w.shape + (n,)) * rng.uniform(0.1, 10.0, w.shape + (n,))
+            + rng.uniform(-5.0, 5.0, w.shape + (n,)))
+    if constant:
+        data[..., 0] = data[0, ..., 0]
+    batch = SampleBatch(0, data, w, "integer")
+    with gram_route() as spy:
+        report = stationarity_check(batch, [shift], max_pairs=30)
+    ref = loop_shift_rows(data, w, shift, max_pairs=30)
+    assert_rows_match(report, ref, bool(spy.call_count))
+
+
+def test_large_window_takes_the_row_route_with_the_previous_bytes():
+    # q = 512 values per replication, as in a 16 x 16, n = 2 FOU batch: the
+    # row route, whose report bytes are pinned as they were before the
+    # Gram route existed.
+    w = Window((0, -3), (15, 12))
+    batch = SampleBatch(0, np.random.default_rng(5).normal(size=(40,) + w.shape + (2,)),
+                        w, "integer")
+    shifts = [(1, 0), (0, 1), (2, 3)]
+    with gram_route() as spy:
+        report = stationarity_check(batch, shifts)
+    assert spy.call_count == 0
+    ref = [row for s in shifts for row in loop_shift_rows(batch.values, w, s)]
     assert [(c.estimate, c.se) for c in report.comparisons] == ref
+    digest = hashlib.sha256(dumps_json(report.to_dict()).encode()).hexdigest()
+    assert digest == "d7c677c6729b85dafc6a5fe1a9a357b3d5f6c4e622b3f6399f0526ff0971490c"
 
 
 def test_row_blocks_do_not_change_reports(rng, monkeypatch):

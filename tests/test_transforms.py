@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldcorrespond import (
@@ -655,6 +655,12 @@ def property_theta(rng, N, n, clustered):
     return ThetaTuple(mats)
 
 
+def seeded_case(seed, n, clustered, lo, hi):
+    """(rng, theta, window) of one round-trip case; theta has N = len(lo)."""
+    rng = np.random.default_rng(seed)
+    return rng, property_theta(rng, len(lo), n, clustered), Window(lo, hi)
+
+
 @st.composite
 def round_trip_cases(draw):
     """(rng, theta, window): lo <= -1, hi >= 0 and hi - lo >= 2 on every
@@ -663,8 +669,14 @@ def round_trip_cases(draw):
     N, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     lo = tuple(draw(st.integers(-3, -1)) for _ in range(N))
     hi = tuple(draw(st.integers(max(0, l + 2), 2)) for l in lo)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return rng, property_theta(rng, N, n, draw(st.booleans())), Window(lo, hi)
+    return seeded_case(draw(st.integers(0, 2**32 - 1)), n, draw(st.booleans()), lo, hi)
+
+
+def small_gap_examples(test):
+    """Pin two exactly commuting tuples whose joint eigenbasis, taken from
+    the fixed combination alone, left a defect above EIGENBASIS_RTOL."""
+    test = example(case=seeded_case(39, 3, False, (-2, -1), (1, 2)))(test)
+    return example(case=seeded_case(738, 2, True, (-1, -2), (2, 1)))(test)
 
 
 def inner_window(w):
@@ -678,6 +690,7 @@ DEPTH0 = TruncationPolicy(depth=0)
 
 @settings(max_examples=60, deadline=None)
 @given(case=round_trip_cases())
+@small_gap_examples
 def test_property_lamperti_inv_after_lamperti(case):
     rng, theta, w = case
     x = random_field(rng, w, theta.n)
@@ -686,6 +699,7 @@ def test_property_lamperti_inv_after_lamperti(case):
 
 @settings(max_examples=60, deadline=None)
 @given(case=round_trip_cases())
+@small_gap_examples
 def test_property_m_inverse_after_m_forward(case):
     # Anchored on the lower boundary, y is the sum of its unit increments,
     # which Minv rebuilds from those of M(y).
@@ -698,6 +712,7 @@ def test_property_m_inverse_after_m_forward(case):
 
 @settings(max_examples=60, deadline=None)
 @given(case=round_trip_cases())
+@small_gap_examples
 def test_property_m_forward_after_m_inverse(case):
     # M vanishes on the zero hyperplanes, so g must too.
     rng, theta, w = case
