@@ -26,8 +26,8 @@ def format_float(x: float) -> str:
 # What json.dumps writes for a str with its default settings.
 _quote = json.encoder.encode_basestring_ascii
 
-# Renderers of the leaf types met most, looked up by exact type; numpy
-# scalars and subclasses take the isinstance route of _render.
+# Renderers of the leaf types, looked up by exact type; numpy scalars and
+# arrays are rendered as the Python values ``tolist`` gives.
 _LEAVES = {
     float: format_float,
     int: str,
@@ -41,6 +41,8 @@ def _render(obj: Any, indent: int, level: int) -> str:
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return _render(obj.tolist(), indent, level)
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
     if isinstance(obj, dict):
@@ -52,25 +54,14 @@ def _render(obj: Any, indent: int, level: int) -> str:
                 raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
             items.append(f"{pad_in}{_quote(k)}: {_render(v, indent, level + 1)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
             return "[]"
         # Short numeric lists stay on one line; nested structures get split.
-        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq):
-            return "[" + ", ".join(_render(v, indent, level + 1) for v in seq) + "]"
-        items = [f"{pad_in}{_render(v, indent, level + 1)}" for v in seq]
+        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
+            return "[" + ", ".join(_render(v, indent, level + 1) for v in obj) + "]"
+        items = [f"{pad_in}{_render(v, indent, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return _quote(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 

@@ -1,7 +1,16 @@
 """Fractional Ornstein-Uhlenbeck sheets of the first and second kind.
 
-First kind: drive the AR(1) construction with a mixed fractional sheet on
-the integer clock; X = lamperti_inv(m_inverse_truncated(G)) for G = A B.
+Both kinds are drawn by a ``SheetSampler`` whose per-axis factors carry
+the whole construction, so no transform pass runs.
+
+First kind: the stationary AR(1) solution driven by a mixed fractional
+sheet on the integer clock, X = lamperti_inv(m_inverse_truncated(G)) for
+G = A B.  In the tuple's eigenbasis Theta_j = Q diag(W_j) Q^T that map
+separates by axis into one lower-triangular map T_a per eigen-coordinate,
+so the sampler applies T_a times the sheet's factor on the padded axis
+[lo - depth - 1, hi]: it draws the padded sheet's normals and never forms
+the sheet or runs a transform.  Batches of the first kind carry
+``"solver": KERNEL_SOLVER`` in their manifest.
 
 Second kind: evaluate the mixed sheet on the exponential clock and pull
 it back through the inverse Lamperti map with the tuple derived from the
@@ -21,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gaussian
 from .algebra import ThetaTuple, spectral_norm
-from .errors import CommutationError, ConfigError, check_int
+from .errors import CommutationError, ConfigError, NumericRangeError, check_int
 from .fields import FieldWindow, Window
 from .gaussian import (
     SAMPLER_VERSION,
@@ -35,15 +45,15 @@ from .gaussian import (
 from .transforms import (
     TRANSFORMS_VERSION,
     TruncationPolicy,
-    lamperti_values,
-    m_inverse_values,
     tail_bound_value,
     transform_record,
 )
 
 MIXING_COMMUTE_RTOL = 1e-10
-# Tag of the second kind's solver, recorded in its batch manifests: the
-# inverse Lamperti map is folded into the sampler's per-axis factors.
+# Tags of the solvers, recorded in batch manifests.  The first kind is drawn
+# from per-axis factors of its own law; the second kind folds the inverse
+# Lamperti map into the sheet's per-axis factors.
+KERNEL_SOLVER = "kernel-v1"
 FOLDED_SOLVER = "folded-v1"
 
 
@@ -120,59 +130,75 @@ class FouConfig:
             object.__setattr__(self, "theta", derived)
 
 
-def _noise_window(cfg: FouConfig) -> Window:
-    """[lo - depth - 1, hi]: the window the truncated inverse accumulation reads."""
-    depth = cfg.policy.resolve(cfg.theta)
-    return Window(tuple(l - d - 1 for l, d in zip(cfg.window.lo, depth)), cfg.window.hi)
+def _first_kind_factors(cfg: FouConfig) -> tuple:
+    """(factors, Q) of the first kind, for ``SheetSampler``'s private hook.
+
+    On axis j, lamperti_inv after m_inverse_truncated maps coordinate a of
+    Q^T G on the padded axis [lo - d - 1, hi] to coordinate a of Q^T X by
+    T_a[t, s] = e^{-(t-s) w_a} [lo - d <= s <= t] - e^{-(t-s-1) w_a} [s < t],
+    w = W_j; only non-positive exponents are formed.  Component k's factor
+    is T_a F_k for every a, F_k the factor of the sheet's 1-D Gram on the
+    padded axis, as (n, L_j, L_j + d + 1): the mode products then draw the
+    AR(1) solution of the padded sheet's normals, pathwise.
+    """
+    q, w = cfg.theta.eigenbasis("first-kind FOU")
+    n, factors = cfg.hurst.n, []
+    for j, (lo, hi, d) in enumerate(zip(cfg.window.lo, cfg.window.hi,
+                                        cfg.policy.resolve(cfg.theta))):
+        size = hi - lo + 1
+        if max(n * size, size + d + 1) > gaussian.GRID_CAP:
+            raise NumericRangeError(
+                f"first-kind FOU axis {j} needs factors of {n * size} rows over {size + d + 1} "
+                f"padded sites, beyond the factorization cap of {gaussian.GRID_CAP}")
+        lag = np.arange(d + 1, d + 1 + size)[:, np.newaxis] - np.arange(size + d + 1)
+        now, before = (np.exp(-np.maximum(lag - i, 0) * w[j][:, None, None]) * (lag >= i)
+                       for i in (0, 1))
+        now[:, :, 0] = 0.0
+        t = now - before
+        factors.append(np.stack([t @ f for f in gaussian._axis_factors(
+            cfg.hurst, j, lo - d - 1, hi, "integer")]))
+    return factors, q
 
 
 def _sampler(cfg: FouConfig) -> SheetSampler:
-    """The first kind's integer-clock noise, or the second kind's field: the
-    exponential-clock sheet with e^{-t*Theta} folded into its factors."""
+    """The sampler of cfg's field: the first kind from its per-axis factors,
+    the second from the exponential-clock sheet's factors with e^{-t*Theta}
+    folded into their rows."""
     if cfg.kind == "first":
-        return SheetSampler(cfg.mixing, cfg.hurst, _noise_window(cfg), "integer")
-    sampler = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential")
-    sampler._scale_rows([np.exp(-np.outer(cfg.hurst.H[:, j], np.arange(lo, hi + 1)))
-                         for j, (lo, hi) in enumerate(zip(cfg.window.lo, cfg.window.hi))])
-    return sampler
+        factors, q = _first_kind_factors(cfg)
+        return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer",
+                            _factors=factors, _rotation=q)
+    return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer", _factors=[
+        gaussian._axis_factors(cfg.hurst, j, lo, hi, "exponential")
+        * np.exp(-np.outer(cfg.hurst.H[:, j], np.arange(lo, hi + 1)))[:, None, :, None]
+        for j, (lo, hi) in enumerate(zip(cfg.window.lo, cfg.window.hi))])
 
 
-def _solve(cfg: FouConfig, draws: np.ndarray) -> tuple:
-    """(values, field metadata) on cfg.window from a (count, *sampler window, n)
-    block; a second-kind block is already the field."""
-    if cfg.kind == "second":
-        return draws, {"transforms": [transform_record("Linv")]}
-    depth = cfg.policy.resolve(cfg.theta)
-    draws = m_inverse_values(draws, _noise_window(cfg), cfg.theta, depth, cfg.window)
-    chain = [transform_record("Minv", None, list(depth), tail_bound_value(cfg.theta, depth)),
-             transform_record("Linv")]
-    return lamperti_values(draws, cfg.window, cfg.theta, -1), {"transforms": chain}
-
-
-def fou_noise(cfg: FouConfig, replication: int = 0) -> FieldWindow:
-    """The integer-clock driving noise G = A B used by the first kind.
-
-    Covers the extended window [lo - depth - 1, hi] that the truncated
-    inverse accumulation needs for the configured output window.
-    """
-    if cfg.kind != "first":
-        raise ConfigError("fou_noise is defined for first-kind configurations")
-    return _sampler(cfg).sample(cfg.seed, replication)
+def _field_meta(cfg: FouConfig) -> dict:
+    """The transform chain every field of cfg records."""
+    chain = [transform_record("Linv")]
+    if cfg.kind == "first":
+        depth = cfg.policy.resolve(cfg.theta)
+        chain.insert(0, transform_record("Minv", None, list(depth),
+                                         tail_bound_value(cfg.theta, depth)))
+    return {"transforms": chain}
 
 
 def fou_field(cfg: FouConfig, replication: int = 0) -> FieldWindow:
-    """Replication ``replication`` of ``fou_batch(cfg)``, solved as a block of one.
+    """Replication ``replication`` of ``fou_batch(cfg)``, drawn alone.
 
-    The first kind equals ``stationary_solution`` of an ``Ar1System`` driven
-    by ``fou_noise(cfg, replication)``.  The second kind equals
-    ``lamperti_inv`` of the exponential-clock sheet to rounding (to the
-    mixing matrix's commutation defect, at most MIXING_COMMUTE_RTOL, when A
-    commutes with the clock only to that tolerance): it applies
-    e^{-t*Theta} to the sheet's per-axis factors, before A mixes.
+    The first kind equals ``stationary_solution`` of an ``Ar1System``
+    driven by the mixed integer-clock sheet that
+    ``SheetSampler(A, H, padded, "integer")`` draws from the same seed and
+    replication on the padded window [lo - depth - 1, hi], to rounding: its
+    factors act on that sheet's normals.  The second kind equals ``lamperti_inv`` of the
+    exponential-clock sheet to rounding (to the mixing matrix's
+    commutation defect, at most MIXING_COMMUTE_RTOL, when A commutes with
+    the clock only to that tolerance): it applies e^{-t*Theta} to the
+    sheet's per-axis factors, before A mixes.
     """
     y = _sampler(cfg).sample(cfg.seed, replication)
-    values, meta = _solve(cfg, y.values[np.newaxis])
-    return FieldWindow(cfg.window, values[0], "integer", dict(y.meta, **meta))
+    return FieldWindow(cfg.window, y.values, "integer", dict(y.meta, **_field_meta(cfg)))
 
 
 def fou_batch(cfg: FouConfig) -> SampleBatch:
@@ -180,14 +206,15 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
 
     The per-axis Gram factors are computed once and shared across
     replications; the draws follow the sampler's randomness contract
-    (``gaussian`` module docstring).  Replications are drawn in the sampler's blocks
-    (``SheetSampler.blocks``) into one preallocated array, and a first-kind
-    block is solved at once.  Replication r equals ``fou_field(cfg, r)`` byte
-    for byte, metadata included.
+    (``gaussian`` module docstring).  Replications are drawn in the sampler's
+    blocks (``SheetSampler.blocks``) into one preallocated array.
+    Replication r equals ``fou_field(cfg, r)`` byte for byte, metadata
+    included.
     """
+    sampler = _sampler(cfg)
     values = empty_values(cfg.replications, cfg.window, cfg.hurst.n)
-    for start, block in _sampler(cfg).blocks(cfg.seed, cfg.replications):
-        values[start:start + len(block)], field_meta = _solve(cfg, block)
+    for start, block in sampler.blocks(cfg.seed, cfg.replications):
+        values[start:start + len(block)] = block
     config = {
         "H": cfg.hurst.H.tolist(),
         "A": cfg.mixing.tolist(),
@@ -201,7 +228,6 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
                    "depth": list(cfg.policy.resolve(cfg.theta))},
         "transforms": TRANSFORMS_VERSION,
         "sampler": SAMPLER_VERSION,
+        "solver": KERNEL_SOLVER if cfg.kind == "first" else FOLDED_SOLVER,
     }
-    if cfg.kind == "second":
-        config["solver"] = FOLDED_SOLVER
-    return SampleBatch(cfg.seed, values, cfg.window, "integer", config, field_meta)
+    return SampleBatch(cfg.seed, values, cfg.window, "integer", config, _field_meta(cfg))

@@ -17,13 +17,15 @@ applies the factors to a standard normal array by mode products, so no
 matrix over the whole window is ever formed.  Zero-variance sites produce
 exact zeros, never jitter.
 
-Randomness contract: replication r of seed s lies in group g = r // G,
-G = max(1, DRAW_BLOCK // (n * volume)), and is row r - gG, in C order, of
-the (rows, n, volume) standard normals of ``substream(s, g)``: one Philox
-counter stream (Salmon, Moraes, Dror & Shaw, SC'11) per group.  The rows
-of a group are a prefix of its stream, so drawing its first k rows gives
-the bytes of drawing all G and slicing, and any subset of replications
-is reproduced byte-identically.
+Randomness contract: a replication takes n * P standard normals, where
+P = prod_j p_j over the factors' input lengths (the window volume for a
+sheet, the padded window's volume for a first-kind FOU).  Replication r of seed s lies in group g = r // G,
+G = max(1, DRAW_BLOCK // (n * P)), and is row r - gG, in C order, of the
+(rows, n, P) standard normals of ``substream(s, g)``: one Philox counter
+stream (Salmon, Moraes, Dror & Shaw, SC'11) per group.  The rows of a
+group are a prefix of its stream, so drawing its first k rows gives the
+bytes of drawing all G and slicing, and any subset of replications is
+reproduced byte-identically.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import ConfigError, DimensionMismatchError, NumericRangeError, chec
 from .fields import CLOCKS, FieldWindow, Window, write_csvs
 
 # Largest site count for one Gram-matrix factorization (one window axis
-# when sampling).
+# when sampling), and for the n L_j rows of a first-kind FOU axis factor.
 GRID_CAP = 4096
 # Tag of the sampling algorithm, recorded in batch manifests: a change
 # that alters the draws for a given seed gets a new tag.
@@ -268,15 +270,31 @@ def as_mixing(a, n: int) -> np.ndarray:
     return a
 
 
+def _axis_factors(hurst: HurstSpec, j: int, lo: int, hi: int, clock: str) -> np.ndarray:
+    """(n, 1, m, m): the factor of each component's 1-D Gram along axis j
+    over the sites lo .. hi on ``clock``."""
+    pts = sheet_points(Window((lo,), (hi,)), clock)
+    return np.stack([factor_covariance(build_cov_matrix(pts, hurst.H[k, j:j + 1]))
+                     for k in range(hurst.n)])[:, np.newaxis]
+
+
 class SheetSampler:
     """Reusable sampler: factors each component's per-axis Gram matrices once.
 
-    ``_factors[j][k]`` is the factor of the 1-D Gram of component k along
-    axis j; the Kronecker product over j factors the Gram of the window.
-    Draws share no state, so a sampler is thread-safe.
+    ``_factors[j]`` has shape (n, c, m_j, p_j): ``_factors[j][k, a]`` maps
+    axis j of component k's normals (length p_j) to coordinate a's values
+    along the window axis (length m_j).  A sheet has c = 1 and square
+    factors of its 1-D Grams, whose Kronecker product over j factors the
+    Gram of the window.  Draws share no state, so a sampler is thread-safe.
     """
 
-    def __init__(self, mixing, hurst: HurstSpec, window: Window, clock: str):
+    def __init__(self, mixing, hurst: HurstSpec, window: Window, clock: str, *,
+                 _factors=None, _rotation=None):
+        """``_factors`` and ``_rotation``, the private hook of ``fou``,
+        replace the sheet's factors: with c = n and a rotation Q, coordinate
+        a at site t is sum_k (Q^T mixing)[a, k] u_k(a, t), u_k the mode
+        products of ``_factors[j][k, a]`` on component k's normals, rotated
+        back by Q."""
         if window.N != hurst.N:
             raise DimensionMismatchError(
                 f"window has N={window.N}, Hurst spec has N={hurst.N}"
@@ -285,28 +303,21 @@ class SheetSampler:
         self.hurst = hurst
         self.window = window
         self.clock = clock
-        self._factors = []
-        for j, (lo, hi) in enumerate(zip(window.lo, window.hi)):
-            pts = sheet_points(Window((lo,), (hi,)), clock)
-            self._factors.append(np.stack([
-                factor_covariance(build_cov_matrix(pts, hurst.H[k, j:j + 1]))
-                for k in range(hurst.n)
-            ]))
+        self._rotation = _rotation
+        self._factors = _factors if _factors is not None else [
+            _axis_factors(hurst, j, lo, hi, clock)
+            for j, (lo, hi) in enumerate(zip(window.lo, window.hi))
+        ]
 
-    def _scale_rows(self, weights) -> None:
-        """Scale row i of ``_factors[j][k]`` by ``weights[j][k, i]``.
-
-        A private hook for the second-kind FOU.  The sampler then draws
-        ``A D B`` for the sheet ``A B``, where D scales component k at site
-        t by ``prod_j weights[j][k, t_j - lo_j]``; that is ``D A B`` when D
-        commutes with A.
-        """
-        self._factors = [f * w[:, :, np.newaxis] for f, w in zip(self._factors, weights)]
+    @property
+    def _normals(self) -> tuple:
+        """(n, P): the shape of one replication's standard normals."""
+        return self.hurst.n, math.prod(f.shape[-1] for f in self._factors)
 
     @property
     def group_size(self) -> int:
         """G: the replications per stream, and per block of ``blocks``."""
-        return max(1, DRAW_BLOCK // (self.hurst.n * self.window.volume))
+        return max(1, DRAW_BLOCK // math.prod(self._normals))
 
     def sample(self, seed: int, replication: int = 0) -> FieldWindow:
         """Replication ``replication`` of the batch drawn from ``seed``."""
@@ -325,7 +336,7 @@ class SheetSampler:
         size, groups, stream = self.group_size, {}, _streams(seed)
         for i, r in enumerate(reps):
             groups.setdefault(r // size, []).append(i)
-        x = np.empty((len(reps), self.hurst.n, self.window.volume))
+        x = np.empty((len(reps),) + self._normals)
         for g, idx in groups.items():
             rows = [reps[i] % size for i in idx]
             x[idx] = stream(g).standard_normal((max(rows) + 1,) + x.shape[1:])[rows]
@@ -346,22 +357,30 @@ class SheetSampler:
         """
         seed = check_int(seed, "seed", 0)
         replications = check_int(replications, "replications", 0)
-        size, shape = self.group_size, (self.hurst.n, self.window.volume)
-        stream = _streams(seed)
+        size, stream = self.group_size, _streams(seed)
         for start in range(0, replications, size):
-            x = np.empty((min(size, replications - start),) + shape)
+            x = np.empty((min(size, replications - start),) + self._normals)
             stream(start // size).standard_normal(out=x)
             yield start, self._mix(x)
 
     def _mix(self, x: np.ndarray) -> np.ndarray:
-        """Read-only (count, *window.shape, n) values of (count, n, volume) normals."""
-        count, n, volume = x.shape
-        # Mode product along the leading window axis of every component,
-        # then rotate that axis to the back; after N steps the axes are in
-        # order again.
-        for m, f in zip(self.window.shape, self._factors):
-            x = np.matmul(f, x.reshape(count, n, m, volume // m)).transpose(0, 1, 3, 2)
-        vals = np.matmul(x.reshape(count, n, volume).transpose(0, 2, 1), self.mixing.T)
+        """Read-only (count, *window.shape, n) values of (count, n, P) normals."""
+        count, n = x.shape[:2]
+        volume = self.window.volume
+        # Mode product along the leading axis of every component and
+        # coordinate, then rotate that axis to the back; after N steps the
+        # axes are in order again.
+        x = x[:, :, np.newaxis]
+        for f in self._factors:
+            p = f.shape[-1]
+            x = np.matmul(f, x.reshape(x.shape[:3] + (p, math.prod(x.shape[3:]) // p)))
+            x = x.transpose(0, 1, 2, 4, 3)
+        if self._rotation is None:
+            vals = np.matmul(x.reshape(count, n, volume).transpose(0, 2, 1), self.mixing.T)
+        else:
+            q = self._rotation
+            vals = np.einsum("ckat,ak->cta", x.reshape(count, n, n, volume),
+                             q.T @ self.mixing) @ q.T
         vals.setflags(write=False)
         return vals.reshape((count,) + self.window.shape + (n,))
 

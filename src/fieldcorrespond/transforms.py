@@ -19,13 +19,13 @@ eigenbasis Theta_j = Q diag(W_j) Q^T: the values are rotated once
 (v @ Q), multiplied at every site t by the weights
 exp(sum_j sign * t_j * W_j), accumulated where the map sums, and rotated
 back (@ Q^T).  The exponent field is built by broadcasting the per-axis
-spectra and exponentiated once per call, shared by every field of a
-batch; no per-site matrix exponential is formed.  A window on which
-some weight overflows is refused with NumericRangeError before any value
-is rotated; weights that underflow to 0 are harmless.  A result that
-leaves the double range (finite values times finite weights can still
-overflow) is refused with NumericRangeError too, never returned as inf or
-nan; floating-point warnings on the way there are suppressed.
+spectra and exponentiated once per call; no per-site matrix exponential
+is formed.  A window on which some weight overflows is refused with
+NumericRangeError before any value is rotated; weights that underflow to
+0 are harmless.  A result that leaves the double range (finite values
+times finite weights can still overflow) is refused with NumericRangeError
+too, never returned as inf or nan; floating-point warnings on the way
+there are suppressed.
 
 Each transform returns the largest output window computable from the
 input data; nothing is ever zero-extended implicitly.
@@ -124,12 +124,8 @@ def tail_bound_value(theta: ThetaTuple, depth) -> float:
 
 
 def _rotate(v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``v @ q`` over the last axis as elementwise products and sums.
-
-    Every output element is computed by the same operations whatever the
-    leading shape, so a batch of fields and each field alone give the same
-    bytes.
-    """
+    """``v @ q`` over the last axis as elementwise products and sums, the
+    arithmetic whose bytes TRANSFORMS_VERSION names."""
     out = v[..., 0, np.newaxis] * q[0]
     for k in range(1, q.shape[0]):
         out += v[..., k, np.newaxis] * q[k]
@@ -140,11 +136,11 @@ def _weighted(v: np.ndarray, theta: ThetaTuple, window: Window, sign: int,
               what: str) -> tuple:
     """Eigenbasis coordinates ``v @ Q`` times exp(sign * t * W) at every site t.
 
-    ``v`` has shape (..., *window.shape, n); returns the weighted
-    coordinates and Q.  The exponent field sum_j sign * t_j * W_j is built
-    by broadcasting and exponentiated once for all leading entries of
-    ``v``; a weight that overflows raises NumericRangeError, one that
-    underflows to 0 is kept.  Callers suppress floating-point warnings.
+    ``v`` has shape (*window.shape, n); returns the weighted coordinates
+    and Q.  The exponent field sum_j sign * t_j * W_j is built by
+    broadcasting and exponentiated once; a weight that overflows raises
+    NumericRangeError, one that underflows to 0 is kept.  Callers suppress
+    floating-point warnings.
     """
     q, w = theta.eigenbasis(what)
     expo = 0.0
@@ -198,40 +194,12 @@ def _append_transform(x: FieldWindow, record: dict) -> dict:
     return meta
 
 
-def _check_values(values, window: Window, theta: ThetaTuple, what: str) -> np.ndarray:
-    """``values`` as floats if shaped (..., *window.shape, theta.n)."""
-    values = np.asarray(values, dtype=float)
-    if window.N != theta.N:
-        raise DimensionMismatchError(
-            f"{what}: window has N={window.N}, tuple has N={theta.N}"
-        )
-    if values.shape[max(0, values.ndim - window.N - 1):] != window.shape + (theta.n,):
-        raise DimensionMismatchError(
-            f"{what}: values of shape {values.shape} do not end in the "
-            f"window shape {window.shape} and n={theta.n}"
-        )
-    return values
-
-
-def lamperti_values(values, window: Window, theta: ThetaTuple, sign: int) -> np.ndarray:
-    """``e^{sign*t*Theta}`` times the values at every site t of ``window``.
-
-    ``sign`` +1 is the Lamperti map, -1 its inverse.  ``values`` has shape
-    (..., *window.shape, n); every leading entry is mapped in the same
-    pass, and entry i of the result equals the map of ``values[i]`` alone
-    byte for byte.
-    """
-    what = "lamperti" if sign > 0 else "lamperti_inv"
-    values = _check_values(values, window, theta, what)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z, q = _weighted(values, theta, window, sign, what)
-        return _finite(_rotate(z, q.T), what, window)
-
-
 def lamperti(x: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldWindow:
     """Exponential-clock image Y_{e^t} = e^{t*Theta} X_t, same window."""
     _check_pair(x, theta, "integer", "lamperti")
-    vals = lamperti_values(x.values, x.window, theta, +1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, q = _weighted(x.values, theta, x.window, +1, "lamperti")
+        vals = _finite(_rotate(z, q.T), "lamperti", x.window)
     meta = _append_transform(x, transform_record("L", theta_ref))
     return FieldWindow(x.window, vals, "exponential", meta)
 
@@ -239,7 +207,9 @@ def lamperti(x: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldW
 def lamperti_inv(y: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> FieldWindow:
     """Integer-clock image X_t = e^{-t*Theta} Y_{e^t}, same window."""
     _check_pair(y, theta, "exponential", "lamperti_inv")
-    vals = lamperti_values(y.values, y.window, theta, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, q = _weighted(y.values, theta, y.window, -1, "lamperti_inv")
+        vals = _finite(_rotate(z, q.T), "lamperti_inv", y.window)
     meta = _append_transform(y, transform_record("Linv", theta_ref))
     return FieldWindow(y.window, vals, "integer", meta)
 
@@ -291,41 +261,6 @@ def m_forward(y: FieldWindow, theta: ThetaTuple, theta_ref: str = None) -> Field
     return FieldWindow(y.window, w, "integer", meta)
 
 
-def m_inverse_values(values, window: Window, theta: ThetaTuple, depth: tuple,
-                     out_window: Window) -> np.ndarray:
-    """``m_inverse_truncated`` of integer-clock values on ``window``, as an array.
-
-    ``values`` has shape (..., *window.shape, n) and ``window`` must cover
-    ``[out_window.lo - depth - 1, out_window.hi]``; the result has shape
-    (..., *out_window.shape, n).  Every leading entry is accumulated in
-    the same pass, and entry i of the result equals that of ``values[i]``
-    alone byte for byte.
-    """
-    values = _check_values(values, window, theta, "m_inverse_truncated")
-    low = tuple(l - d for l, d in zip(out_window.lo, depth))
-    need_lo = tuple(l - 1 for l in low)
-    if any(a < b for a, b in zip(need_lo, window.lo)) or any(
-        a > b for a, b in zip(out_window.hi, window.hi)
-    ):
-        raise WindowError(
-            f"m_inverse_truncated needs input covering [{need_lo}, {out_window.hi}] "
-            f"for output {out_window} at depth {depth}; input window is {window}"
-        )
-    # Window axis j of the values is axis j - N - 1 (the last is the component).
-    axes = range(-window.N - 1, -1)
-    box = tuple(slice(a - b, c - b + 1) for a, b, c in zip(need_lo, window.lo, out_window.hi))
-    with np.errstate(over="ignore", invalid="ignore"):
-        dg = values[(Ellipsis, *box, slice(None))]
-        for axis in axes:
-            dg = np.diff(dg, axis=axis)
-        w, q = _weighted(dg, theta, Window(low, out_window.hi), +1, "m_inverse_truncated")
-        for axis in axes:
-            w = np.cumsum(w, axis=axis)
-        drop = tuple(slice(d, None) for d in depth)
-        return _finite(_rotate(w[(Ellipsis, *drop, slice(None))], q.T),
-                       "m_inverse_truncated", out_window)
-
-
 def m_inverse_truncated(
     g: FieldWindow,
     theta: ThetaTuple,
@@ -349,7 +284,25 @@ def m_inverse_truncated(
             tuple(l + d + 1 for l, d in zip(g.window.lo, depth)),
             g.window.hi,
         )
-    vals = m_inverse_values(g.values, g.window, theta, depth, out_window)
+    low = tuple(l - d for l, d in zip(out_window.lo, depth))
+    need_lo = tuple(l - 1 for l in low)
+    if any(a < b for a, b in zip(need_lo, g.window.lo)) or any(
+        a > b for a, b in zip(out_window.hi, g.window.hi)
+    ):
+        raise WindowError(
+            f"m_inverse_truncated needs input covering [{need_lo}, {out_window.hi}] "
+            f"for output {out_window} at depth {depth}; input window is {g.window}"
+        )
+    box = tuple(slice(a - b, c - b + 1) for a, b, c in zip(need_lo, g.window.lo, out_window.hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dg = g.values[box]
+        for axis in range(g.N):
+            dg = np.diff(dg, axis=axis)
+        w, q = _weighted(dg, theta, Window(low, out_window.hi), +1, "m_inverse_truncated")
+        for axis in range(g.N):
+            w = np.cumsum(w, axis=axis)
+        drop = tuple(slice(d, None) for d in depth)
+        vals = _finite(_rotate(w[drop], q.T), "m_inverse_truncated", out_window)
     meta = _append_transform(g, transform_record(
         "Minv", theta_ref, list(depth), tail_bound_value(theta, depth)))
     return FieldWindow(out_window, vals, "exponential", meta)

@@ -572,7 +572,20 @@ def test_fou_first_kind_runs(tmp_path):
     assert man["kind"] == "first"
     assert man["policy"]["depth"] == [5]
     assert man["sampler"] == "kron-v3"
+    assert man["solver"] == "kernel-v1"
     assert (out / "rep_00003.csv").exists()
+
+
+def test_fou_first_kind_beyond_grid_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # n * L_j = 2 * 4 factor rows exceed a cap of 7; the padded axis
+    # (4 + 2 + 1 = 7 sites) alone would fit.
+    monkeypatch.setattr(gaussian, "GRID_CAP", 7)
+    theta = theta_file(tmp_path, [np.diag([0.8, 1.2])])
+    cfg = fou_config(tmp_path, theta, H=[[0.4], [0.6]], policy={"depth": 2})
+    out = tmp_path / "run"
+    assert main(["fou", "--config", cfg, "--out", str(out)]) == 3
+    assert "8 rows over 7 padded sites" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fou_second_kind_runs(tmp_path):

@@ -29,7 +29,7 @@ from fieldcorrespond import (
 )
 
 from fieldcorrespond import fields
-from fieldcorrespond._jsonio import format_float
+from fieldcorrespond._jsonio import dumps_json, format_float
 
 from conftest import corner_sum_naive, integer_field, random_field, random_window
 
@@ -57,6 +57,10 @@ def test_window_sites_lexicographic():
 def test_window_shifted_and_intersection():
     w = Window((0,), (4,))
     assert w.shifted((2,)) == Window((2,), (6,))
+    f = FieldWindow(w, np.arange(5.0), "exponential", {"seed": 1})
+    g = f.shifted((2,))
+    assert g.window == Window((2,), (6,)) and g.clock == "exponential"
+    assert g.meta == {"seed": 1} and g.at((2,)).tobytes() == f.at((0,)).tobytes()
     assert w.intersection(Window((3,), (9,))) == Window((3,), (4,))
     with pytest.raises(WindowError, match="overlap"):
         w.intersection(Window((5,), (9,)))
@@ -820,3 +824,19 @@ def test_load_field_without_sidecar(tmp_path, rng):
     write_csv(x, path)
     with pytest.raises((WindowError, FileNotFoundError)):
         load_field(path)
+
+
+def test_json_renders_numpy_as_python():
+    # numpy scalars and arrays write the bytes of their Python values; a
+    # non-str key and an unknown type are refused.
+    py = {"f": 0.1, "i": 7, "b": True, "list": [1.5, 2.0], "nested": [[1, 2], [3, 4]],
+          "empty": []}
+    arr = {"f": np.float64(0.1), "i": np.int32(7), "b": np.bool_(True),
+           "list": np.array([1.5, 2.0]), "nested": np.array([[1, 2], [3, 4]]),
+           "empty": np.zeros(0)}
+    assert dumps_json(arr) == dumps_json(py)
+    assert dumps_json([np.float32(0.5), np.uint8(3)]) == dumps_json([0.5, 3])
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps_json({1: 2})
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dumps_json({"s": {1}})

@@ -15,22 +15,28 @@ from fieldcorrespond import (
     Ar1System,
     CommutationError,
     ConfigError,
+    FieldWindow,
     FouConfig,
     HurstSpec,
+    NumericRangeError,
     SheetSampler,
     ThetaTuple,
     TruncationPolicy,
     Window,
     ar1_residual,
+    build_cov_matrix,
     derive_theta,
     fbs_cov,
     fou_batch,
     fou_field,
-    fou_noise,
     lamperti_inv,
+    m_inverse_truncated,
     mixing_commutes,
+    sheet_points,
     stationary_solution,
 )
+from fieldcorrespond import gaussian as gaussian_module
+from fieldcorrespond.fou import _sampler
 
 
 def test_derive_theta_diagonal():
@@ -136,17 +142,32 @@ def test_zero_mixing_gives_zero_fields():
     assert np.all(fou_field(second).values == 0.0)
 
 
-def test_first_kind_satisfies_ar1(rng):
+def _padded(cfg) -> Window:
+    """The padded window [lo - depth - 1, hi] of a first-kind config."""
+    depth = cfg.policy.resolve(cfg.theta)
+    return Window(tuple(l - d - 1 for l, d in zip(cfg.window.lo, depth)), cfg.window.hi)
+
+
+def _driving_sheet(cfg, r) -> FieldWindow:
+    """The mixed integer-clock sheet on the padded window drawn from cfg's
+    seed: the first kind's factors act on its normals, so replication r is
+    the stationary AR(1) solution it drives."""
+    return SheetSampler(cfg.mixing, cfg.hurst, _padded(cfg), "integer").sample(cfg.seed, r)
+
+
+def _ar1_residual(x, cfg, r) -> float:
+    """Largest AR(1) residual of x against replication r's driving sheet."""
+    return float(np.max(np.abs(ar1_residual(x, _driving_sheet(cfg, r), cfg.theta).values)))
+
+
+def test_first_kind_satisfies_ar1():
     h = HurstSpec([[0.35, 0.6]])
     theta = ThetaTuple([np.array([[0.9]]), np.array([[1.1]])])
     cfg = FouConfig(kind="first", hurst=h, mixing=np.eye(1),
                     window=Window((-2, -2), (2, 2)), theta=theta,
                     policy=TruncationPolicy(eps=1e-6), seed=17, replications=1)
     for rep in range(3):
-        x = fou_field(cfg, rep)
-        g = fou_noise(cfg, rep)
-        res = ar1_residual(x, g, cfg.theta)
-        assert np.max(np.abs(res.values)) <= 1e-12
+        assert _ar1_residual(fou_field(cfg, rep), cfg, rep) <= 1e-12
 
 
 def test_first_kind_wide_spectrum():
@@ -159,15 +180,69 @@ def test_first_kind_wide_spectrum():
     assert cfg.policy.resolve(theta)[0] * 2.0 > math.log(np.finfo(float).max)
     x = fou_field(cfg, 0)
     assert np.all(np.isfinite(x.values))
-    res = ar1_residual(x, fou_noise(cfg, 0), theta)
-    assert np.max(np.abs(res.values)) <= 1e-12
+    assert _ar1_residual(x, cfg, 0) <= 1e-12
 
 
-def test_fou_noise_only_first_kind():
-    cfg = FouConfig(kind="second", hurst=HurstSpec([[0.5]]), mixing=np.eye(1),
-                    window=Window((0,), (2,)))
-    with pytest.raises(ConfigError, match="first-kind"):
-        fou_noise(cfg)
+def _sampler_cov(cfg) -> np.ndarray:
+    """The covariance the first-kind sampler draws from: its map applied to
+    identity normals, over (site, component) in C order."""
+    sampler = _sampler(cfg)
+    n, p = sampler._normals
+    v = sampler._mix(np.eye(n * p).reshape(n * p, n, p)).reshape(n * p, -1)
+    return v.T @ v
+
+
+def _exact_cov(cfg) -> np.ndarray:
+    """L C L^T from public pieces: C the Gram of the mixed integer-clock
+    sheet on the padded window, L the map m_inverse_truncated then
+    lamperti_inv, its columns the images of unit impulses."""
+    pad, n, a = _padded(cfg), cfg.hurst.n, cfg.mixing
+    pts = sheet_points(pad, "integer")
+    c = sum(np.kron(build_cov_matrix(pts, cfg.hurst.H[k]), np.outer(a[:, k], a[:, k]))
+            for k in range(n))
+    columns = []
+    for impulse in np.eye(pad.volume * n):
+        g = FieldWindow(pad, impulse.reshape(pad.shape + (n,)))
+        y = m_inverse_truncated(g, cfg.theta, cfg.policy, cfg.window)
+        columns.append(lamperti_inv(y, cfg.theta).values.reshape(-1))
+    l = np.array(columns).T
+    return l @ c @ l.T
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_first_kind_exact_law(N, rotated):
+    # The first kind is drawn from per-axis factors of its own law, not
+    # through the transforms; its covariance must be that of the AR(1)
+    # route on the padded sheet, truncation included.
+    mats = [np.diag([0.9, 1.3]), np.diag([1.1, 0.7])][:N]
+    if rotated:
+        c, s = math.cos(0.4), math.sin(0.4)
+        r = np.array([[c, -s], [s, c]])
+        mats = [r @ m @ r.T for m in mats]
+    cfg = FouConfig(kind="first", hurst=HurstSpec(np.array([[0.3, 0.7], [0.6, 0.45]])[:, :N]),
+                    mixing=np.array([[1.0, 0.4], [-0.3, 0.8]]),
+                    window=Window((-1,) * N, (2, 1)[:N]), theta=ThetaTuple(mats),
+                    policy=TruncationPolicy(depth=3))
+    exact = _exact_cov(cfg)
+    assert np.max(np.abs(_sampler_cov(cfg) - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_first_kind_grid_cap_counts_coordinate_rows(monkeypatch):
+    # n * L_j = 10 factor rows exceed a cap of 9, though the padded axis
+    # (5 + 2 + 1 = 8 sites) fits; nothing is drawn.
+    monkeypatch.setattr(gaussian_module, "GRID_CAP", 9)
+    cfg = FouConfig(kind="first", hurst=HurstSpec([[0.4], [0.6]]), mixing=np.eye(2),
+                    window=Window((0,), (4,)), theta=ThetaTuple([np.diag([0.8, 1.2])]),
+                    policy=TruncationPolicy(depth=2))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(gaussian_module, "_streams", no_draws)
+    for draw in (fou_batch, fou_field):
+        with pytest.raises(NumericRangeError, match="10 rows over 8 padded sites"):
+            draw(cfg)
 
 
 def test_first_kind_scalar_autocovariance():
@@ -256,13 +331,13 @@ def test_fou_batch_manifest_and_rerun():
     assert man["clock"] == "integer"
     assert man["transforms"] == "eigenbasis-v1"
     assert man["sampler"] == "kron-v3"
-    assert "solver" not in man
+    assert man["solver"] == "kernel-v1"
 
 
 def _explicit_route(cfg, r):
     """Replication r built from the public single-field maps."""
     if cfg.kind == "first":
-        return stationary_solution(Ar1System(cfg.theta, fou_noise(cfg, r), cfg.policy),
+        return stationary_solution(Ar1System(cfg.theta, _driving_sheet(cfg, r), cfg.policy),
                                    cfg.window)
     y = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential").sample(cfg.seed, r)
     return lamperti_inv(y, cfg.theta)
@@ -270,16 +345,13 @@ def _explicit_route(cfg, r):
 
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_fou_batch_equals_single_replications(monkeypatch, kind):
-    # The batch draws and solves replications in blocks of 640 normals:
-    # 16 replications of 2 x 20 sites for the second kind, 2 of 2 x 12 x 11
-    # noise sites for the first, so 37 spans several blocks and a partial
-    # last one.  Each replication must equal fou_field byte for byte and
-    # the explicit single-field route with the same metadata: byte for
-    # byte for the first kind, and for the second, which folds the
-    # inverse Lamperti map into the sampler's factors, to 1e-12 relative
-    # to the field's largest value.
-    import fieldcorrespond.gaussian as gaussian_module
-
+    # The batch draws replications in blocks of 640 normals: 16
+    # replications of 2 x 20 for the second kind, 2 of 2 x 12 x 11 padded
+    # sites for the first, so 37 spans several blocks and a partial last
+    # one.  Each replication must equal fou_field byte for byte, and the
+    # explicit single-field route with the same metadata to 1e-12 relative
+    # to the field's largest value: both kinds fold their transforms into
+    # the sampler's factors.
     monkeypatch.setattr(gaussian_module, "DRAW_BLOCK", 640)
     extra = {}
     if kind == "first":
@@ -293,11 +365,8 @@ def test_fou_batch_equals_single_replications(monkeypatch, kind):
     for r, f in enumerate(batch.fields):
         explicit, one = _explicit_route(cfg, r), fou_field(cfg, r)
         assert f.values.tobytes() == one.values.tobytes()
-        if kind == "first":
-            assert f.values.tobytes() == explicit.values.tobytes()
-        else:
-            gap = np.max(np.abs(f.values - explicit.values))
-            assert gap <= 1e-12 * np.max(np.abs(explicit.values))
+        gap = np.max(np.abs(f.values - explicit.values))
+        assert gap <= 1e-12 * np.max(np.abs(explicit.values))
         for other in (explicit, one):
             assert f.meta == other.meta
             assert f.clock == other.clock and f.window == other.window

@@ -265,7 +265,7 @@ def _identity_sampler(n, window):
     its standard normals, moved to (*window.shape, n)."""
     sampler = SheetSampler(np.eye(n), HurstSpec(np.full((n, window.N), 0.5)),
                            window, "integer")
-    sampler._factors = [np.stack([np.eye(m)] * n) for m in window.shape]
+    sampler._factors = [np.stack([np.eye(m)] * n)[:, np.newaxis] for m in window.shape]
     return sampler
 
 
@@ -379,8 +379,8 @@ def test_sampler_kron_factors_match_window_gram(hurst, window, clock):
     for k in range(h.n):
         kron_l, kron_c = np.ones((1, 1)), np.ones((1, 1))
         for factors in sampler._factors:
-            kron_l = np.kron(kron_l, factors[k])
-            kron_c = np.kron(kron_c, factors[k] @ factors[k].T)
+            kron_l = np.kron(kron_l, factors[k, 0])
+            kron_c = np.kron(kron_c, factors[k, 0] @ factors[k, 0].T)
         ref = build_cov_matrix(pts, h.row(k))
         assert np.abs(kron_c - ref).max() <= 1e-12 * np.abs(ref).max()
         b[:, k] = kron_l @ z[k]

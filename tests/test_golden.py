@@ -3,12 +3,14 @@
 The manifest tag ``kron-v3`` promises the same draws for a given seed
 whatever the code path that produces them.  These tests pin, as sha256
 digests, the bytes of two sheet batches and of one batch of each FOU kind.
-The second kind's values are those of its ``folded-v1`` solver, and the
-stats digests those of stats ``gram-v1``.
+The first kind's values are those of its ``kernel-v1`` solver, the second
+kind's those of its ``folded-v1`` solver, and the stats digests those of
+stats ``gram-v1``.
 
 Each case pins three digests:
 
-* ``normals``: the (n, volume) standard normals of every replication, as
+* ``normals``: the (n, P) standard normals of every replication (P is
+  the window volume for a sheet), as
   the reference stream ``substream(seed, g)`` of each group g gives them
   (G replications per group, the last group possibly fewer).  They involve
   no linear algebra, so they are the same on every platform.
@@ -92,8 +94,8 @@ GOLDEN = {
     },
     "fou-first": {
         "normals": "e19a307342180d8a585f3b74723c101a72757c038ecb2daf5e7c300f88c500a2",
-        "factors": "8e73744f320d323b3ccd0e5f11596358ea561c4f4fe35f78496a9350a4ce22b0",
-        "values": "4afd1f863db788939d637c525571d77c2dd1810e0edca040482237d2cf161699",
+        "factors": "cadfab5063be6d91a81e6af84f428a7488a7333f9e5fb2bfcca2be7977784598",
+        "values": "7694683846ff48b6047c3702a50c1464e985b73d5981e3c6f95899f21d5ca8f6",
     },
     "fou-second": {
         "normals": "28e7c5d6ac59bb28ebddcdcc750469f8d108f52a5d7d7d7fff487d67dec8bf13",
@@ -122,7 +124,7 @@ def test_kron_v1_golden_digests(name):
     make_sampler, seed, replications, make_batch = CASES[name]
     golden = GOLDEN[name]
     sampler = make_sampler()
-    size, shape = sampler.group_size, (sampler.hurst.n, sampler.window.volume)
+    size, shape = sampler.group_size, sampler._normals
     normals = (substream(seed, g).standard_normal((min(size, replications - start),) + shape)
                for g, start in enumerate(range(0, replications, size)))
     assert digest(normals) == golden["normals"]
@@ -158,7 +160,7 @@ STATS_CASES = {
 
 STATS_GOLDEN = {
     "fidelity": "be4e2ab5d1da641145af998a65ab8916db757bf8be80df440ce32d4ca58c1487",
-    "increment-stationarity": "64ca167ce2115469e713285cdefa7344e2c48cae77939ab2807b61cf846c9293",
+    "increment-stationarity": "1161b30d97ad0ef6a059a4d9f6e3899785c273a921832c3d687a79b83ccc0475",
     "moments": "275b0291d2298c71b153ce513935d0a4b538079fd2740ec1966d3f1b2562dce1",
     "moments-large": "e21c5384f43a5afa5c12ebdc6707d30efeb94bd45fc893e4e71a8af80163443c",
     "self-similarity": "ab3b909801995e5054036da084ef2d578644493705db26501855b54a2579023c",

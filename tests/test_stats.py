@@ -333,6 +333,20 @@ def test_empirical_moments_cov_matches_numpy(rng):
     )
 
 
+def test_empirical_moments_at_sites_matches_all_sites_block(rng):
+    w = Window((0, -1), (2, 1))
+    fields = [FieldWindow(w, rng.normal(size=(3, 3, 2))) for _ in range(30)]
+    full = empirical_moments(fields)
+    sites = [(2, 1), (0, -1), (1, 0)]
+    part = empirical_moments(fields, sites=sites)
+    assert part.sites == tuple(sites)
+    idx = [list(w.sites()).index(t) for t in sites]
+    q = np.array([[2 * i, 2 * i + 1] for i in idx]).reshape(-1)
+    for got, ref in ((part.mean, full.mean[idx]), (part.mean_se, full.mean_se[idx]),
+                     (part.cov, full.cov[np.ix_(q, q)]), (part.cov_se, full.cov_se[np.ix_(q, q)])):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_empirical_moments_needs_three(rng):
     w = Window((0,), (1,))
     fields = [FieldWindow(w, rng.normal(size=(2, 1))) for _ in range(2)]

@@ -39,7 +39,6 @@ from fieldcorrespond import (
     unit_increment,
     unit_increment_field,
 )
-from fieldcorrespond.transforms import lamperti_values
 
 from conftest import (
     anchored_field,
@@ -425,8 +424,6 @@ def test_lamperti_inv_refuses_non_finite_result():
     theta = ThetaTuple([np.array([[1.0]])])
     y = FieldWindow(Window((-5,), (0,)), np.full(6, BIG), "exponential")
     _refuses_quietly(lamperti_inv, y, theta)
-    _refuses_quietly(lamperti_values, np.stack([np.ones((6, 1)), y.values]),
-                     y.window, theta, -1)
 
 
 def test_m_forward_refuses_non_finite_result():
@@ -620,17 +617,15 @@ def test_transforms_form_no_sitewise_exponentials(rng, monkeypatch):
     m_forward(lamperti(x, theta), theta)
 
 
-def test_lamperti_inv_batch_matches_single_calls(rng):
+def test_lamperti_inv_refuses_mismatched_field(rng):
+    # Values that do not fill their window never become a field, and a
+    # field of another N than the tuple is refused before any weight.
     theta = random_commuting_theta(rng, 2, 3)
-    w = Window((-2, 0), (1, 2))
-    ys = [random_field(rng, w, 3, clock="exponential") for _ in range(4)]
-    stacked = np.stack([y.values for y in ys])
-    for y, b in zip(ys, lamperti_values(stacked, w, theta, -1)):
-        assert b.tobytes() == lamperti_inv(y, theta).values.tobytes()
+    y = random_field(rng, Window((-2, 0), (1, 2)), 3, clock="exponential")
     with pytest.raises(DimensionMismatchError, match="window shape"):
-        lamperti_values(stacked, Window((0, 0), (1, 1)), theta, -1)
-    with pytest.raises(DimensionMismatchError, match="N=1, tuple has N=2"):
-        lamperti_values(stacked[..., 0, :], Window((-2,), (1,)), theta, -1)
+        FieldWindow(Window((0, 0), (1, 1)), y.values, "exponential")
+    with pytest.raises(DimensionMismatchError, match=r"\(n=3, N=1\) does not match tuple"):
+        lamperti_inv(FieldWindow(Window((-2,), (1,)), y.values[:, 0], "exponential"), theta)
 
 
 # ---------------------------------------------------------------------------
