@@ -8,10 +8,13 @@ sqrt(sum (d - mean)^2 / (R (R - 1))) = s/sqrt(R).  The pass threshold
 starts from ``z_max`` (default 3) and is Bonferroni-corrected across all
 comparisons in a report.
 
-Degenerate comparisons (zero standard error) are flagged: they pass when
-the difference itself is exactly zero (e.g. a deterministic batch) and
-fail otherwise.  ``z_max`` must be a positive finite number
-(ConfigError otherwise).
+A report holds its comparisons as columns: a tuple of labels and
+read-only arrays of estimates, references, SEs and z-scores, from which
+the pass verdict, the degenerate flag and max |z| are read.  Degenerate
+comparisons (zero standard error) are flagged: they pass when the
+difference itself is exactly zero (e.g. a deterministic batch) and fail
+otherwise.  ``z_max`` must be a positive finite number (ConfigError
+otherwise).
 
 The stationarity, increment-stationarity and self-similarity checks
 compute their rows by one of two routes, picked from the shapes alone:
@@ -73,56 +76,60 @@ GRAM_BLOCK = 1 << 15
 GRAM_RTOL = 1e-5
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    label: str
-    estimate: float
-    reference: float
-    se: float
-    z: float
-    degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "estimate": self.estimate,
-            "reference": self.reference,
-            "se": self.se,
-            "z": None if math.isinf(self.z) else self.z,
-            "degenerate": self.degenerate,
-        }
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleReport:
+    """A check's comparisons as columns: row k is ``labels[k]`` with entry k
+    of the read-only arrays ``estimate``, ``reference``, ``se`` and ``z``.
+
+    A row with se == 0 is degenerate; it passes when its z is 0, any other
+    row when |z| <= ``z_threshold`` (so a NaN z fails).
+    """
+
     check: str
     z_max: float
     z_threshold: float
-    comparisons: tuple
-    passed: bool
-    degenerate: bool
+    labels: tuple
+    estimate: np.ndarray
+    reference: np.ndarray
+    se: np.ndarray
+    z: np.ndarray
 
     @property
     def n_comparisons(self) -> int:
-        return len(self.comparisons)
+        return len(self.labels)
+
+    @property
+    def passed(self) -> bool:
+        ok = np.where(self.se == 0.0, self.z == 0.0, np.abs(self.z) <= self.z_threshold)
+        return bool(ok.all())
+
+    @property
+    def degenerate(self) -> bool:
+        return bool((self.se == 0.0).any())
 
     @property
     def max_abs_z(self) -> float:
-        finite = [abs(c.z) for c in self.comparisons if math.isfinite(c.z)]
-        if any(math.isinf(c.z) for c in self.comparisons):
-            return math.inf
-        return max(finite) if finite else 0.0
+        """The largest |z| (inf if any z is infinite), NaN z ignored; 0.0
+        without rows."""
+        return float(np.max(np.abs(self.z), initial=0.0, where=~np.isnan(self.z)))
 
     def to_dict(self) -> dict:
+        max_abs_z = self.max_abs_z
+        columns = zip(self.labels, self.estimate.tolist(), self.reference.tolist(),
+                      self.se.tolist(), self.z.tolist(), (self.se == 0.0).tolist())
         return {
             "check": self.check,
             "z_max": self.z_max,
             "z_threshold": self.z_threshold,
             "n_comparisons": self.n_comparisons,
-            "max_abs_z": None if math.isinf(self.max_abs_z) else self.max_abs_z,
+            "max_abs_z": None if math.isinf(max_abs_z) else max_abs_z,
             "passed": self.passed,
             "degenerate": self.degenerate,
-            "comparisons": [c.to_dict() for c in self.comparisons],
+            "comparisons": [
+                {"label": label, "estimate": est, "reference": ref, "se": se,
+                 "z": None if math.isinf(z) else z, "degenerate": degenerate}
+                for label, est, ref, se, z, degenerate in columns
+            ],
         }
 
 
@@ -167,14 +174,6 @@ def _mean_se(rows, count: int, r: int) -> tuple:
         np.square(d, out=d)
         se[sl] = np.sqrt(d.sum(axis=-1) / (r * (r - 1)))
     return mean, se
-
-
-def _diff_row(label: str, est: float, se: float, reference: float = 0.0) -> ComparisonRow:
-    est, se = float(est), float(se)
-    if se == 0.0:
-        z = 0.0 if est == reference else math.inf
-        return ComparisonRow(label, est, reference, se, z, True)
-    return ComparisonRow(label, est, reference, se, (est - reference) / se, False)
 
 
 def _stack(fields) -> tuple:
@@ -283,13 +282,6 @@ def _row_stats(z, a, c, b=None, e=None) -> tuple:
     return _mean_se(rows, len(a), z.shape[1])
 
 
-def _plan_rows(z, plan) -> tuple:
-    """Means and SEs of the mean rows, then the product rows, of a plan."""
-    _, a, c, i, j = plan
-    parts = (_row_stats(z, a, c), _row_stats(z, a[i], c[i], a[j], c[j]))
-    return tuple(np.concatenate(v) for v in zip(*parts))
-
-
 def _gram_products(values, r, q, plans) -> tuple:
     """``(sums, gram, gram_sq, crosses)`` of ``r`` replications of ``values``.
 
@@ -348,8 +340,8 @@ def _gram_plan_rows(plan, r, sums, gram, gram_sq, cross, rows) -> tuple:
     return mean, se
 
 
-def _compare(values, r, plans) -> list:
-    """The ComparisonRows of ``plans``, in order.
+def _compare(values, r, plans) -> tuple:
+    """``(labels, mean, se)`` of the rows of ``plans``, in order.
 
     ``values(sl)`` returns the (replications sl, q) values, whose column k
     is row index k of the plans.  The route follows from the shapes alone
@@ -367,25 +359,29 @@ def _compare(values, r, plans) -> list:
         stats = [_gram_plan_rows(plan, r, sums, gram, gram_sq, cross, rows)
                  for plan, cross in zip(plans, crosses)]
     else:
-        stats = [_plan_rows(rows(), plan) for plan in plans]
-    return [row for (labels, *_), (mean, se) in zip(plans, stats)
-            for row in map(_diff_row, labels, mean, se)]
+        z = rows()
+        stats = [part for _, a, c, i, j in plans
+                 for part in (_row_stats(z, a, c), _row_stats(z, a[i], c[i], a[j], c[j]))]
+    mean, se = np.concatenate([np.empty((2, 0)), *stats], axis=1)
+    return [label for labels, *_ in plans for label in labels], mean, se
 
 
-def _finish(check: str, rows, z_max: float, threshold: float = None) -> EnsembleReport:
-    thr = bonferroni_threshold(z_max, len(rows)) if threshold is None else threshold
-    passed = all(
-        (c.degenerate and c.z == 0.0) or (not c.degenerate and abs(c.z) <= thr)
-        for c in rows
-    )
-    return EnsembleReport(
-        check=check,
-        z_max=float(z_max),
-        z_threshold=float(thr),
-        comparisons=tuple(rows),
-        passed=bool(passed),
-        degenerate=any(c.degenerate for c in rows),
-    )
+def _finish(check: str, compared, z_max: float, reference=None,
+            threshold: float = None) -> EnsembleReport:
+    """The report of ``compared``, ``(labels, estimate, se)``, against
+    ``reference`` (default 0): z = (estimate - reference) / se, or, where
+    se == 0, 0 when estimate == reference and inf otherwise.  The threshold
+    is Bonferroni-corrected over the rows unless given."""
+    labels, estimate, se = compared
+    reference = np.zeros(len(labels)) if reference is None else np.array(reference, float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = np.where(se == 0.0, np.where(estimate == reference, 0.0, np.inf),
+                     (estimate - reference) / se)
+    for column in (estimate, reference, se, z):
+        column.setflags(write=False)
+    thr = bonferroni_threshold(z_max, len(labels)) if threshold is None else threshold
+    return EnsembleReport(check, float(z_max), float(thr), tuple(labels),
+                          estimate, reference, se, z)
 
 
 def stationarity_check(fields, shifts, z_max: float = 3.0, max_pairs: int = 60) -> EnsembleReport:
@@ -497,8 +493,7 @@ def fidelity_check(fields, hurst: HurstSpec, mixing, n_pairs: int = 10,
         return d
 
     mean, se = _mean_se(products, len(labels), r)
-    rows = list(map(_diff_row, labels, mean, se, refs))
-    return _finish("fidelity", rows, z_max, threshold=float(z_max))
+    return _finish("fidelity", (labels, mean, se), z_max, refs, threshold=float(z_max))
 
 
 @dataclass(frozen=True)

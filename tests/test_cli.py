@@ -768,6 +768,27 @@ def test_stats_fidelity_passes(tmp_path):
                  "--out", str(out)]) == 0
 
 
+def test_stats_fidelity_on_fou_batch_exits_2_before_computing(tmp_path, capsys):
+    # fidelity compares with the fractional sheet's law, which a FOU batch
+    # does not follow: a correct second-kind batch would fail it.  The
+    # manifest's kind refuses it before any comparison is computed.
+    cfg = write_json(tmp_path / "fou2.json", {
+        "kind": "second", "H": [[0.3, 0.7], [0.6, 0.4]], "A": [[1.0, 0.0], [0.0, 0.5]],
+        "window": {"lo": [-2, -2], "hi": [2, 2]}, "seed": 3, "replications": 20,
+    })
+    batch = tmp_path / "fou"
+    assert main(["fou", "--config", cfg, "--out", str(batch)]) == 0
+    out = tmp_path / "rep"
+    with mock.patch("fieldcorrespond.cli.fidelity_check") as check:
+        assert main(["stats", "--batch", str(batch), "--check", "fidelity",
+                     "--out", str(out)]) == 2
+    assert check.call_count == 0
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "fidelity knows only the fractional sheet law" in err
+    assert "second-kind FOU batch" in err
+
+
 def test_stats_self_similarity_derived_theta(tmp_path):
     batch = make_batch(
         tmp_path, clock="exponential",

@@ -189,7 +189,7 @@ def check_identical_rows_pass(sites, gram):
     assert report.passed
     assert report.degenerate
     assert report.max_abs_z == 0.0
-    assert all(c.se == 0.0 and c.estimate == 0.0 for c in report.comparisons)
+    assert np.all(report.se == 0.0) and np.all(report.estimate == 0.0)
 
 
 def check_offset_rows_fail(sites, gram):
@@ -206,7 +206,51 @@ def check_offset_rows_fail(sites, gram):
     assert not report.passed
     assert report.max_abs_z == math.inf
     assert report.to_dict()["max_abs_z"] is None
-    assert report.comparisons[0].se == 0.0 and report.comparisons[0].estimate == 1.0
+    assert report.se[0] == 0.0 and report.estimate[0] == 1.0
+
+
+def check_mixed_rows(sites, gram):
+    # Three kinds of row in one report.  Component 1 is one value per
+    # replication at every site: its rows have se == 0 and estimate ==
+    # reference.  Component 2 is fixed per site: its mean rows have se == 0
+    # and a nonzero estimate.  Component 3 varies freely: finite z.
+    w = Window((0,), (sites - 1,))
+    rng = np.random.default_rng(sites)
+    data = np.empty((12, sites, 3))
+    data[..., 0] = rng.normal(size=(12, 1))
+    data[..., 1] = np.arange(1.0, sites + 1.0)
+    data[..., 2] = rng.normal(size=(12, sites))
+    with gram_route() as spy:
+        report = stationarity_check(SampleBatch(0, data, w, "integer"), [(1,)])
+    assert bool(spy.call_count) == gram
+    columns = (report.estimate, report.reference, report.se, report.z)
+    for column in columns:
+        assert len(column) == report.n_comparisons
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    # The per-row rule: a row with se == 0 is degenerate, its z 0 when the
+    # estimate equals the reference and inf otherwise, and it passes only
+    # with z == 0; any other row has z = (estimate - reference) / se and
+    # passes when |z| is within the threshold.
+    est, ref, se = (c.tolist() for c in columns[:3])
+    degenerate = [v == 0.0 for v in se]
+    z = [(0.0 if e == r else math.inf) if d else (e - r) / v
+         for e, r, v, d in zip(est, ref, se, degenerate)]
+    ok = [zk == 0.0 if d else abs(zk) <= report.z_threshold for zk, d in zip(z, degenerate)]
+    kinds = set(zip(degenerate, (zk == 0.0 for zk in z)))
+    assert {(True, True), (True, False), (False, False)} <= kinds
+    assert report.z.tolist() == z
+    assert report.passed is all(ok) is False
+    assert report.degenerate is any(degenerate) is True
+    assert report.max_abs_z == (math.inf if math.inf in z else max(map(abs, z))) == math.inf
+    d = report.to_dict()
+    assert d["passed"] is False and d["degenerate"] is True and d["max_abs_z"] is None
+    assert d["comparisons"] == [
+        {"label": label, "estimate": e, "reference": r, "se": v,
+         "z": None if math.isinf(zk) else zk, "degenerate": dk}
+        for label, e, r, v, zk, dk in zip(report.labels, est, ref, se, z, degenerate)
+    ]
 
 
 # Windows of 4 and 2 sites take the Gram route, 100 sites the row route.
@@ -216,11 +260,13 @@ def test_degenerate_rows_pass_when_identical():
 
 def test_degenerate_rows_fail_when_offset():
     check_offset_rows_fail(2, gram=True)
+    check_mixed_rows(4, gram=True)
 
 
 def test_degenerate_rows_on_the_row_route():
     check_identical_rows_pass(100, gram=False)
     check_offset_rows_fail(100, gram=False)
+    check_mixed_rows(100, gram=False)
 
 
 def test_stack_rejects_mixed_geometry(rng):
@@ -466,13 +512,13 @@ def assert_rows_match(report, ref, gram):
     """Rows equal to the per-row reference: byte for byte on the row route
     and wherever the reference SE is 0; on the Gram route, estimates within
     1e-10 SE and SEs within 1e-10 relative."""
-    assert len(report.comparisons) == len(ref)
-    for c, (est, se) in zip(report.comparisons, ref):
+    assert report.n_comparisons == len(ref)
+    for label, c_est, c_se, (est, se) in zip(report.labels, report.estimate, report.se, ref):
         if not gram or se == 0.0:
-            assert (c.estimate, c.se) == (est, se), c.label
+            assert (c_est, c_se) == (est, se), label
         else:
-            assert abs(c.estimate - est) <= 1e-10 * se, c.label
-            assert abs(c.se - se) <= 1e-10 * se, c.label
+            assert abs(c_est - est) <= 1e-10 * se, label
+            assert abs(c_se - se) <= 1e-10 * se, label
 
 
 def check_rows_equal_the_row_loop(rng, hi, gram):
@@ -538,7 +584,7 @@ def test_large_window_takes_the_row_route_with_the_previous_bytes():
         report = stationarity_check(batch, shifts)
     assert spy.call_count == 0
     ref = [row for s in shifts for row in loop_shift_rows(batch.values, w, s)]
-    assert [(c.estimate, c.se) for c in report.comparisons] == ref
+    assert list(zip(report.estimate.tolist(), report.se.tolist())) == ref
     digest = hashlib.sha256(dumps_json(report.to_dict()).encode()).hexdigest()
     assert digest == "d7c677c6729b85dafc6a5fe1a9a357b3d5f6c4e622b3f6399f0526ff0971490c"
 
