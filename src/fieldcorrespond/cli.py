@@ -408,10 +408,6 @@ def cmd_stats(args) -> tuple:
                 theta = derive_theta(HurstSpec(batch.config["H"]))
         report = self_similarity_check(batch, shifts[0], theta, z_max=args.z_max)
     elif args.check == "fidelity":
-        if "kind" in batch.config:
-            raise ConfigError(
-                f"fidelity knows only the fractional sheet law, and {args.batch} holds a "
-                f"{batch.config['kind']}-kind FOU batch; its exact law is not implemented yet")
         with _refused("batch manifest"):
             hurst, a = HurstSpec(batch.config["H"]), batch.config["A"]
         with _refused("mixing matrix"):

@@ -1,27 +1,27 @@
 """Fractional Ornstein-Uhlenbeck sheets of the first and second kind.
 
-Both kinds are drawn by a ``SheetSampler`` whose per-axis factors carry
-the whole construction, so no transform pass runs.
+Both kinds are stationary: along each axis their law is a kernel of the lag
+t - s alone.  A ``SheetSampler`` draws them from factors of those Toeplitz
+kernels on the window's shape, so no sheet Gram is built, no transform
+runs, and moving the window changes neither law nor bytes.  Manifests of
+both kinds carry ``"solver": KERNEL_SOLVER``.
 
 First kind: the stationary AR(1) solution driven by a mixed fractional
 sheet on the integer clock, X = lamperti_inv(m_inverse_truncated(G)) for
-G = A B.  In the tuple's eigenbasis Theta_j = Q diag(W_j) Q^T that map
-separates by axis into one lower-triangular map T_a per eigen-coordinate,
-so the sampler applies T_a times the sheet's factor on the padded axis
-[lo - depth - 1, hi]: it draws the padded sheet's normals and never forms
-the sheet or runs a transform.  Batches of the first kind carry
-``"solver": KERNEL_SOLVER`` in their manifest.
+G = A B.  In the tuple's eigenbasis Theta_j = Q diag(W_j) Q^T the map
+separates by axis into one causal filter per eigen-coordinate acting on
+the sheet's increments, fractional Gaussian noise on the increment axis
+[lo - depth, hi].
 
-Second kind: evaluate the mixed sheet on the exponential clock and pull
-it back through the inverse Lamperti map with the tuple derived from the
-Hurst spec, Theta_j = diag(H_j^(1), ..., H_j^(n)).  The derived tuple is
-never user-supplied: for the second kind the scaling exponents ARE the
-Hurst indices, and the mixing matrix must commute with the clock
-exponentials for the pullback to stay Gaussian-consistent (checked at the
-axis unit vectors).  Because it commutes, the pullback is folded into the
-sampler: e^{-t*Theta} = prod_j diag_k(e^{-t_j H_j^(k)}) scales row t_j of
-component k's axis-j Gram factor, and no Lamperti pass runs.  Batches of
-the second kind carry ``"solver": FOLDED_SOLVER`` in their manifest.
+Second kind: the inverse Lamperti map of the mixed sheet on the
+exponential clock, with the tuple derived from the Hurst spec,
+Theta_j = diag(H_j^(1), ..., H_j^(n)).  The derived tuple is never
+user-supplied: for the second kind the scaling exponents ARE the Hurst
+indices, and the mixing matrix must commute with the clock exponentials
+for the pullback to stay Gaussian-consistent (checked at the axis unit
+vectors).  Because it commutes, component k's per-axis law is the
+Lamperti image of fractional Brownian motion, K(t - s) with
+h = H_j^(k), drawn before A mixes.
 """
 
 from __future__ import annotations
@@ -50,11 +50,9 @@ from .transforms import (
 )
 
 MIXING_COMMUTE_RTOL = 1e-10
-# Tags of the solvers, recorded in batch manifests.  The first kind is drawn
-# from per-axis factors of its own law; the second kind folds the inverse
-# Lamperti map into the sheet's per-axis factors.
-KERNEL_SOLVER = "kernel-v1"
-FOLDED_SOLVER = "folded-v1"
+# Tag of the solver, recorded in batch manifests: both kinds are drawn from
+# factors of their stationary per-axis kernels.
+KERNEL_SOLVER = "kernel-v2"
 
 
 def derive_theta(hurst: HurstSpec) -> ThetaTuple:
@@ -130,48 +128,57 @@ class FouConfig:
             object.__setattr__(self, "theta", derived)
 
 
-def _first_kind_factors(cfg: FouConfig) -> tuple:
-    """(factors, Q) of the first kind, for ``SheetSampler``'s private hook.
+def _fgn_cov(size: int, h: float) -> np.ndarray:
+    """gamma(0), ..., gamma(size - 1) of fractional Gaussian noise, the
+    sheet's increments along an axis: (|u+1|^{2h} + |u-1|^{2h} - 2|u|^{2h}) / 2."""
+    u = np.arange(float(size))
+    return ((u + 1) ** (2 * h) + np.abs(u - 1) ** (2 * h) - 2 * u ** (2 * h)) / 2
 
-    On axis j, lamperti_inv after m_inverse_truncated maps coordinate a of
-    Q^T G on the padded axis [lo - d - 1, hi] to coordinate a of Q^T X by
-    T_a[t, s] = e^{-(t-s) w_a} [lo - d <= s <= t] - e^{-(t-s-1) w_a} [s < t],
-    w = W_j; only non-positive exponents are formed.  Component k's factor
-    is T_a F_k for every a, F_k the factor of the sheet's 1-D Gram on the
-    padded axis, as (n, L_j, L_j + d + 1): the mode products then draw the
-    AR(1) solution of the padded sheet's normals, pathwise.
-    """
-    q, w = cfg.theta.eigenbasis("first-kind FOU")
-    n, factors = cfg.hurst.n, []
-    for j, (lo, hi, d) in enumerate(zip(cfg.window.lo, cfg.window.hi,
-                                        cfg.policy.resolve(cfg.theta))):
-        size = hi - lo + 1
-        if max(n * size, size + d + 1) > gaussian.GRID_CAP:
-            raise NumericRangeError(
-                f"first-kind FOU axis {j} needs factors of {n * size} rows over {size + d + 1} "
-                f"padded sites, beyond the factorization cap of {gaussian.GRID_CAP}")
-        lag = np.arange(d + 1, d + 1 + size)[:, np.newaxis] - np.arange(size + d + 1)
-        now, before = (np.exp(-np.maximum(lag - i, 0) * w[j][:, None, None]) * (lag >= i)
-                       for i in (0, 1))
-        now[:, :, 0] = 0.0
-        t = now - before
-        factors.append(np.stack([t @ f for f in gaussian._axis_factors(
-            cfg.hurst, j, lo - d - 1, hi, "integer")]))
-    return factors, q
+
+def _lamperti_cov(size: int, h: float) -> np.ndarray:
+    """K(0), ..., K(size - 1) of the Lamperti image e^{-th} B(e^t) of fBm,
+    K(u) = (e^{uh} + e^{-uh} - |2 sinh(u/2)|^{2h}) / 2, evaluated as
+    h g e^{-(1-h)u} + e^{-hu} / 2, g = (1 - (1 - x)^{2h}) / (2h x) and
+    x = e^{-u}, which neither cancels nor overflows."""
+    u = np.arange(1.0, size)
+    x = np.exp(-np.minimum(u, 700.0))
+    g = -np.expm1(2 * h * np.log1p(-x)) / (2 * h * x)
+    return np.concatenate(([1.0], h * g * np.exp(-(1 - h) * u) + np.exp(-h * u) / 2))
+
+
+def _kernel_factors(cov, hurst_axis, size: int) -> np.ndarray:
+    """(len(hurst_axis), size, size): per Hurst index h, a factor of the
+    Toeplitz Gram cov(size, h)[|t - s|] on ``size`` consecutive sites."""
+    if size > gaussian.GRID_CAP:
+        raise NumericRangeError(f"a FOU axis of {size} sites exceeds the factorization "
+                                f"cap of {gaussian.GRID_CAP}")
+    lag = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+    return np.stack([gaussian.factor_covariance(cov(size, h)[lag]) for h in hurst_axis])
 
 
 def _sampler(cfg: FouConfig) -> SheetSampler:
-    """The sampler of cfg's field: the first kind from its per-axis factors,
-    the second from the exponential-clock sheet's factors with e^{-t*Theta}
-    folded into their rows."""
-    if cfg.kind == "first":
-        factors, q = _first_kind_factors(cfg)
-        return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer",
-                            _factors=factors, _rotation=q)
-    return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer", _factors=[
-        gaussian._axis_factors(cfg.hurst, j, lo, hi, "exponential")
-        * np.exp(-np.outer(cfg.hurst.H[:, j], np.arange(lo, hi + 1)))[:, None, :, None]
-        for j, (lo, hi) in enumerate(zip(cfg.window.lo, cfg.window.hi))])
+    """The sampler of cfg's field.  Second kind: component k's factor on
+    axis j factors K with h = H_j^(k).  First kind: coordinate a of Q^T X
+    along axis j is X_t = sum_{lo-d <= s <= t} e^{-(t-s) w_a} dG_s, w = W_j,
+    so component k's factor is that filter E_a times the factor of gamma on
+    the increment axis [lo - d, hi], as (n, L_j, L_j + d)."""
+    if cfg.kind == "second":
+        return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer", _factors=[
+            _kernel_factors(_lamperti_cov, cfg.hurst.H[:, j], size)[:, np.newaxis]
+            for j, size in enumerate(cfg.window.shape)])
+    q, w = cfg.theta.eigenbasis("first-kind FOU")
+    n, factors = cfg.hurst.n, []
+    for j, (size, d) in enumerate(zip(cfg.window.shape, cfg.policy.resolve(cfg.theta))):
+        if max(n * size, size + d) > gaussian.GRID_CAP:
+            raise NumericRangeError(
+                f"first-kind FOU axis {j} needs factors of {n * size} rows over {size + d} "
+                f"increment sites, beyond the factorization cap of {gaussian.GRID_CAP}")
+        lag = np.arange(d, d + size)[:, np.newaxis] - np.arange(size + d)
+        e = np.exp(-np.maximum(lag, 0) * w[j][:, None, None]) * (lag >= 0)
+        factors.append(np.stack([e @ f for f in _kernel_factors(
+            _fgn_cov, cfg.hurst.H[:, j], size + d)]))
+    return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer",
+                        _factors=factors, _rotation=q)
 
 
 def _field_meta(cfg: FouConfig) -> dict:
@@ -187,15 +194,12 @@ def _field_meta(cfg: FouConfig) -> dict:
 def fou_field(cfg: FouConfig, replication: int = 0) -> FieldWindow:
     """Replication ``replication`` of ``fou_batch(cfg)``, drawn alone.
 
-    The first kind equals ``stationary_solution`` of an ``Ar1System``
-    driven by the mixed integer-clock sheet that
-    ``SheetSampler(A, H, padded, "integer")`` draws from the same seed and
-    replication on the padded window [lo - depth - 1, hi], to rounding: its
-    factors act on that sheet's normals.  The second kind equals ``lamperti_inv`` of the
-    exponential-clock sheet to rounding (to the mixing matrix's
-    commutation defect, at most MIXING_COMMUTE_RTOL, when A commutes with
-    the clock only to that tolerance): it applies e^{-t*Theta} to the
-    sheet's per-axis factors, before A mixes.
+    The first kind equals, to rounding, ``stationary_solution`` of an
+    ``Ar1System`` driven by the mixed integer-clock sheet whose increments
+    on [lo - depth, hi] are the fractional Gaussian noise its factors draw
+    from the same normals.  The second kind's law is the Lamperti
+    pullback's, to the mixing matrix's commutation defect (at most
+    MIXING_COMMUTE_RTOL).
     """
     y = _sampler(cfg).sample(cfg.seed, replication)
     return FieldWindow(cfg.window, y.values, "integer", dict(y.meta, **_field_meta(cfg)))
@@ -204,10 +208,9 @@ def fou_field(cfg: FouConfig, replication: int = 0) -> FieldWindow:
 def fou_batch(cfg: FouConfig) -> SampleBatch:
     """R replications of the configured construction.
 
-    The per-axis Gram factors are computed once and shared across
-    replications; the draws follow the sampler's randomness contract
-    (``gaussian`` module docstring).  Replications are drawn in the sampler's
-    blocks (``SheetSampler.blocks``) into one preallocated array.
+    The per-axis kernel factors are computed once; the draws follow the
+    sampler's randomness contract (``gaussian`` module docstring), in its
+    blocks (``SheetSampler.blocks``), into one preallocated array.
     Replication r equals ``fou_field(cfg, r)`` byte for byte, metadata
     included.
     """
@@ -228,6 +231,6 @@ def fou_batch(cfg: FouConfig) -> SampleBatch:
                    "depth": list(cfg.policy.resolve(cfg.theta))},
         "transforms": TRANSFORMS_VERSION,
         "sampler": SAMPLER_VERSION,
-        "solver": KERNEL_SOLVER if cfg.kind == "first" else FOLDED_SOLVER,
+        "solver": KERNEL_SOLVER,
     }
     return SampleBatch(cfg.seed, values, cfg.window, "integer", config, _field_meta(cfg))

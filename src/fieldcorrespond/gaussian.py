@@ -19,7 +19,8 @@ exact zeros, never jitter.
 
 Randomness contract: a replication takes n * P standard normals, where
 P = prod_j p_j over the factors' input lengths (the window volume for a
-sheet, the padded window's volume for a first-kind FOU).  Replication r of seed s lies in group g = r // G,
+sheet, the volume of the increment window [lo - depth, hi] for a
+first-kind FOU).  Replication r of seed s lies in group g = r // G,
 G = max(1, DRAW_BLOCK // (n * P)), and is row r - gG, in C order, of the
 (rows, n, P) standard normals of ``substream(s, g)``: one Philox counter
 stream (Salmon, Moraes, Dror & Shaw, SC'11) per group.  The rows of a
@@ -270,14 +271,6 @@ def as_mixing(a, n: int) -> np.ndarray:
     return a
 
 
-def _axis_factors(hurst: HurstSpec, j: int, lo: int, hi: int, clock: str) -> np.ndarray:
-    """(n, 1, m, m): the factor of each component's 1-D Gram along axis j
-    over the sites lo .. hi on ``clock``."""
-    pts = sheet_points(Window((lo,), (hi,)), clock)
-    return np.stack([factor_covariance(build_cov_matrix(pts, hurst.H[k, j:j + 1]))
-                     for k in range(hurst.n)])[:, np.newaxis]
-
-
 class SheetSampler:
     """Reusable sampler: factors each component's per-axis Gram matrices once.
 
@@ -304,10 +297,12 @@ class SheetSampler:
         self.window = window
         self.clock = clock
         self._rotation = _rotation
+        # Component k's factor along axis j: that of its 1-D Gram on ``clock``.
         self._factors = _factors if _factors is not None else [
-            _axis_factors(hurst, j, lo, hi, clock)
-            for j, (lo, hi) in enumerate(zip(window.lo, window.hi))
-        ]
+            np.stack([factor_covariance(build_cov_matrix(
+                sheet_points(Window((lo,), (hi,)), clock), hurst.H[k, j:j + 1]))
+                for k in range(hurst.n)])[:, np.newaxis]
+            for j, (lo, hi) in enumerate(zip(window.lo, window.hi))]
 
     @property
     def _normals(self) -> tuple:

@@ -464,8 +464,14 @@ def fidelity_check(fields, hurst: HurstSpec, mixing, n_pairs: int = 10,
 
     Site pairs are chosen deterministically (even stride through the
     lexicographic pair list).  No Bonferroni correction: the contract is
-    "within z_max jackknife SEs" per pair.
+    "within z_max jackknife SEs" per pair.  A FOU batch (one whose config
+    has a ``kind``) raises ConfigError before anything is computed: its law
+    is not the sheet's.
     """
+    if isinstance(fields, SampleBatch) and "kind" in fields.config:
+        raise ConfigError(f"fidelity knows only the fractional sheet law, and the batch is a "
+                          f"{fields.config['kind']}-kind FOU batch; its exact law is not "
+                          "implemented yet")
     z_max = check_threshold(z_max, "z_max")
     data, window, clock = _stack(fields)
     r, n = data.shape[0], data.shape[-1]

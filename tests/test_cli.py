@@ -572,19 +572,19 @@ def test_fou_first_kind_runs(tmp_path):
     assert man["kind"] == "first"
     assert man["policy"]["depth"] == [5]
     assert man["sampler"] == "kron-v3"
-    assert man["solver"] == "kernel-v1"
+    assert man["solver"] == "kernel-v2"
     assert (out / "rep_00003.csv").exists()
 
 
 def test_fou_first_kind_beyond_grid_cap_exits_3(tmp_path, capsys, monkeypatch):
-    # n * L_j = 2 * 4 factor rows exceed a cap of 7; the padded axis
-    # (4 + 2 + 1 = 7 sites) alone would fit.
+    # n * L_j = 2 * 4 factor rows exceed a cap of 7; the increment axis
+    # (4 + 2 = 6 sites) alone would fit.
     monkeypatch.setattr(gaussian, "GRID_CAP", 7)
     theta = theta_file(tmp_path, [np.diag([0.8, 1.2])])
     cfg = fou_config(tmp_path, theta, H=[[0.4], [0.6]], policy={"depth": 2})
     out = tmp_path / "run"
     assert main(["fou", "--config", cfg, "--out", str(out)]) == 3
-    assert "8 rows over 7 padded sites" in capsys.readouterr().err
+    assert "8 rows over 6 increment sites" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -601,6 +601,26 @@ def test_fou_second_kind_runs(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "second"
     assert man["sampler"] == "kron-v3"
+
+
+def test_fou_second_kind_far_window_is_stationary(tmp_path):
+    # The second kind is drawn from its stationary kernel on the integer
+    # window itself: a window reaching past the exponential clock's limit
+    # runs, and its site variances pass a shift comparison.
+    cfg = write_json(tmp_path / "fou2.json", {
+        "kind": "second", "H": [[0.7]], "window": {"lo": [0], "hi": [30]},
+        "seed": 1, "replications": 2000,
+    })
+    run, stats = tmp_path / "run", tmp_path / "stats"
+    assert main(["fou", "--config", cfg, "--out", str(run)]) == 0
+    assert main(["stats", "--batch", str(run), "--check", "stationarity",
+                 "--shift", "1", "--out", str(stats)]) == 0
+    assert json.loads((stats / "stats_report.json").read_text())["passed"] is True
+    far = write_json(tmp_path / "far.json", {
+        "kind": "second", "H": [[0.7]], "window": {"lo": [30], "hi": [35]},
+        "seed": 1, "replications": 2,
+    })
+    assert main(["fou", "--config", far, "--out", str(tmp_path / "far")]) == 0
 
 
 def test_fou_kind_flag_overrides(tmp_path):
@@ -779,10 +799,10 @@ def test_stats_fidelity_on_fou_batch_exits_2_before_computing(tmp_path, capsys):
     batch = tmp_path / "fou"
     assert main(["fou", "--config", cfg, "--out", str(batch)]) == 0
     out = tmp_path / "rep"
-    with mock.patch("fieldcorrespond.cli.fidelity_check") as check:
+    with mock.patch("fieldcorrespond.stats._stack") as stack:
         assert main(["stats", "--batch", str(batch), "--check", "fidelity",
                      "--out", str(out)]) == 2
-    assert check.call_count == 0
+    assert stack.call_count == 0
     assert not out.exists()
     err = capsys.readouterr().err
     assert "fidelity knows only the fractional sheet law" in err

@@ -3,10 +3,12 @@
 The scalar first-kind autocovariance oracle is a double sum over
 increment covariances computed with plain Python; the second-kind
 stationarity oracle works directly on the exact covariance of the
-composed linear map, with no sampling at all.
+composed linear map, with no sampling at all.  The per-axis kernels are
+checked against references in stdlib ``decimal`` arithmetic.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from fieldcorrespond import (
     stationary_solution,
 )
 from fieldcorrespond import gaussian as gaussian_module
-from fieldcorrespond.fou import _sampler
+from fieldcorrespond.fou import _fgn_cov, _kernel_factors, _lamperti_cov, _sampler
 
 
 def test_derive_theta_diagonal():
@@ -149,10 +151,20 @@ def _padded(cfg) -> Window:
 
 
 def _driving_sheet(cfg, r) -> FieldWindow:
-    """The mixed integer-clock sheet on the padded window drawn from cfg's
-    seed: the first kind's factors act on its normals, so replication r is
-    the stationary AR(1) solution it drives."""
-    return SheetSampler(cfg.mixing, cfg.hurst, _padded(cfg), "integer").sample(cfg.seed, r)
+    """The mixed integer-clock sheet on the padded window whose increments
+    the first kind's factors draw from cfg's seed: the fractional Gaussian
+    noise on the increment window [lo - depth, hi] drawn from the same
+    normals, cumulated along every axis from zeros on the low faces.
+    Replication r is the stationary AR(1) solution it drives."""
+    pad = _padded(cfg)
+    inc = Window(tuple(l + 1 for l in pad.lo), pad.hi)
+    noise = SheetSampler(cfg.mixing, cfg.hurst, inc, "integer", _factors=[
+        _kernel_factors(_fgn_cov, cfg.hurst.H[:, j], size)[:, np.newaxis]
+        for j, size in enumerate(inc.shape)]).sample(cfg.seed, r)
+    g = np.pad(noise.values, [(1, 0)] * inc.N + [(0, 0)])
+    for axis in range(inc.N):
+        g = np.cumsum(g, axis=axis)
+    return FieldWindow(pad, g, "integer", noise.meta)
 
 
 def _ar1_residual(x, cfg, r) -> float:
@@ -184,8 +196,8 @@ def test_first_kind_wide_spectrum():
 
 
 def _sampler_cov(cfg) -> np.ndarray:
-    """The covariance the first-kind sampler draws from: its map applied to
-    identity normals, over (site, component) in C order."""
+    """The covariance cfg's sampler draws from: its map applied to identity
+    normals, over (site, component) in C order."""
     sampler = _sampler(cfg)
     n, p = sampler._normals
     v = sampler._mix(np.eye(n * p).reshape(n * p, n, p)).reshape(n * p, -1)
@@ -229,8 +241,8 @@ def test_first_kind_exact_law(N, rotated):
 
 
 def test_first_kind_grid_cap_counts_coordinate_rows(monkeypatch):
-    # n * L_j = 10 factor rows exceed a cap of 9, though the padded axis
-    # (5 + 2 + 1 = 8 sites) fits; nothing is drawn.
+    # n * L_j = 10 factor rows exceed a cap of 9, though the increment axis
+    # (5 + 2 = 7 sites) fits; nothing is drawn.
     monkeypatch.setattr(gaussian_module, "GRID_CAP", 9)
     cfg = FouConfig(kind="first", hurst=HurstSpec([[0.4], [0.6]]), mixing=np.eye(2),
                     window=Window((0,), (4,)), theta=ThetaTuple([np.diag([0.8, 1.2])]),
@@ -241,7 +253,7 @@ def test_first_kind_grid_cap_counts_coordinate_rows(monkeypatch):
 
     monkeypatch.setattr(gaussian_module, "_streams", no_draws)
     for draw in (fou_batch, fou_field):
-        with pytest.raises(NumericRangeError, match="10 rows over 8 padded sites"):
+        with pytest.raises(NumericRangeError, match="10 rows over 7 increment sites"):
             draw(cfg)
 
 
@@ -331,27 +343,32 @@ def test_fou_batch_manifest_and_rerun():
     assert man["clock"] == "integer"
     assert man["transforms"] == "eigenbasis-v1"
     assert man["sampler"] == "kron-v3"
-    assert man["solver"] == "kernel-v1"
+    assert man["solver"] == "kernel-v2"
 
 
-def _explicit_route(cfg, r):
-    """Replication r built from the public single-field maps."""
-    if cfg.kind == "first":
-        return stationary_solution(Ar1System(cfg.theta, _driving_sheet(cfg, r), cfg.policy),
-                                   cfg.window)
-    y = SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "exponential").sample(cfg.seed, r)
-    return lamperti_inv(y, cfg.theta)
+def _second_kind_cov(cfg) -> np.ndarray:
+    """The exact second-kind covariance over (site, component) in C order:
+    sum_k A[:, k] A[:, k]^T prod_j e^{-H_j^(k) (t_j + s_j)} times the
+    sheet's covariance at (e^t, e^s), the Lamperti pullback of the
+    exponential-clock sheet."""
+    sites = np.array(list(cfg.window.sites()), dtype=float)
+    a = cfg.mixing
+    return sum(np.kron(np.array([[math.exp(-h @ (t + s)) * fbs_cov(np.exp(t), np.exp(s), h)
+                                  for s in sites] for t in sites]),
+                       np.outer(a[:, k], a[:, k]))
+               for k, h in enumerate(cfg.hurst.H))
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_fou_batch_equals_single_replications(monkeypatch, kind):
     # The batch draws replications in blocks of 640 normals: 16
-    # replications of 2 x 20 for the second kind, 2 of 2 x 12 x 11 padded
-    # sites for the first, so 37 spans several blocks and a partial last
-    # one.  Each replication must equal fou_field byte for byte, and the
-    # explicit single-field route with the same metadata to 1e-12 relative
-    # to the field's largest value: both kinds fold their transforms into
-    # the sampler's factors.
+    # replications of 2 x 20 for the second kind, 2 of 2 x 11 x 10
+    # increment sites for the first, so 37 spans several blocks and a
+    # partial last one.  Each replication must equal fou_field byte for
+    # byte.  The first kind must equal, with the same metadata and to 1e-12
+    # relative to the field's largest value, the stationary AR(1) solution
+    # driven by the sheet whose increments its factors draw; the second
+    # kind's sampler must draw the Lamperti pullback's exact law.
     monkeypatch.setattr(gaussian_module, "DRAW_BLOCK", 640)
     extra = {}
     if kind == "first":
@@ -362,12 +379,20 @@ def test_fou_batch_equals_single_replications(monkeypatch, kind):
                     window=Window((-2, -1), (2, 2)), seed=21, replications=37, **extra)
     batch = fou_batch(cfg)
     assert batch.replications == 37
+    if kind == "second":
+        exact = _second_kind_cov(cfg)
+        assert np.max(np.abs(_sampler_cov(cfg) - exact)) <= 1e-12 * np.max(np.abs(exact))
     for r, f in enumerate(batch.fields):
-        explicit, one = _explicit_route(cfg, r), fou_field(cfg, r)
+        one = fou_field(cfg, r)
         assert f.values.tobytes() == one.values.tobytes()
-        gap = np.max(np.abs(f.values - explicit.values))
-        assert gap <= 1e-12 * np.max(np.abs(explicit.values))
-        for other in (explicit, one):
+        others = [one]
+        if kind == "first":
+            explicit = stationary_solution(
+                Ar1System(cfg.theta, _driving_sheet(cfg, r), cfg.policy), cfg.window)
+            gap = np.max(np.abs(f.values - explicit.values))
+            assert gap <= 1e-12 * np.max(np.abs(explicit.values))
+            others.append(explicit)
+        for other in others:
             assert f.meta == other.meta
             assert f.clock == other.clock and f.window == other.window
 
@@ -381,7 +406,99 @@ def test_fou_batch_save_load(tmp_path):
 
     back = load_batch(tmp_path)
     assert back.config["kind"] == "second"
-    assert back.config["solver"] == "folded-v1"
+    assert back.config["solver"] == "kernel-v2"
     for a, b in zip(batch.fields, back.fields):
         np.testing.assert_array_equal(a.values, b.values)
 
+
+
+KERNEL_HURST = [0.05, 0.7, 0.95, 1.0]
+
+
+def _lamperti_ref(size: int, h: float) -> np.ndarray:
+    """K(0), ..., K(size - 1) in 40-digit decimal arithmetic:
+    K(u) = (e^{uh} (1 - (1 - e^{-u})^{2h}) + e^{-uh}) / 2, the first term
+    summed as the binomial series sum_k (-1)^{k+1} C(2h, k) e^{(h-k)u}."""
+    out = [1.0]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        two_h, tiny = 2 * Decimal(h), Decimal(10) ** -40
+        for u in map(Decimal, range(1, size)):
+            acc, coef, k = (-u * two_h / 2).exp(), Decimal(1), 1
+            while True:
+                coef *= (two_h - k + 1) / k
+                term = coef * ((two_h / 2 - k) * u).exp()
+                acc += term if k % 2 else -term
+                if coef == 0 or abs(term) < tiny:
+                    break
+                k += 1
+            out.append(float(acc / 2))
+    return np.array(out)
+
+
+def _fgn_ref(size: int, h: float) -> np.ndarray:
+    """gamma(0), ..., gamma(size - 1) in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        two_h = 2 * Decimal(h)
+        p = [Decimal(0)] + [(two_h * Decimal(v).ln()).exp() for v in range(1, size + 1)]
+        return np.array([float((p[u + 1] + p[abs(u - 1)] - 2 * p[u]) / 2)
+                         for u in range(size)])
+
+
+@pytest.mark.parametrize("h", KERNEL_HURST)
+def test_kernels_match_decimal_reference(h):
+    # K is evaluated in a form that neither cancels nor overflows, so it is
+    # accurate to rounding at every lag up to GRID_CAP; gamma cancels terms
+    # of size (u + 1)^{2h} and is accurate to a few roundings of them.
+    size = gaussian_module.GRID_CAP
+    assert np.max(np.abs(_lamperti_cov(size, h) - _lamperti_ref(size, h))) <= 1e-15
+    u = np.arange(float(size))
+    bound = 4 * np.finfo(float).eps * (u + 1) ** (2 * h)
+    assert np.all(np.abs(_fgn_cov(size, h) - _fgn_ref(size, h)) <= bound)
+
+
+@pytest.mark.parametrize("h", KERNEL_HURST)
+@pytest.mark.parametrize("lo, hi", [(0, 30), (-15, 15)])
+def test_second_kind_law_is_the_lamperti_kernel(h, lo, hi):
+    # The sampler draws the stationary kernel K(t - s) on the integer
+    # window itself, wherever the window lies and far beyond the reach of
+    # the exponential clock's dynamic range.
+    cfg = FouConfig(kind="second", hurst=HurstSpec([[h]]), mixing=np.eye(1),
+                    window=Window((lo,), (hi,)))
+    ref = _lamperti_ref(hi - lo + 1, h)
+    lag = np.abs(np.subtract.outer(np.arange(hi - lo + 1), np.arange(hi - lo + 1)))
+    assert np.max(np.abs(_sampler_cov(cfg) - ref[lag])) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_shifted_window_gives_the_same_bytes(kind):
+    # Both kinds are stationary and their factors depend on the window's
+    # shape alone, so moving the window changes neither law nor bytes.
+    extra = {}
+    if kind == "first":
+        extra = {"theta": ThetaTuple([np.diag([0.9, 1.2]), np.diag([1.1, 1.0])]),
+                 "policy": TruncationPolicy(depth=6)}
+
+    def values(lo, hi):
+        return fou_batch(FouConfig(kind=kind, hurst=HurstSpec([[0.3, 0.7], [0.6, 0.4]]),
+                                   mixing=np.diag([1.0, 0.5]), window=Window(lo, hi),
+                                   seed=5, replications=3, **extra)).values
+
+    assert values((0, 0), (5, 6)).tobytes() == values((25, -7), (30, -1)).tobytes()
+
+
+def test_second_kind_grid_cap_refuses_before_drawing(monkeypatch):
+    # A 10-site axis exceeds a cap of 9 whatever the other axis; nothing is
+    # drawn.
+    monkeypatch.setattr(gaussian_module, "GRID_CAP", 9)
+    cfg = FouConfig(kind="second", hurst=HurstSpec([[0.4, 0.6]]), mixing=np.eye(1),
+                    window=Window((0, 100), (2, 109)))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(gaussian_module, "_streams", no_draws)
+    for draw in (fou_batch, fou_field):
+        with pytest.raises(NumericRangeError, match="FOU axis of 10 sites exceeds"):
+            draw(cfg)

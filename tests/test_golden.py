@@ -3,9 +3,8 @@
 The manifest tag ``kron-v3`` promises the same draws for a given seed
 whatever the code path that produces them.  These tests pin, as sha256
 digests, the bytes of two sheet batches and of one batch of each FOU kind.
-The first kind's values are those of its ``kernel-v1`` solver, the second
-kind's those of its ``folded-v1`` solver, and the stats digests those of
-stats ``gram-v1``.
+The FOU values are those of the ``kernel-v2`` solver, and the stats
+digests those of stats ``gram-v1``.
 
 Each case pins three digests:
 
@@ -73,12 +72,10 @@ CASES = {
                           lambda: sample_sheet_batch(*SHEET_EXPONENTIAL)),
     "fou-first": (lambda: _sampler(FIRST), FIRST.seed, FIRST.replications,
                   lambda: fou_batch(FIRST)),
-    "fou-second": (lambda: SheetSampler(SECOND.mixing, SECOND.hurst, SECOND.window,
-                                        "exponential"),
-                   SECOND.seed, SECOND.replications, lambda: fou_batch(SECOND)),
-    "fou-second-large": (lambda: SheetSampler(LARGE.mixing, LARGE.hurst, LARGE.window,
-                                              "exponential"),
-                         LARGE.seed, LARGE.replications, lambda: fou_batch(LARGE)),
+    "fou-second": (lambda: _sampler(SECOND), SECOND.seed, SECOND.replications,
+                   lambda: fou_batch(SECOND)),
+    "fou-second-large": (lambda: _sampler(LARGE), LARGE.seed, LARGE.replications,
+                         lambda: fou_batch(LARGE)),
 }
 
 GOLDEN = {
@@ -93,19 +90,19 @@ GOLDEN = {
         "values": "1c4aad96fa81a7098c8dc16a9aa9d5061fc7bd5abed5cbc0ea169e720100e7fb",
     },
     "fou-first": {
-        "normals": "e19a307342180d8a585f3b74723c101a72757c038ecb2daf5e7c300f88c500a2",
-        "factors": "cadfab5063be6d91a81e6af84f428a7488a7333f9e5fb2bfcca2be7977784598",
-        "values": "7694683846ff48b6047c3702a50c1464e985b73d5981e3c6f95899f21d5ca8f6",
+        "normals": "2b2ae96f97de6bec56bd32ff54ff335142f8c77a586ffccf35fc966019497648",
+        "factors": "bcd939ba81178de53a7baaff0f446b9206d20c89e8e39b949495cc27bbbd7dce",
+        "values": "7f5c564cfbc278852a33e5c94bb59786d861946e6641f892757705b35f9d62a4",
     },
     "fou-second": {
         "normals": "28e7c5d6ac59bb28ebddcdcc750469f8d108f52a5d7d7d7fff487d67dec8bf13",
-        "factors": "cb081ed9721359f9f2c0510214fc8b5fb0d9264841a20544458ad039d2bdbb87",
-        "values": "3a413e3bb0346640045ca133959634d4285d4958e071a42121b2c0b1e106c00f",
+        "factors": "0c182d3c7a2a88d96670a2b4f6342492c0c23f30f0dc02bb7fa28986759fe580",
+        "values": "b0f0eb1d0580e859952d19a55fafd24983cb3c77c6fa62d39b791eaf2449f446",
     },
     "fou-second-large": {
         "normals": "7e96f69c2ef4a5507d48bc535f2ce4a95d0f2de2fd3a142a204a8b3347bb6784",
-        "factors": "eb0007102a6be13557213a94b9256f3f649eb0d16dfd863d6099812de8ad2973",
-        "values": "538fe1d1f17825ea58e29418bf0136ea1f6db80fd93429e64191a34670849e9c",
+        "factors": "5f3969b7a8f0bf3c676653e4e8c77a9425364345a4f678f7211b2a756f2ad364",
+        "values": "f7f8bfd19cbc4cd9daef8cc573fb28338ddadb59e1da854d91e6533f17cc90f7",
     },
 }
 
@@ -160,12 +157,12 @@ STATS_CASES = {
 
 STATS_GOLDEN = {
     "fidelity": "be4e2ab5d1da641145af998a65ab8916db757bf8be80df440ce32d4ca58c1487",
-    "increment-stationarity": "1161b30d97ad0ef6a059a4d9f6e3899785c273a921832c3d687a79b83ccc0475",
-    "moments": "275b0291d2298c71b153ce513935d0a4b538079fd2740ec1966d3f1b2562dce1",
-    "moments-large": "e21c5384f43a5afa5c12ebdc6707d30efeb94bd45fc893e4e71a8af80163443c",
+    "increment-stationarity": "17e6cc3101475365f3ffe009f2b734324ee481b25ef6e6364285369f68516d01",
+    "moments": "3ff20c4c2f37a9feaeae6e802ea6bcca62c66097e5ef820631d55e2d36d1a7ef",
+    "moments-large": "1dd27df35affe13070b4258db5e2c5cc42d20e7c4c4505b144d890c9d61d13a4",
     "self-similarity": "ab3b909801995e5054036da084ef2d578644493705db26501855b54a2579023c",
-    "stationarity": "c51d75b7f32363a6e12b6906894d216b6dd21aec910b457cad60cd2d0eeab4b5",
-    "stationarity-large": "5898597ae2116f295ffe79942d70e8dde42fe389e9bbe14318e7ad3a15a3cbbe",
+    "stationarity": "87cd136445ac537bb6221b7fbab7fef7a61ae3f9098392f5188d71f51063b742",
+    "stationarity-large": "3485d5f589db28b30d8317a5e4255907137828089e3ebc5516bb84fd0aba828b",
 }
 
 

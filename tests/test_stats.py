@@ -25,6 +25,7 @@ from fieldcorrespond import (
     ConfigError,
     DimensionMismatchError,
     FieldWindow,
+    FouConfig,
     HurstSpec,
     SampleBatch,
     Window,
@@ -32,6 +33,7 @@ from fieldcorrespond import (
     derive_theta,
     empirical_moments,
     fidelity_check,
+    fou_batch,
     increment_stationarity_check,
     jackknife_se_mean,
     sample_sheet_batch,
@@ -340,6 +342,18 @@ def test_fidelity_fails_with_wrong_hurst():
     wrong = HurstSpec([[0.8, 0.2]])
     report = fidelity_check(batch, wrong, np.eye(1))
     assert not report.passed
+
+
+def test_fidelity_refuses_a_fou_batch_before_computing():
+    # A FOU batch does not follow the sheet's law, so a correct one would
+    # fail; the refusal comes before the batch's values are read.
+    h = HurstSpec([[0.3, 0.7], [0.6, 0.4]])
+    batch = fou_batch(FouConfig(kind="second", hurst=h, mixing=np.diag([1.0, 0.5]),
+                                window=Window((-2, -2), (2, 2)), seed=3, replications=20))
+    with mock.patch.object(stats_module, "_stack") as stack:
+        with pytest.raises(ConfigError, match="second-kind FOU batch"):
+            fidelity_check(batch, h, np.diag([1.0, 0.5]))
+    assert stack.call_count == 0
 
 
 def test_fidelity_mixed_components():
