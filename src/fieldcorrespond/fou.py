@@ -21,7 +21,9 @@ indices, and the mixing matrix must commute with the clock exponentials
 for the pullback to stay Gaussian-consistent (checked at the axis unit
 vectors).  Because it commutes, component k's per-axis law is the
 Lamperti image of fractional Brownian motion, K(t - s) with
-h = H_j^(k), drawn before A mixes.
+h = H_j^(k), drawn before A mixes from the factors of K in ``gaussian``
+that the exponential-clock sheet scales by diag(e^{th}): the second kind
+is e^{-t*Theta} times that sheet drawn from the same seed, to rounding.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .transforms import (
 MIXING_COMMUTE_RTOL = 1e-10
 # Tag of the solver, recorded in batch manifests: both kinds are drawn from
 # factors of their stationary per-axis kernels.
-KERNEL_SOLVER = "kernel-v2"
+KERNEL_SOLVER = "kernel-v3"
 
 
 def derive_theta(hurst: HurstSpec) -> ThetaTuple:
@@ -128,34 +130,6 @@ class FouConfig:
             object.__setattr__(self, "theta", derived)
 
 
-def _fgn_cov(size: int, h: float) -> np.ndarray:
-    """gamma(0), ..., gamma(size - 1) of fractional Gaussian noise, the
-    sheet's increments along an axis: (|u+1|^{2h} + |u-1|^{2h} - 2|u|^{2h}) / 2."""
-    u = np.arange(float(size))
-    return ((u + 1) ** (2 * h) + np.abs(u - 1) ** (2 * h) - 2 * u ** (2 * h)) / 2
-
-
-def _lamperti_cov(size: int, h: float) -> np.ndarray:
-    """K(0), ..., K(size - 1) of the Lamperti image e^{-th} B(e^t) of fBm,
-    K(u) = (e^{uh} + e^{-uh} - |2 sinh(u/2)|^{2h}) / 2, evaluated as
-    h g e^{-(1-h)u} + e^{-hu} / 2, g = (1 - (1 - x)^{2h}) / (2h x) and
-    x = e^{-u}, which neither cancels nor overflows."""
-    u = np.arange(1.0, size)
-    x = np.exp(-np.minimum(u, 700.0))
-    g = -np.expm1(2 * h * np.log1p(-x)) / (2 * h * x)
-    return np.concatenate(([1.0], h * g * np.exp(-(1 - h) * u) + np.exp(-h * u) / 2))
-
-
-def _kernel_factors(cov, hurst_axis, size: int) -> np.ndarray:
-    """(len(hurst_axis), size, size): per Hurst index h, a factor of the
-    Toeplitz Gram cov(size, h)[|t - s|] on ``size`` consecutive sites."""
-    if size > gaussian.GRID_CAP:
-        raise NumericRangeError(f"a FOU axis of {size} sites exceeds the factorization "
-                                f"cap of {gaussian.GRID_CAP}")
-    lag = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
-    return np.stack([gaussian.factor_covariance(cov(size, h)[lag]) for h in hurst_axis])
-
-
 def _sampler(cfg: FouConfig) -> SheetSampler:
     """The sampler of cfg's field.  Second kind: component k's factor on
     axis j factors K with h = H_j^(k).  First kind: coordinate a of Q^T X
@@ -163,9 +137,8 @@ def _sampler(cfg: FouConfig) -> SheetSampler:
     so component k's factor is that filter E_a times the factor of gamma on
     the increment axis [lo - d, hi], as (n, L_j, L_j + d)."""
     if cfg.kind == "second":
-        return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer", _factors=[
-            _kernel_factors(_lamperti_cov, cfg.hurst.H[:, j], size)[:, np.newaxis]
-            for j, size in enumerate(cfg.window.shape)])
+        return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer",
+                            _factors=gaussian._lamperti_factors(cfg.hurst, cfg.window.shape))
     q, w = cfg.theta.eigenbasis("first-kind FOU")
     n, factors = cfg.hurst.n, []
     for j, (size, d) in enumerate(zip(cfg.window.shape, cfg.policy.resolve(cfg.theta))):
@@ -175,8 +148,8 @@ def _sampler(cfg: FouConfig) -> SheetSampler:
                 f"increment sites, beyond the factorization cap of {gaussian.GRID_CAP}")
         lag = np.arange(d, d + size)[:, np.newaxis] - np.arange(size + d)
         e = np.exp(-np.maximum(lag, 0) * w[j][:, None, None]) * (lag >= 0)
-        factors.append(np.stack([e @ f for f in _kernel_factors(
-            _fgn_cov, cfg.hurst.H[:, j], size + d)]))
+        factors.append(np.stack([e @ f for f in gaussian._kernel_factors(
+            gaussian._fgn_cov, cfg.hurst.H[:, j], size + d)]))
     return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer",
                         _factors=factors, _rotation=q)
 
@@ -197,9 +170,10 @@ def fou_field(cfg: FouConfig, replication: int = 0) -> FieldWindow:
     The first kind equals, to rounding, ``stationary_solution`` of an
     ``Ar1System`` driven by the mixed integer-clock sheet whose increments
     on [lo - depth, hi] are the fractional Gaussian noise its factors draw
-    from the same normals.  The second kind's law is the Lamperti
-    pullback's, to the mixing matrix's commutation defect (at most
-    MIXING_COMMUTE_RTOL).
+    from the same normals.  The second kind equals, to rounding and to the
+    mixing matrix's commutation defect (at most MIXING_COMMUTE_RTOL),
+    ``lamperti_inv`` of replication ``replication`` of the exponential-clock
+    sheet batch drawn from the same seed.
     """
     y = _sampler(cfg).sample(cfg.seed, replication)
     return FieldWindow(cfg.window, y.values, "integer", dict(y.meta, **_field_meta(cfg)))

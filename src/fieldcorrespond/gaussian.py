@@ -17,6 +17,11 @@ applies the factors to a standard normal array by mode products, so no
 matrix over the whole window is ever formed.  Zero-variance sites produce
 exact zeros, never jitter.
 
+On the exponential clock the 1-D Gram is C(e^t, e^s) = e^{(t+s)h} K(t - s),
+K the stationary kernel of the Lamperti image e^{-th} B(e^t) of fBm, so its
+factor is diag(e^{th}) times the factor of K that the second-kind FOU draws;
+the Gram itself, whose entries span e^{2h max|t|}, is never factored.
+
 Randomness contract: a replication takes n * P standard normals, where
 P = prod_j p_j over the factors' input lengths (the window volume for a
 sheet, the volume of the increment window [lo - depth, hi] for a
@@ -49,7 +54,7 @@ from .fields import CLOCKS, FieldWindow, Window, write_csvs
 GRID_CAP = 4096
 # Tag of the sampling algorithm, recorded in batch manifests: a change
 # that alters the draws for a given seed gets a new tag.
-SAMPLER_VERSION = "kron-v3"
+SAMPLER_VERSION = "kron-v4"
 # Tag of the batch directory layout, recorded in batch manifests: the
 # values live in one ``values.npy``, and the replication CSVs are an export.
 BATCH_LAYOUT = "npy-v1"
@@ -58,8 +63,9 @@ BATCH_LAYOUT = "npy-v1"
 # window size.  It also sets the group size G of the randomness contract,
 # so changing it changes the draws and needs a new SAMPLER_VERSION.
 DRAW_BLOCK = 1 << 15
-# Exponential-clock sites e^{t_j} overflow the usable double range well
-# before |t_j| reaches 300; the model keeps a conservative margin.
+# Exponential-clock values grow as e^{sum_j t_j H_j} and fidelity's closed-form
+# covariance as its square; both overflow well before |t_j| reaches 300, and
+# the model keeps a conservative margin.
 EXP_CLOCK_LIMIT = 30
 
 # Negative eigenvalues beyond this relative tolerance mean the matrix is
@@ -172,6 +178,46 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
     return l
 
 
+def _fgn_cov(size: int, h: float) -> np.ndarray:
+    """gamma(0), ..., gamma(size - 1) of fractional Gaussian noise, the
+    sheet's increments along an axis: (|u+1|^{2h} + |u-1|^{2h} - 2|u|^{2h}) / 2,
+    which cancels as written.  gamma(0) = 1, gamma(1) = 2^{2h-1} - 1, and for
+    u >= 2 the even series u^{2h} sum_{k=1}^{40} C(2h, 2k) u^{-2k}, whose
+    terms share one sign and fall faster than 4^{-k}."""
+    m = np.arange(80.0)
+    c = np.cumprod((2 * h - m) / (m + 1))[1::2]
+    u = np.arange(2.0, max(size, 2))
+    series = u ** (2 * h) / (u * u) * np.polyval(c[::-1], 1.0 / (u * u))
+    return np.concatenate(([1.0, np.expm1((2 * h - 1) * math.log(2.0))], series))[:size]
+
+
+def _lamperti_cov(size: int, h: float) -> np.ndarray:
+    """K(0), ..., K(size - 1) of the Lamperti image e^{-th} B(e^t) of fBm,
+    K(u) = (e^{uh} + e^{-uh} - |2 sinh(u/2)|^{2h}) / 2, evaluated as
+    h g e^{-(1-h)u} + e^{-hu} / 2, g = (1 - (1 - x)^{2h}) / (2h x) and
+    x = e^{-u}, which neither cancels nor overflows."""
+    u = np.arange(1.0, size)
+    x = np.exp(-np.minimum(u, 700.0))
+    g = -np.expm1(2 * h * np.log1p(-x)) / (2 * h * x)
+    return np.concatenate(([1.0], h * g * np.exp(-(1 - h) * u) + np.exp(-h * u) / 2))
+
+
+def _kernel_factors(cov, hurst_axis, size: int) -> np.ndarray:
+    """(len(hurst_axis), size, size): per Hurst index h, a factor of the
+    Toeplitz Gram cov(size, h)[|t - s|] on ``size`` consecutive sites."""
+    if size > GRID_CAP:
+        raise NumericRangeError(f"an axis of {size} sites exceeds the factorization "
+                                f"cap of {GRID_CAP}")
+    lag = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+    return np.stack([factor_covariance(cov(size, h)[lag]) for h in hurst_axis])
+
+
+def _lamperti_factors(hurst: HurstSpec, shape) -> list:
+    """Per axis j, (n, 1, L_j, L_j): component k's factor of K, h = H_j^(k)."""
+    return [_kernel_factors(_lamperti_cov, hurst.H[:, j], size)[:, np.newaxis]
+            for j, size in enumerate(shape)]
+
+
 # Largest replication index; a group index is the top Philox counter word.
 MAX_REPLICATION = (1 << 64) - 1
 
@@ -234,7 +280,7 @@ def sheet_points(window: Window, clock: str) -> np.ndarray:
         if max(abs(v) for c in (window.lo, window.hi) for v in c) > EXP_CLOCK_LIMIT:
             raise NumericRangeError(
                 f"exponential clock window {window} exceeds |t_j| <= "
-                f"{EXP_CLOCK_LIMIT}; the covariance dynamic range would overflow"
+                f"{EXP_CLOCK_LIMIT}; its values and covariances would overflow"
             )
         pts = np.exp(pts)
     elif clock != "integer":
@@ -297,12 +343,19 @@ class SheetSampler:
         self.window = window
         self.clock = clock
         self._rotation = _rotation
-        # Component k's factor along axis j: that of its 1-D Gram on ``clock``.
-        self._factors = _factors if _factors is not None else [
-            np.stack([factor_covariance(build_cov_matrix(
-                sheet_points(Window((lo,), (hi,)), clock), hurst.H[k, j:j + 1]))
-                for k in range(hurst.n)])[:, np.newaxis]
-            for j, (lo, hi) in enumerate(zip(window.lo, window.hi))]
+        if _factors is None:
+            # Component k's factor along axis j: that of its 1-D Gram on
+            # ``clock``; on the exponential clock, whose points are e^t,
+            # diag((e^t)^h) times K's.
+            axes = [sheet_points(Window((lo,), (hi,)), clock) for lo, hi in zip(window.lo, window.hi)]
+            if clock == "exponential":
+                _factors = [e ** hurst.H[:, j, None, None, None] * f for j, (e, f)
+                            in enumerate(zip(axes, _lamperti_factors(hurst, window.shape)))]
+            else:
+                _factors = [np.stack([factor_covariance(build_cov_matrix(e, h))
+                                      for h in hurst.H[:, j, None]])[:, np.newaxis]
+                            for j, e in enumerate(axes)]
+        self._factors = _factors
 
     @property
     def _normals(self) -> tuple:

@@ -366,12 +366,11 @@ def _compare(values, r, plans) -> tuple:
     return [label for labels, *_ in plans for label in labels], mean, se
 
 
-def _finish(check: str, compared, z_max: float, reference=None,
-            threshold: float = None) -> EnsembleReport:
+def _finish(check: str, compared, z_max: float, reference=None) -> EnsembleReport:
     """The report of ``compared``, ``(labels, estimate, se)``, against
     ``reference`` (default 0): z = (estimate - reference) / se, or, where
     se == 0, 0 when estimate == reference and inf otherwise.  The threshold
-    is Bonferroni-corrected over the rows unless given."""
+    is Bonferroni-corrected over the rows."""
     labels, estimate, se = compared
     reference = np.zeros(len(labels)) if reference is None else np.array(reference, float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -379,9 +378,8 @@ def _finish(check: str, compared, z_max: float, reference=None,
                      (estimate - reference) / se)
     for column in (estimate, reference, se, z):
         column.setflags(write=False)
-    thr = bonferroni_threshold(z_max, len(labels)) if threshold is None else threshold
-    return EnsembleReport(check, float(z_max), float(thr), tuple(labels),
-                          estimate, reference, se, z)
+    return EnsembleReport(check, float(z_max), bonferroni_threshold(z_max, len(labels)),
+                          tuple(labels), estimate, reference, se, z)
 
 
 def stationarity_check(fields, shifts, z_max: float = 3.0, max_pairs: int = 60) -> EnsembleReport:
@@ -462,11 +460,11 @@ def fidelity_check(fields, hurst: HurstSpec, mixing, n_pairs: int = 10,
                    z_max: float = 3.0) -> EnsembleReport:
     """Empirical second moments against the closed-form sheet covariance.
 
-    Site pairs are chosen deterministically (even stride through the
-    lexicographic pair list).  No Bonferroni correction: the contract is
-    "within z_max jackknife SEs" per pair.  A FOU batch (one whose config
-    has a ``kind``) raises ConfigError before anything is computed: its law
-    is not the sheet's.
+    Compares the covariances of components k <= l at every site, then at
+    ``n_pairs`` site pairs chosen deterministically (even stride through
+    the lexicographic pair list), with the threshold Bonferroni-corrected
+    over all rows.  A FOU batch (one whose config has a ``kind``) raises
+    ConfigError before anything is computed: its law is not the sheet's.
     """
     if isinstance(fields, SampleBatch) and "kind" in fields.config:
         raise ConfigError(f"fidelity knows only the fractional sheet law, and the batch is a "
@@ -478,14 +476,13 @@ def fidelity_check(fields, hurst: HurstSpec, mixing, n_pairs: int = 10,
     if hurst.n != n or hurst.N != window.N:
         raise DimensionMismatchError("Hurst spec does not match the batch geometry")
     a = as_mixing(mixing, n)
-    pts = sheet_points(window, clock)
+    pts, m = sheet_points(window, clock), window.volume
     labels, refs, cols = [], [], []
-    for i, j in _site_pairs(pts.shape[0], n_pairs):
-        comp_cov = np.array(
-            [fbs_cov(pts[i], pts[j], hurst.row(m)) for m in range(n)]
-        )
+    for p, (i, j) in enumerate([(i, i) for i in range(m)] + _site_pairs(m, n_pairs)):
+        comp_cov = np.array([fbs_cov(pts[i], pts[j], hurst.row(c)) for c in range(n)])
+        sites = f"var t={i}" if p < m else f"cov t={i},{j}"
         for k, l in _comp_pairs(n):
-            labels.append(f"fid cov t={i},{j} k={k + 1},l={l + 1}")
+            labels.append(f"fid {sites} k={k + 1},l={l + 1}")
             refs.append(float(np.sum(a[k] * a[l] * comp_cov)))
             cols += [i * n + k, j * n + l]
     # Only the columns the pairs use are gathered into rows.
@@ -499,7 +496,7 @@ def fidelity_check(fields, hurst: HurstSpec, mixing, n_pairs: int = 10,
         return d
 
     mean, se = _mean_se(products, len(labels), r)
-    return _finish("fidelity", (labels, mean, se), z_max, refs, threshold=float(z_max))
+    return _finish("fidelity", (labels, mean, se), z_max, refs)
 
 
 @dataclass(frozen=True)

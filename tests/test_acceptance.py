@@ -266,7 +266,8 @@ def test_criterion_7_sheet_sampling_fidelity(criterion):
         cov = build_cov_matrix(pts, [0.5])
         grid = np.arange(1.0, 7.0)
         assert np.array_equal(cov, np.minimum.outer(grid, grid))
-        rec["detail"] = (f"max |z| {report.max_abs_z:.2f} over 10 pairs at R=10000, "
+        rec["detail"] = (f"max |z| {report.max_abs_z:.2f} over {report.n_comparisons} rows "
+                         f"(every variance, 10 pairs) at R=10000, "
                          f"{elapsed:.1f}s; H=1/2 covariance is min(t,s) exactly")
 
 

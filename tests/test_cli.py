@@ -79,7 +79,7 @@ def test_simulate_writes_batch(tmp_path, capsys):
     assert (out / "resolved_config.json").exists()
     man = json.loads((out / "manifest.json").read_text())
     assert man["seed"] == 11 and man["R"] == 5
-    assert man["sampler"] == "kron-v3"
+    assert man["sampler"] == "kron-v4"
     assert "wrote 5 replications" in capsys.readouterr().out
 
 
@@ -571,8 +571,8 @@ def test_fou_first_kind_runs(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "first"
     assert man["policy"]["depth"] == [5]
-    assert man["sampler"] == "kron-v3"
-    assert man["solver"] == "kernel-v2"
+    assert man["sampler"] == "kron-v4"
+    assert man["solver"] == "kernel-v3"
     assert (out / "rep_00003.csv").exists()
 
 
@@ -600,7 +600,7 @@ def test_fou_second_kind_runs(tmp_path):
     assert main(["fou", "--config", cfg, "--out", str(out)]) == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "second"
-    assert man["sampler"] == "kron-v3"
+    assert man["sampler"] == "kron-v4"
 
 
 def test_fou_second_kind_far_window_is_stationary(tmp_path):

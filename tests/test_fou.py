@@ -34,11 +34,13 @@ from fieldcorrespond import (
     lamperti_inv,
     m_inverse_truncated,
     mixing_commutes,
+    sample_sheet_batch,
     sheet_points,
     stationary_solution,
 )
 from fieldcorrespond import gaussian as gaussian_module
-from fieldcorrespond.fou import _fgn_cov, _kernel_factors, _lamperti_cov, _sampler
+from fieldcorrespond.fou import _sampler
+from fieldcorrespond.gaussian import _fgn_cov, _kernel_factors, _lamperti_cov
 
 
 def test_derive_theta_diagonal():
@@ -308,6 +310,19 @@ def test_second_kind_exactly_stationary_covariance():
             assert c[(t, s)] == pytest.approx(c[(t + 1, s + 1)], rel=1e-12)
 
 
+def test_second_kind_is_lamperti_inv_of_the_exponential_sheet():
+    # The exponential-clock sheet's factors are diag(e^{th}) times the
+    # second kind's, and both draw the same normals from one seed; with A
+    # commuting with the derived clock exponentials, the Lamperti pullback
+    # of each sheet replication is the second-kind replication.
+    h, a, w = HurstSpec([[0.3, 0.7], [0.6, 0.4]]), np.diag([1.0, 0.5]), Window((-2, -2), (2, 2))
+    sheet = sample_sheet_batch(a, h, w, "exponential", seed=9, replications=30)
+    second = fou_batch(FouConfig(kind="second", hurst=h, mixing=a, window=w, seed=9,
+                                 replications=30))
+    for r, y in enumerate(sheet.fields):
+        assert np.abs(lamperti_inv(y, derive_theta(h)).values - second.values[r]).max() <= 1e-12
+
+
 def test_second_kind_empirical_matches_exact_covariance():
     hh, a = 0.4, 1.7
     cfg = FouConfig(kind="second", hurst=HurstSpec([[hh]]),
@@ -342,8 +357,8 @@ def test_fou_batch_manifest_and_rerun():
     assert man["policy"]["depth"] == [5]
     assert man["clock"] == "integer"
     assert man["transforms"] == "eigenbasis-v1"
-    assert man["sampler"] == "kron-v3"
-    assert man["solver"] == "kernel-v2"
+    assert man["sampler"] == "kron-v4"
+    assert man["solver"] == "kernel-v3"
 
 
 def _second_kind_cov(cfg) -> np.ndarray:
@@ -406,7 +421,7 @@ def test_fou_batch_save_load(tmp_path):
 
     back = load_batch(tmp_path)
     assert back.config["kind"] == "second"
-    assert back.config["solver"] == "kernel-v2"
+    assert back.config["solver"] == "kernel-v3"
     for a, b in zip(batch.fields, back.fields):
         np.testing.assert_array_equal(a.values, b.values)
 
@@ -448,22 +463,20 @@ def _fgn_ref(size: int, h: float) -> np.ndarray:
 
 @pytest.mark.parametrize("h", KERNEL_HURST)
 def test_kernels_match_decimal_reference(h):
-    # K is evaluated in a form that neither cancels nor overflows, so it is
-    # accurate to rounding at every lag up to GRID_CAP; gamma cancels terms
-    # of size (u + 1)^{2h} and is accurate to a few roundings of them.
+    # Both kernels are evaluated in forms that neither cancel nor overflow,
+    # so they are accurate to rounding at every lag up to GRID_CAP: K in
+    # absolute terms, gamma (which falls as u^{2h-2}) relative to itself.
     size = gaussian_module.GRID_CAP
     assert np.max(np.abs(_lamperti_cov(size, h) - _lamperti_ref(size, h))) <= 1e-15
-    u = np.arange(float(size))
-    bound = 4 * np.finfo(float).eps * (u + 1) ** (2 * h)
-    assert np.all(np.abs(_fgn_cov(size, h) - _fgn_ref(size, h)) <= bound)
+    ref = _fgn_ref(size, h)
+    assert np.max(np.abs(_fgn_cov(size, h) - ref) / np.abs(ref)) <= 1e-15
 
 
 @pytest.mark.parametrize("h", KERNEL_HURST)
 @pytest.mark.parametrize("lo, hi", [(0, 30), (-15, 15)])
 def test_second_kind_law_is_the_lamperti_kernel(h, lo, hi):
     # The sampler draws the stationary kernel K(t - s) on the integer
-    # window itself, wherever the window lies and far beyond the reach of
-    # the exponential clock's dynamic range.
+    # window itself, wherever the window lies.
     cfg = FouConfig(kind="second", hurst=HurstSpec([[h]]), mixing=np.eye(1),
                     window=Window((lo,), (hi,)))
     ref = _lamperti_ref(hi - lo + 1, h)
@@ -500,5 +513,5 @@ def test_second_kind_grid_cap_refuses_before_drawing(monkeypatch):
 
     monkeypatch.setattr(gaussian_module, "_streams", no_draws)
     for draw in (fou_batch, fou_field):
-        with pytest.raises(NumericRangeError, match="FOU axis of 10 sites exceeds"):
+        with pytest.raises(NumericRangeError, match="axis of 10 sites exceeds"):
             draw(cfg)

@@ -388,6 +388,22 @@ def test_sampler_kron_factors_match_window_gram(hurst, window, clock):
     assert np.abs(draw - ref_draw).max() <= 1e-12 * np.abs(ref_draw).max()
 
 
+@pytest.mark.parametrize("h", [0.05, 0.7, 0.95, 1.0])
+@pytest.mark.parametrize("lo, hi", [(0, 30), (-15, 15)])
+def test_exponential_factors_hold_the_gram_across_the_clock_range(h, lo, hi):
+    # The exponential clock's Gram C(e^t, e^s) spans e^{2h max|t|}, and an
+    # eigendecomposition of it loses the small sites' variances.  The
+    # factor diag(e^{th}) times K's keeps every entry, and every variance
+    # relative to itself, to rounding.
+    w = Window((lo,), (hi,))
+    f = SheetSampler(np.eye(1), HurstSpec([[h]]), w, "exponential")._factors[0][0, 0]
+    pts = sheet_points(w, "exponential")
+    ref = np.array([[fbs_cov(t, s, [h]) for s in pts] for t in pts])
+    got = f @ f.T
+    assert np.abs(np.diag(got) / np.diag(ref) - 1).max() <= 1e-12
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_sampler_beyond_grid_cap_total_sites():
     # 6,400 sites: more than GRID_CAP in total, 80 per axis.
     w = Window((1, 1), (80, 80))
@@ -469,7 +485,7 @@ def test_batch_save_load_roundtrip(tmp_path):
     assert back.seed == 13
     assert back.replications == 4
     assert back.config["H"] == [[0.3, 0.7]]
-    assert back.config["sampler"] == "kron-v3"
+    assert back.config["sampler"] == "kron-v4"
     for a, b in zip(batch.fields, back.fields):
         np.testing.assert_array_equal(a.values, b.values)
 

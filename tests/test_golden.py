@@ -1,9 +1,9 @@
-"""Golden digests of the ``kron-v3`` sampler.
+"""Golden digests of the ``kron-v4`` sampler.
 
-The manifest tag ``kron-v3`` promises the same draws for a given seed
+The manifest tag ``kron-v4`` promises the same draws for a given seed
 whatever the code path that produces them.  These tests pin, as sha256
 digests, the bytes of two sheet batches and of one batch of each FOU kind.
-The FOU values are those of the ``kernel-v2`` solver, and the stats
+The FOU values are those of the ``kernel-v3`` solver, and the stats
 digests those of stats ``gram-v1``.
 
 Each case pins three digests:
@@ -19,9 +19,18 @@ Each case pins three digests:
   its bundled OpenBLAS on x86-64; they are checked only where the factors
   match the recorded ones, since a platform that rounds ``eigh``
   differently yields other value bytes from the same streams.
+
+Before a digest check is skipped for another platform's factors, the
+factors must reproduce the law of their case, each within 1e-12 of the
+largest entry of a Gram written out here from its closed form: the sheet's
+1-D Gram on either clock, the Lamperti kernel K or, through each
+eigen-coordinate's AR(1) filter, the fractional Gaussian noise
+autocovariance gamma.  So a change of law fails; only a change in
+``eigh``'s rounding skips.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -86,13 +95,13 @@ GOLDEN = {
     },
     "sheet-exponential": {
         "normals": "d0a577ade9c64d7d6b72a86a013c00d66a285e4a5884d1f1959b26719c7af4be",
-        "factors": "a9e773efc0155e76bf01e3f1fd4239349ddd9d4ebbb22b01ccfb90b0246cfe69",
-        "values": "1c4aad96fa81a7098c8dc16a9aa9d5061fc7bd5abed5cbc0ea169e720100e7fb",
+        "factors": "95daa61747dd5601c9a68affe3a24ac2c49c9629c2ea970c4a14c32b9985cdae",
+        "values": "3bd5cd7da763e18fe78cf21a1fa6f5c7300ffbfd3c5a1336485c559f691962cc",
     },
     "fou-first": {
         "normals": "2b2ae96f97de6bec56bd32ff54ff335142f8c77a586ffccf35fc966019497648",
-        "factors": "bcd939ba81178de53a7baaff0f446b9206d20c89e8e39b949495cc27bbbd7dce",
-        "values": "7f5c564cfbc278852a33e5c94bb59786d861946e6641f892757705b35f9d62a4",
+        "factors": "83c4e18987b57c19d3de4a4304d34541a559bbd067d95a9524d4606e51c0e454",
+        "values": "c1be2dac39564827ac0144d1d2f5df13e8819a536237d9bf0d67512441e26776",
     },
     "fou-second": {
         "normals": "28e7c5d6ac59bb28ebddcdcc750469f8d108f52a5d7d7d7fff487d67dec8bf13",
@@ -105,6 +114,63 @@ GOLDEN = {
         "values": "f7f8bfd19cbc4cd9daef8cc573fb28338ddadb59e1da854d91e6533f17cc90f7",
     },
 }
+
+
+def _fbm(x, y, h):
+    return (abs(x) ** (2 * h) + abs(y) ** (2 * h) - abs(x - y) ** (2 * h)) / 2
+
+
+def _toeplitz(kernel, size) -> np.ndarray:
+    return np.array([[kernel(abs(t - s)) for s in range(size)] for t in range(size)])
+
+
+def _sheet_grams(hurst, window, clock) -> list:
+    """Per axis, the (n, 1, L, L) 1-D Grams of the sheet on ``clock``."""
+    grams = []
+    for j, (lo, hi) in enumerate(zip(window.lo, window.hi)):
+        x = [math.exp(t) if clock == "exponential" else float(t) for t in range(lo, hi + 1)]
+        grams.append([[[[_fbm(a, b, h) for b in x] for a in x]] for h in hurst.H[:, j]])
+    return grams
+
+
+def _second_grams(cfg) -> list:
+    """Per axis, the (n, 1, L, L) Grams of the Lamperti kernel
+    K(u) = (e^{uh} + e^{-uh} - |2 sinh(u/2)|^{2h}) / 2."""
+    return [[[_toeplitz(lambda u: (math.exp(u * h) + math.exp(-u * h)
+                                   - abs(2 * math.sinh(u / 2)) ** (2 * h)) / 2, size)]
+             for h in cfg.hurst.H[:, j]] for j, size in enumerate(cfg.window.shape)]
+
+
+def _first_grams(cfg) -> list:
+    """Per axis, the (n, n, L, L) Grams E_a Gamma E_a^T: Gamma the
+    fractional Gaussian noise Gram on the increment axis [lo - d, hi] and
+    E_a[t, s] = e^{-(t - s) w_a} for s <= t, w_a eigen-coordinate a's rate."""
+    _, w = cfg.theta.eigenbasis("first-kind FOU")
+    grams = []
+    for j, (size, d) in enumerate(zip(cfg.window.shape, cfg.policy.resolve(cfg.theta))):
+        lag = np.arange(d, d + size)[:, np.newaxis] - np.arange(size + d)
+        filters = [np.where(lag >= 0, np.exp(-np.maximum(lag, 0) * rate), 0.0)
+                   for rate in w[j]]
+        grams.append([[e @ _toeplitz(lambda u: ((u + 1) ** (2 * h) + abs(u - 1) ** (2 * h)
+                                                - 2 * u ** (2 * h)) / 2, size + d) @ e.T
+                       for e in filters] for h in cfg.hurst.H[:, j]])
+    return grams
+
+
+LAWS = {
+    "sheet-integer": lambda: _sheet_grams(*SHEET_INTEGER[1:4]),
+    "sheet-exponential": lambda: _sheet_grams(*SHEET_EXPONENTIAL[1:4]),
+    "fou-first": lambda: _first_grams(FIRST),
+    "fou-second": lambda: _second_grams(SECOND),
+    "fou-second-large": lambda: _second_grams(LARGE),
+}
+
+
+def assert_factors_hold_the_law(name, sampler):
+    for f, gram in zip(sampler._factors, LAWS[name]()):
+        gram = np.asarray(gram)
+        gap = np.abs(f @ np.swapaxes(f, -1, -2) - gram).max(axis=(-2, -1))
+        assert np.all(gap <= 1e-12 * np.abs(gram).max(axis=(-2, -1))), name
 
 
 def digest(arrays) -> str:
@@ -125,11 +191,12 @@ def test_kron_v1_golden_digests(name):
     normals = (substream(seed, g).standard_normal((min(size, replications - start),) + shape)
                for g, start in enumerate(range(0, replications, size)))
     assert digest(normals) == golden["normals"]
+    assert_factors_hold_the_law(name, sampler)
     if digest(sampler._factors) != golden["factors"]:
         pytest.skip("this platform's eigh rounds the Gram factors differently "
                     "from the recorded platform; value bytes are not comparable")
     batch = make_batch()
-    assert batch.config["sampler"] == "kron-v3"
+    assert batch.config["sampler"] == "kron-v4"
     assert batch.replications == replications
     assert digest(f.values for f in batch.fields) == golden["values"]
 
@@ -156,11 +223,11 @@ STATS_CASES = {
 }
 
 STATS_GOLDEN = {
-    "fidelity": "be4e2ab5d1da641145af998a65ab8916db757bf8be80df440ce32d4ca58c1487",
-    "increment-stationarity": "17e6cc3101475365f3ffe009f2b734324ee481b25ef6e6364285369f68516d01",
+    "fidelity": "efb2765a5cf973c86da066494b4fa01dc741f3fddef47576889bb365313d1b47",
+    "increment-stationarity": "8f280b7979a79ecc994e4449f4e1f6331f57f33fad9986086995a428b426a5b1",
     "moments": "3ff20c4c2f37a9feaeae6e802ea6bcca62c66097e5ef820631d55e2d36d1a7ef",
     "moments-large": "1dd27df35affe13070b4258db5e2c5cc42d20e7c4c4505b144d890c9d61d13a4",
-    "self-similarity": "ab3b909801995e5054036da084ef2d578644493705db26501855b54a2579023c",
+    "self-similarity": "6b79332757613f7857b81d92f17110bf428d70cb6576a695b4b87eec8b6f75f6",
     "stationarity": "87cd136445ac537bb6221b7fbab7fef7a61ae3f9098392f5188d71f51063b742",
     "stationarity-large": "3485d5f589db28b30d8317a5e4255907137828089e3ebc5516bb84fd0aba828b",
 }
@@ -175,7 +242,9 @@ def stats_digest(result) -> str:
 @pytest.mark.parametrize("name", sorted(STATS_CASES))
 def test_stats_golden_digests(name):
     case, run = STATS_CASES[name]
-    if digest(CASES[case][0]()._factors) != GOLDEN[case]["factors"]:
+    sampler = CASES[case][0]()
+    assert_factors_hold_the_law(case, sampler)
+    if digest(sampler._factors) != GOLDEN[case]["factors"]:
         pytest.skip("this platform's eigh rounds the Gram factors differently "
                     "from the recorded platform; report bytes are not comparable")
     assert stats_digest(run(CASES[case][3]())) == STATS_GOLDEN[name]

@@ -28,16 +28,20 @@ from fieldcorrespond import (
     FouConfig,
     HurstSpec,
     SampleBatch,
+    SheetSampler,
     Window,
     bonferroni_threshold,
+    build_cov_matrix,
     derive_theta,
     empirical_moments,
+    factor_covariance,
     fidelity_check,
     fou_batch,
     increment_stationarity_check,
     jackknife_se_mean,
     sample_sheet_batch,
     self_similarity_check,
+    sheet_points,
     stationarity_check,
 )
 from fieldcorrespond._jsonio import dumps_json
@@ -331,8 +335,9 @@ def test_fidelity_passes_against_truth():
                                seed=41, replications=2500)
     report = fidelity_check(batch, h, np.eye(1))
     assert report.passed
-    assert report.z_threshold == 3.0
-    assert report.n_comparisons == 10
+    # Every site's variance and 10 strided pairs, Bonferroni-corrected.
+    assert report.n_comparisons == 16 + 10
+    assert report.z_threshold == bonferroni_threshold(3.0, 26)
 
 
 def test_fidelity_fails_with_wrong_hurst():
@@ -342,6 +347,23 @@ def test_fidelity_fails_with_wrong_hurst():
     wrong = HurstSpec([[0.8, 0.2]])
     report = fidelity_check(batch, wrong, np.eye(1))
     assert not report.passed
+
+
+def test_fidelity_sees_a_wrong_site_variance():
+    # Factored by eigh of its Gram, whose entries span e^{42}, the
+    # exponential clock on [0, 30] at H = 0.7 drew site variances from
+    # 0.875 to 52.3 times the exact ones, and the strided pairs alone
+    # passed it.  The variance rows fail it; the sampler's own batch passes.
+    h, w = HurstSpec([[0.7]]), Window((0,), (30,))
+    gram = factor_covariance(build_cov_matrix(sheet_points(w, "exponential"), [0.7]))
+    eigh = SheetSampler(np.eye(1), h, w, "exponential", _factors=[gram[None, None]])
+    values = np.concatenate([block for _, block in eigh.blocks(1, 2000)])
+    report = fidelity_check(SampleBatch(1, values, w, "exponential"), h, np.eye(1))
+    assert not report.passed
+    assert all(abs(z) <= report.z_threshold for label, z in zip(report.labels, report.z)
+               if "cov" in label)
+    assert fidelity_check(sample_sheet_batch(np.eye(1), h, w, "exponential", 1, 2000),
+                          h, np.eye(1)).passed
 
 
 def test_fidelity_refuses_a_fou_batch_before_computing():
