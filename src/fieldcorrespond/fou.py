@@ -135,10 +135,11 @@ def _sampler(cfg: FouConfig) -> SheetSampler:
     axis j factors K with h = H_j^(k).  First kind: coordinate a of Q^T X
     along axis j is X_t = sum_{lo-d <= s <= t} e^{-(t-s) w_a} dG_s, w = W_j,
     so component k's factor is that filter E_a times the factor of gamma on
-    the increment axis [lo - d, hi], as (n, L_j, L_j + d)."""
+    the increment axis [lo - d, hi], as (n, n, L_j, L_j + d)."""
     if cfg.kind == "second":
-        return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer",
-                            _factors=gaussian._lamperti_factors(cfg.hurst, cfg.window.shape))
+        return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer", _factors=[
+            gaussian._kernel_factors(gaussian._lamperti_cov, cfg.hurst.H[:, j], size)
+            for j, size in enumerate(cfg.window.shape)])
     q, w = cfg.theta.eigenbasis("first-kind FOU")
     n, factors = cfg.hurst.n, []
     for j, (size, d) in enumerate(zip(cfg.window.shape, cfg.policy.resolve(cfg.theta))):
@@ -148,8 +149,7 @@ def _sampler(cfg: FouConfig) -> SheetSampler:
                 f"increment sites, beyond the factorization cap of {gaussian.GRID_CAP}")
         lag = np.arange(d, d + size)[:, np.newaxis] - np.arange(size + d)
         e = np.exp(-np.maximum(lag, 0) * w[j][:, None, None]) * (lag >= 0)
-        factors.append(np.stack([e @ f for f in gaussian._kernel_factors(
-            gaussian._fgn_cov, cfg.hurst.H[:, j], size + d)]))
+        factors.append(e @ gaussian._kernel_factors(gaussian._fgn_cov, cfg.hurst.H[:, j], size + d))
     return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer",
                         _factors=factors, _rotation=q)
 

@@ -10,28 +10,28 @@ t_j = 0.  A multivariate sheet stacks n independent scalar sheets
 component-wise and mixes them with a constant matrix A.
 
 On a rectangular window the Gram matrix of a scalar sheet is the
-Kronecker product of its 1-D Gram matrices, one per axis.  Sampling
-factors each 1-D Gram through the symmetric eigendecomposition, clipping
-small negative eigenvalues (exact rank deficiency occurs at H_j = 1), and
-applies the factors to a standard normal array by mode products, so no
-matrix over the whole window is ever formed.  Zero-variance sites produce
-exact zeros, never jitter.
-
-On the exponential clock the 1-D Gram is C(e^t, e^s) = e^{(t+s)h} K(t - s),
-K the stationary kernel of the Lamperti image e^{-th} B(e^t) of fBm, so its
-factor is diag(e^{th}) times the factor of K that the second-kind FOU draws;
-the Gram itself, whose entries span e^{2h max|t|}, is never factored.
+Kronecker product of its 1-D Gram matrices, one per axis, and no Gram is
+factored: component k's factor along axis j is a map times the factor of a
+stationary Toeplitz kernel with h = H_j^(k), by eigendecomposition with
+small negative eigenvalues clipped, and mode products apply the factors to
+standard normals.  On the integer clock B(t) sums its increments,
+fractional Gaussian noise with autocovariance gamma, from 0 to t (negated
+for t < 0): the map is S, a signed 0/+-1 cumulation from the increment
+axis [min(lo, 0) + 1, max(hi, 0)], zero at t = 0, so zero-variance sites
+are exact zeros.  On the exponential clock C(e^t, e^s) = e^{(t+s)h} K(t - s),
+K the kernel of the Lamperti image e^{-th} B(e^t) of fBm: the map is
+diag(e^{th}), and the Gram, whose entries span e^{2h max|t|}, is never formed.
 
 Randomness contract: a replication takes n * P standard normals, where
-P = prod_j p_j over the factors' input lengths (the window volume for a
-sheet, the volume of the increment window [lo - depth, hi] for a
-first-kind FOU).  Replication r of seed s lies in group g = r // G,
-G = max(1, DRAW_BLOCK // (n * P)), and is row r - gG, in C order, of the
-(rows, n, P) standard normals of ``substream(s, g)``: one Philox counter
-stream (Salmon, Moraes, Dror & Shaw, SC'11) per group.  The rows of a
-group are a prefix of its stream, so drawing its first k rows gives the
-bytes of drawing all G and slicing, and any subset of replications is
-reproduced byte-identically.
+P = prod_j p_j over the factors' input lengths: the increment axes of an
+integer-clock sheet (one increment for an axis [0, 0]) or of a first-kind
+FOU ([lo - depth, hi]), the window axes otherwise.  Replication r of seed
+s lies in group g = r // G, G = max(1, DRAW_BLOCK // (n * P)), and is row
+r - gG, in C order, of the (rows, n, P) standard normals of
+``substream(s, g)``: one Philox counter stream (Salmon, Moraes, Dror &
+Shaw, SC'11) per group.  The rows of a group are a prefix of its stream,
+so drawing its first k rows gives the bytes of drawing all G and slicing,
+and any subset of replications is reproduced byte-identically.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ from ._jsonio import dump_json, load_json
 from .errors import ConfigError, DimensionMismatchError, NumericRangeError, check_int
 from .fields import CLOCKS, FieldWindow, Window, write_csvs
 
-# Largest site count for one Gram-matrix factorization (one window axis
-# when sampling), and for the n L_j rows of a first-kind FOU axis factor.
+# Largest site count of a kernel factor's axis (on the integer clock an increment
+# axis), of a build_cov_matrix Gram, and of a first-kind FOU axis factor's n L_j rows.
 GRID_CAP = 4096
 # Tag of the sampling algorithm, recorded in batch manifests: a change
 # that alters the draws for a given seed gets a new tag.
-SAMPLER_VERSION = "kron-v4"
+SAMPLER_VERSION = "kron-v5"
 # Tag of the batch directory layout, recorded in batch manifests: the
 # values live in one ``values.npy``, and the replication CSVs are an export.
 BATCH_LAYOUT = "npy-v1"
@@ -102,9 +102,6 @@ class HurstSpec:
     def N(self) -> int:
         return self.H.shape[1]
 
-    def row(self, k: int) -> np.ndarray:
-        return self.H[k]
-
 
 def fbs_cov(t, s, H) -> float:
     """Closed-form sheet covariance at real points t and s."""
@@ -141,8 +138,9 @@ def build_cov_matrix(points, H) -> np.ndarray:
         raise ConfigError("Hurst indices must satisfy 0 < H <= 1")
     cov = np.ones((m, m))
     for j in range(nn):
-        a = np.abs(pts[:, j]) ** (2.0 * H[j])
-        d = np.abs(pts[:, j, np.newaxis] - pts[np.newaxis, :, j]) ** (2.0 * H[j])
+        two_h = np.full(m, 2.0 * H[j])  # as in fbs_cov: a scalar 1/2 or 2 takes sqrt or square
+        a = np.abs(pts[:, j]) ** two_h
+        d = np.abs(pts[:, j, np.newaxis] - pts[np.newaxis, :, j]) ** two_h
         cov *= a[:, np.newaxis] + a[np.newaxis, :] - d
     cov /= 2.0 ** nn
     return cov
@@ -203,19 +201,13 @@ def _lamperti_cov(size: int, h: float) -> np.ndarray:
 
 
 def _kernel_factors(cov, hurst_axis, size: int) -> np.ndarray:
-    """(len(hurst_axis), size, size): per Hurst index h, a factor of the
+    """(len(hurst_axis), 1, size, size): per Hurst index h, a factor of the
     Toeplitz Gram cov(size, h)[|t - s|] on ``size`` consecutive sites."""
     if size > GRID_CAP:
         raise NumericRangeError(f"an axis of {size} sites exceeds the factorization "
                                 f"cap of {GRID_CAP}")
     lag = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
-    return np.stack([factor_covariance(cov(size, h)[lag]) for h in hurst_axis])
-
-
-def _lamperti_factors(hurst: HurstSpec, shape) -> list:
-    """Per axis j, (n, 1, L_j, L_j): component k's factor of K, h = H_j^(k)."""
-    return [_kernel_factors(_lamperti_cov, hurst.H[:, j], size)[:, np.newaxis]
-            for j, size in enumerate(shape)]
+    return np.stack([factor_covariance(cov(size, h)[lag]) for h in hurst_axis])[:, np.newaxis]
 
 
 # Largest replication index; a group index is the top Philox counter word.
@@ -318,13 +310,13 @@ def as_mixing(a, n: int) -> np.ndarray:
 
 
 class SheetSampler:
-    """Reusable sampler: factors each component's per-axis Gram matrices once.
+    """Reusable sampler: builds each component's per-axis factors once.
 
     ``_factors[j]`` has shape (n, c, m_j, p_j): ``_factors[j][k, a]`` maps
     axis j of component k's normals (length p_j) to coordinate a's values
-    along the window axis (length m_j).  A sheet has c = 1 and square
-    factors of its 1-D Grams, whose Kronecker product over j factors the
-    Gram of the window.  Draws share no state, so a sampler is thread-safe.
+    along the window axis (length m_j).  A sheet has c = 1 and factors of
+    its 1-D Grams, whose Kronecker product over j factors the Gram of the
+    window.  Draws share no state, so a sampler is thread-safe.
     """
 
     def __init__(self, mixing, hurst: HurstSpec, window: Window, clock: str, *,
@@ -335,26 +327,30 @@ class SheetSampler:
         products of ``_factors[j][k, a]`` on component k's normals, rotated
         back by Q."""
         if window.N != hurst.N:
-            raise DimensionMismatchError(
-                f"window has N={window.N}, Hurst spec has N={hurst.N}"
-            )
+            raise DimensionMismatchError(f"window has N={window.N}, Hurst spec has N={hurst.N}")
         self.mixing = as_mixing(mixing, hurst.n)
         self.hurst = hurst
         self.window = window
         self.clock = clock
         self._rotation = _rotation
         if _factors is None:
-            # Component k's factor along axis j: that of its 1-D Gram on
-            # ``clock``; on the exponential clock, whose points are e^t,
-            # diag((e^t)^h) times K's.
+            # Component k's factor along axis j: diag((e^t)^h) times K's on the exponential
+            # clock, S times gamma's on the integer clock (an axis [0, 0] keeps one increment).
             axes = [sheet_points(Window((lo,), (hi,)), clock) for lo, hi in zip(window.lo, window.hi)]
-            if clock == "exponential":
-                _factors = [e ** hurst.H[:, j, None, None, None] * f for j, (e, f)
-                            in enumerate(zip(axes, _lamperti_factors(hurst, window.shape)))]
-            else:
-                _factors = [np.stack([factor_covariance(build_cov_matrix(e, h))
-                                      for h in hurst.H[:, j, None]])[:, np.newaxis]
-                            for j, e in enumerate(axes)]
+            _factors = []
+            for j, t in enumerate(axes):
+                h, first = hurst.H[:, j], min(window.lo[j], 0) + 1
+                last = max(window.hi[j], 0, first)
+                if clock == "exponential":
+                    f = t ** h[:, None, None, None] * _kernel_factors(_lamperti_cov, h, len(t))
+                elif last - first >= GRID_CAP:
+                    raise NumericRangeError(
+                        f"integer-clock axis {j} is cumulated from the increment axis "
+                        f"[{first}, {last}], beyond the factorization cap of {GRID_CAP} sites")
+                else:
+                    u = np.arange(first, last + 1)
+                    f = ((u <= t) - 1.0 * (u <= 0)) @ _kernel_factors(_fgn_cov, h, len(u))
+                _factors.append(f)
         self._factors = _factors
 
     @property

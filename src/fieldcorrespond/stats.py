@@ -51,7 +51,7 @@ import numpy as np
 from .algebra import ThetaTuple
 from .errors import ConfigError, DimensionMismatchError, WindowError, check_threshold
 from .fields import Window
-from .gaussian import HurstSpec, SampleBatch, as_mixing, fbs_cov, sheet_points
+from .gaussian import HurstSpec, SampleBatch, as_mixing, build_cov_matrix, sheet_points
 
 # Tag of the comparison arithmetic, recorded in resolved_config.json.
 STATS_VERSION = "gram-v1"
@@ -475,16 +475,19 @@ def fidelity_check(fields, hurst: HurstSpec, mixing, n_pairs: int = 10,
     r, n = data.shape[0], data.shape[-1]
     if hurst.n != n or hurst.N != window.N:
         raise DimensionMismatchError("Hurst spec does not match the batch geometry")
-    a = as_mixing(mixing, n)
-    pts, m = sheet_points(window, clock), window.volume
-    labels, refs, cols = [], [], []
-    for p, (i, j) in enumerate([(i, i) for i in range(m)] + _site_pairs(m, n_pairs)):
-        comp_cov = np.array([fbs_cov(pts[i], pts[j], hurst.row(c)) for c in range(n)])
-        sites = f"var t={i}" if p < m else f"cov t={i},{j}"
-        for k, l in _comp_pairs(n):
-            labels.append(f"fid {sites} k={k + 1},l={l + 1}")
-            refs.append(float(np.sum(a[k] * a[l] * comp_cov)))
-            cols += [i * n + k, j * n + l]
+    a, m, comps = as_mixing(mixing, n), window.volume, _comp_pairs(n)
+    pairs = np.array([(i, i) for i in range(m)] + _site_pairs(m, n_pairs))
+    # Component c's covariance at a pair is the product over axes of its
+    # 1-D Gram entries at the pair's per-axis indices.
+    comp_cov = 1.0
+    for j, index in enumerate(np.unravel_index(pairs.T, window.shape)):
+        pts = sheet_points(Window((window.lo[j],), (window.hi[j],)), clock)
+        gram = np.stack([build_cov_matrix(pts, [h]) for h in hurst.H[:, j]], axis=-1)
+        comp_cov = comp_cov * gram[tuple(index)]
+    refs = np.sum(comp_cov[:, np.newaxis] * [a[k] * a[l] for k, l in comps], axis=-1).ravel()
+    labels = [f"fid {f'var t={i}' if p < m else f'cov t={i},{j}'} k={k + 1},l={l + 1}"
+              for p, (i, j) in enumerate(pairs) for k, l in comps]
+    cols = pairs[:, np.newaxis] * n + comps
     # Only the columns the pairs use are gathered into rows.
     used, pos = np.unique(cols, return_inverse=True)
     x = np.ascontiguousarray(data.reshape(r, -1)[:, used].T)

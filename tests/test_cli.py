@@ -79,7 +79,7 @@ def test_simulate_writes_batch(tmp_path, capsys):
     assert (out / "resolved_config.json").exists()
     man = json.loads((out / "manifest.json").read_text())
     assert man["seed"] == 11 and man["R"] == 5
-    assert man["sampler"] == "kron-v4"
+    assert man["sampler"] == "kron-v5"
     assert "wrote 5 replications" in capsys.readouterr().out
 
 
@@ -180,6 +180,16 @@ def test_simulate_exp_window_too_wide_exits_3(tmp_path, capsys):
     )
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "numeric/window error" in capsys.readouterr().err
+
+
+def test_simulate_integer_window_far_from_the_origin_exits_3_before_writing(tmp_path, capsys):
+    # The integer clock cumulates increments from the origin: [5000, 5010]
+    # needs 5,010 of them, beyond GRID_CAP.
+    out = tmp_path / "o"
+    cfg = sheet_config(tmp_path, H=[[0.7]], window={"lo": [5000], "hi": [5010]})
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert "increment axis [1, 5010]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -571,7 +581,7 @@ def test_fou_first_kind_runs(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "first"
     assert man["policy"]["depth"] == [5]
-    assert man["sampler"] == "kron-v4"
+    assert man["sampler"] == "kron-v5"
     assert man["solver"] == "kernel-v3"
     assert (out / "rep_00003.csv").exists()
 
@@ -600,7 +610,7 @@ def test_fou_second_kind_runs(tmp_path):
     assert main(["fou", "--config", cfg, "--out", str(out)]) == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["kind"] == "second"
-    assert man["sampler"] == "kron-v4"
+    assert man["sampler"] == "kron-v5"
 
 
 def test_fou_second_kind_far_window_is_stationary(tmp_path):

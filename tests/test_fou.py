@@ -161,7 +161,7 @@ def _driving_sheet(cfg, r) -> FieldWindow:
     pad = _padded(cfg)
     inc = Window(tuple(l + 1 for l in pad.lo), pad.hi)
     noise = SheetSampler(cfg.mixing, cfg.hurst, inc, "integer", _factors=[
-        _kernel_factors(_fgn_cov, cfg.hurst.H[:, j], size)[:, np.newaxis]
+        _kernel_factors(_fgn_cov, cfg.hurst.H[:, j], size)
         for j, size in enumerate(inc.shape)]).sample(cfg.seed, r)
     g = np.pad(noise.values, [(1, 0)] * inc.N + [(0, 0)])
     for axis in range(inc.N):
@@ -357,7 +357,7 @@ def test_fou_batch_manifest_and_rerun():
     assert man["policy"]["depth"] == [5]
     assert man["clock"] == "integer"
     assert man["transforms"] == "eigenbasis-v1"
-    assert man["sampler"] == "kron-v4"
+    assert man["sampler"] == "kron-v5"
     assert man["solver"] == "kernel-v3"
 
 

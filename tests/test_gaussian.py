@@ -7,6 +7,7 @@ linearity, and rank-deficient grids; the batch draws are checked against
 ``substream``, their reference.
 """
 
+import decimal
 import io
 import json
 import math
@@ -107,7 +108,7 @@ def test_fbs_cov_validates():
 def test_hurst_spec_promotes_and_validates():
     h = HurstSpec([0.3, 0.7])
     assert (h.n, h.N) == (1, 2)
-    np.testing.assert_array_equal(h.row(0), [0.3, 0.7])
+    np.testing.assert_array_equal(h.H[0], [0.3, 0.7])
     h2 = HurstSpec([[0.3], [0.9]])
     assert (h2.n, h2.N) == (2, 1)
     with pytest.raises(ConfigError, match="0 < H <= 1"):
@@ -374,14 +375,14 @@ def test_sampler_kron_factors_match_window_gram(hurst, window, clock):
     pts = sheet_points(window, clock)
     draw = sampler.sample(seed=6, replication=2).values.reshape(-1, h.n)
     g, row = divmod(2, sampler.group_size)
-    z = substream(6, g).standard_normal((row + 1, h.n, window.volume))[row]
+    z = substream(6, g).standard_normal((row + 1,) + sampler._normals)[row]
     b = np.empty_like(draw)
     for k in range(h.n):
         kron_l, kron_c = np.ones((1, 1)), np.ones((1, 1))
         for factors in sampler._factors:
             kron_l = np.kron(kron_l, factors[k, 0])
             kron_c = np.kron(kron_c, factors[k, 0] @ factors[k, 0].T)
-        ref = build_cov_matrix(pts, h.row(k))
+        ref = build_cov_matrix(pts, h.H[k])
         assert np.abs(kron_c - ref).max() <= 1e-12 * np.abs(ref).max()
         b[:, k] = kron_l @ z[k]
     ref_draw = b @ mixing.T
@@ -404,6 +405,59 @@ def test_exponential_factors_hold_the_gram_across_the_clock_range(h, lo, hi):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _decimal_gram(lo, hi, h, clock) -> np.ndarray:
+    """The sheet's 1-D Gram on [lo, hi] to 50 digits, rounded to floats.
+
+    Each power is taken once: per distinct |u| on the integer clock, and
+    per site and lag on the exponential clock, where for t >= s, u = t - s,
+    C(e^t, e^s) = e^{2ht} (1 + e^{-2hu} - (1 - e^{-u})^{2h}) / 2.
+    """
+    with decimal.localcontext(decimal.Context(prec=50)):
+        two_h, t = 2 * decimal.Decimal(h), np.arange(lo, hi + 1)
+        lag = np.abs(np.subtract.outer(t, t))
+        if clock == "integer":
+            power = np.array([decimal.Decimal(u) ** two_h
+                              for u in range(max(-lo, hi, hi - lo) + 1)], dtype=object)
+            gram = (power[np.abs(t)][:, np.newaxis] + power[np.abs(t)] - power[lag]) / 2
+        else:
+            growth = np.array([(two_h * int(v)).exp() for v in t], dtype=object)
+            kernel = np.array([1 + (-two_h * u).exp() - (1 - (-decimal.Decimal(u)).exp()) ** two_h
+                               for u in range(hi - lo + 1)], dtype=object)
+            gram = growth[np.maximum.outer(t - lo, t - lo)] * kernel[lag] / 2
+        return gram.astype(float)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.7, 0.95, 1.0])
+@pytest.mark.parametrize("clock, lo, hi", [
+    ("integer", 0, 511), ("integer", -15, 15), ("integer", 1000, 1063),
+    ("exponential", -15, 15), ("exponential", 0, 30),
+])
+def test_sampler_factors_hold_the_decimal_gram_entrywise(clock, lo, hi, h):
+    # Every entry of F F^T lies within 1e-12 sqrt(C_ii C_jj) of the exact
+    # Gram, so a small variance near the origin is held relative to itself,
+    # and a zero-variance row of F is exactly zero.
+    f = SheetSampler(np.eye(1), HurstSpec([[h]]), Window((lo,), (hi,)), clock)._factors[0][0, 0]
+    ref = _decimal_gram(lo, hi, h, clock)
+    sd = np.sqrt(np.diag(ref))
+    assert np.all(np.abs(f @ f.T - ref) <= 1e-12 * np.outer(sd, sd))
+    assert np.all(f[sd == 0.0] == 0.0)
+
+
+def test_sampler_axis_at_the_origin_draws_exact_zeros():
+    # The axis [0, 0] holds only the zero hyperplane; its factor keeps one
+    # increment, which its row never reads.
+    h = HurstSpec([[0.3, 0.7], [0.6, 0.45]])
+    sampler = SheetSampler(np.array([[1.0, 0.3], [-0.2, 0.5]]), h, Window((0, -2), (0, 3)),
+                           "integer")
+    assert sampler._normals == (2, 5)
+    assert np.all(sampler.sample(seed=3).values == 0.0)
+
+
+def test_sampler_refuses_an_unknown_clock():
+    with pytest.raises(DimensionMismatchError, match="unknown clock 'bogus'"):
+        SheetSampler(np.eye(1), HurstSpec([[0.5]]), Window((0,), (3,)), "bogus")
+
+
 def test_sampler_beyond_grid_cap_total_sites():
     # 6,400 sites: more than GRID_CAP in total, 80 per axis.
     w = Window((1, 1), (80, 80))
@@ -414,8 +468,11 @@ def test_sampler_beyond_grid_cap_total_sites():
 
 
 def test_sampler_grid_cap_per_axis():
-    w = Window((0,), (GRID_CAP,))
-    with pytest.raises(NumericRangeError, match="cap"):
+    # The integer clock cumulates increments from the origin, so [1, 4097]
+    # needs 4,097 of them; [0, 4096] needs 4,096 and runs.
+    w = Window((1,), (GRID_CAP + 1,))
+    with pytest.raises(NumericRangeError,
+                       match=r"increment axis \[1, 4097\], beyond the factorization cap"):
         SheetSampler(np.eye(1), HurstSpec([[0.5]]), w, "integer")
 
 
@@ -485,7 +542,7 @@ def test_batch_save_load_roundtrip(tmp_path):
     assert back.seed == 13
     assert back.replications == 4
     assert back.config["H"] == [[0.3, 0.7]]
-    assert back.config["sampler"] == "kron-v4"
+    assert back.config["sampler"] == "kron-v5"
     for a, b in zip(batch.fields, back.fields):
         np.testing.assert_array_equal(a.values, b.values)
 

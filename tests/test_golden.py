@@ -1,6 +1,6 @@
-"""Golden digests of the ``kron-v4`` sampler.
+"""Golden digests of the ``kron-v5`` sampler.
 
-The manifest tag ``kron-v4`` promises the same draws for a given seed
+The manifest tag ``kron-v5`` promises the same draws for a given seed
 whatever the code path that produces them.  These tests pin, as sha256
 digests, the bytes of two sheet batches and of one batch of each FOU kind.
 The FOU values are those of the ``kernel-v3`` solver, and the stats
@@ -9,12 +9,13 @@ digests those of stats ``gram-v1``.
 Each case pins three digests:
 
 * ``normals``: the (n, P) standard normals of every replication (P is
-  the window volume for a sheet), as
-  the reference stream ``substream(seed, g)`` of each group g gives them
-  (G replications per group, the last group possibly fewer).  They involve
-  no linear algebra, so they are the same on every platform.
-* ``factors``: the per-axis Gram factors.  They come from LAPACK's
-  ``eigh``, whose last bits depend on the BLAS build and CPU.
+  the product of the factors' input lengths), as the reference stream
+  ``substream(seed, g)`` of each group g gives them (G replications per
+  group, the last group possibly fewer).  They involve no linear algebra,
+  so they are the same on every platform.
+* ``factors``: the per-axis factors, each a map times the factor of a
+  stationary kernel.  They come from LAPACK's ``eigh``, whose last bits
+  depend on the BLAS build and CPU.
 * ``values``: the batch values.  These were recorded with numpy 2.4 and
   its bundled OpenBLAS on x86-64; they are checked only where the factors
   match the recorded ones, since a platform that rounds ``eigh``
@@ -89,9 +90,9 @@ CASES = {
 
 GOLDEN = {
     "sheet-integer": {
-        "normals": "1f7e7ba29f73481a189bca75793bc49b54422f0de3aa52f7efbbb49a8d0e057f",
-        "factors": "dc4a06053400c9be35235d15530fb522b1d115f9ea253429423473bb766d8ff7",
-        "values": "21420bad9ae40c9c496055fbebb09ed78d5018649987887cb4dd26698b53a4c9",
+        "normals": "1f693f09fc007bedea8dcadc27681432b8a4d57d567da4366a4eab8713087f78",
+        "factors": "3fd461a8608678ded76680ad6910ea4149a01e541f83d87117cdf9a23c7f677a",
+        "values": "1eed053c5f91b6ad814565ceac716e1527cfe93f310d54f68a4ad9cf45903929",
     },
     "sheet-exponential": {
         "normals": "d0a577ade9c64d7d6b72a86a013c00d66a285e4a5884d1f1959b26719c7af4be",
@@ -196,7 +197,7 @@ def test_kron_v1_golden_digests(name):
         pytest.skip("this platform's eigh rounds the Gram factors differently "
                     "from the recorded platform; value bytes are not comparable")
     batch = make_batch()
-    assert batch.config["sampler"] == "kron-v4"
+    assert batch.config["sampler"] == "kron-v5"
     assert batch.replications == replications
     assert digest(f.values for f in batch.fields) == golden["values"]
 
@@ -223,7 +224,7 @@ STATS_CASES = {
 }
 
 STATS_GOLDEN = {
-    "fidelity": "efb2765a5cf973c86da066494b4fa01dc741f3fddef47576889bb365313d1b47",
+    "fidelity": "5b0a0b1763e05a24eb514d678cbdeb2bb6595436ce10a80b357b37b5a0030c1c",
     "increment-stationarity": "8f280b7979a79ecc994e4449f4e1f6331f57f33fad9986086995a428b426a5b1",
     "moments": "3ff20c4c2f37a9feaeae6e802ea6bcca62c66097e5ef820631d55e2d36d1a7ef",
     "moments-large": "1dd27df35affe13070b4258db5e2c5cc42d20e7c4c4505b144d890c9d61d13a4",
