@@ -138,8 +138,8 @@ def _sampler(cfg: FouConfig) -> SheetSampler:
     the increment axis [lo - d, hi], as (n, n, L_j, L_j + d)."""
     if cfg.kind == "second":
         return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer", _factors=[
-            gaussian._kernel_factors(gaussian._lamperti_cov, cfg.hurst.H[:, j], size)
-            for j, size in enumerate(cfg.window.shape)])
+            gaussian._kernel_factors(gaussian._lamperti_cov, h, lo, hi)
+            for h, lo, hi in zip(cfg.hurst.H.T, cfg.window.lo, cfg.window.hi)])
     q, w = cfg.theta.eigenbasis("first-kind FOU")
     n, factors = cfg.hurst.n, []
     for j, (size, d) in enumerate(zip(cfg.window.shape, cfg.policy.resolve(cfg.theta))):
@@ -149,7 +149,8 @@ def _sampler(cfg: FouConfig) -> SheetSampler:
                 f"increment sites, beyond the factorization cap of {gaussian.GRID_CAP}")
         lag = np.arange(d, d + size)[:, np.newaxis] - np.arange(size + d)
         e = np.exp(-np.maximum(lag, 0) * w[j][:, None, None]) * (lag >= 0)
-        factors.append(e @ gaussian._kernel_factors(gaussian._fgn_cov, cfg.hurst.H[:, j], size + d))
+        factors.append(e @ gaussian._kernel_factors(
+            gaussian._fgn_cov, cfg.hurst.H[:, j], cfg.window.lo[j] - d, cfg.window.hi[j]))
     return SheetSampler(cfg.mixing, cfg.hurst, cfg.window, "integer",
                         _factors=factors, _rotation=q)
 

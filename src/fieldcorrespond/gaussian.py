@@ -17,21 +17,24 @@ small negative eigenvalues clipped, and mode products apply the factors to
 standard normals.  On the integer clock B(t) sums its increments,
 fractional Gaussian noise with autocovariance gamma, from 0 to t (negated
 for t < 0): the map is S, a signed 0/+-1 cumulation from the increment
-axis [min(lo, 0) + 1, max(hi, 0)], zero at t = 0, so zero-variance sites
-are exact zeros.  On the exponential clock C(e^t, e^s) = e^{(t+s)h} K(t - s),
-K the kernel of the Lamperti image e^{-th} B(e^t) of fBm: the map is
-diag(e^{th}), and the Gram, whose entries span e^{2h max|t|}, is never formed.
+axis [min(lo, 0) + 1, max(hi, 0)], zero at t = 0, and G = S F_gamma is
+brought back to the window's length as R^T, G^T = QR (R^T R = G G^T), so
+zero-variance sites are exact zeros.  On the exponential clock
+C(e^t, e^s) = e^{(t+s)h} K(t - s), K the kernel of the Lamperti image
+e^{-th} B(e^t) of fBm: the map is diag(e^{th}), and the Gram, whose
+entries span e^{2h max|t|}, is never formed.
 
 Randomness contract: a replication takes n * P standard normals, where
-P = prod_j p_j over the factors' input lengths: the increment axes of an
-integer-clock sheet (one increment for an axis [0, 0]) or of a first-kind
-FOU ([lo - depth, hi]), the window axes otherwise.  Replication r of seed
-s lies in group g = r // G, G = max(1, DRAW_BLOCK // (n * P)), and is row
-r - gG, in C order, of the (rows, n, P) standard normals of
-``substream(s, g)``: one Philox counter stream (Salmon, Moraes, Dror &
-Shaw, SC'11) per group.  The rows of a group are a prefix of its stream,
-so drawing its first k rows gives the bytes of drawing all G and slicing,
-and any subset of replications is reproduced byte-identically.
+P = prod_j p_j over the factors' input lengths: min(L_j, P_j) for an
+integer-clock sheet (P_j its increment axis, 1 for an axis [0, 0]), the
+increment axes [lo - depth, hi] of a first-kind FOU, the window axes
+otherwise.  Replication r of seed s lies in group g = r // G,
+G = max(1, DRAW_BLOCK // (n * P)), and is row r - gG, in C order, of the
+(rows, n, P) standard normals of ``substream(s, g)``: one Philox counter
+stream (Salmon, Moraes, Dror & Shaw, SC'11) per group.  The rows of a
+group are a prefix of its stream, so drawing its first k rows gives the
+bytes of drawing all G and slicing, and any subset of replications is
+reproduced byte-identically.
 """
 
 from __future__ import annotations
@@ -163,9 +166,7 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
     # least as strict as one in the spectral norm.
     asym = float(np.linalg.norm(cov - cov.T))
     if asym > 1e-12 * max(scale, 1e-300):
-        raise DimensionMismatchError(
-            f"covariance is not symmetric (asymmetry {asym:.3e})"
-        )
+        raise DimensionMismatchError(f"covariance is not symmetric (asymmetry {asym:.3e})")
     if scale > 0.0 and w[0] < -INDEFINITE_RTOL * scale:
         raise NumericRangeError(
             f"matrix is indefinite beyond tolerance: eigenvalue {w[0]:.6e} "
@@ -200,12 +201,13 @@ def _lamperti_cov(size: int, h: float) -> np.ndarray:
     return np.concatenate(([1.0], h * g * np.exp(-(1 - h) * u) + np.exp(-h * u) / 2))
 
 
-def _kernel_factors(cov, hurst_axis, size: int) -> np.ndarray:
-    """(len(hurst_axis), 1, size, size): per Hurst index h, a factor of the
-    Toeplitz Gram cov(size, h)[|t - s|] on ``size`` consecutive sites."""
+def _kernel_factors(cov, hurst_axis, lo: int, hi: int) -> np.ndarray:
+    """(len(hurst_axis), 1, P, P): per Hurst index h, a factor of the
+    Toeplitz Gram cov(P, h)[|t - s|] on the P = hi - lo + 1 sites [lo, hi]."""
+    size = hi - lo + 1
     if size > GRID_CAP:
-        raise NumericRangeError(f"an axis of {size} sites exceeds the factorization "
-                                f"cap of {GRID_CAP}")
+        raise NumericRangeError(f"an axis of {size} sites, [{lo}, {hi}], "
+                                f"exceeds the factorization cap of {GRID_CAP}")
     lag = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
     return np.stack([factor_covariance(cov(size, h)[lag]) for h in hurst_axis])[:, np.newaxis]
 
@@ -335,21 +337,19 @@ class SheetSampler:
         self._rotation = _rotation
         if _factors is None:
             # Component k's factor along axis j: diag((e^t)^h) times K's on the exponential
-            # clock, S times gamma's on the integer clock (an axis [0, 0] keeps one increment).
-            axes = [sheet_points(Window((lo,), (hi,)), clock) for lo, hi in zip(window.lo, window.hi)]
+            # clock, R^T of G^T = QR, G = S times gamma's, on the integer clock.
             _factors = []
-            for j, t in enumerate(axes):
-                h, first = hurst.H[:, j], min(window.lo[j], 0) + 1
-                last = max(window.hi[j], 0, first)
+            for h, lo, hi in zip(hurst.H.T, window.lo, window.hi):
+                t = sheet_points(Window((lo,), (hi,)), clock)
                 if clock == "exponential":
-                    f = t ** h[:, None, None, None] * _kernel_factors(_lamperti_cov, h, len(t))
-                elif last - first >= GRID_CAP:
-                    raise NumericRangeError(
-                        f"integer-clock axis {j} is cumulated from the increment axis "
-                        f"[{first}, {last}], beyond the factorization cap of {GRID_CAP} sites")
+                    f = t ** h[:, None, None, None] * _kernel_factors(_lamperti_cov, h, lo, hi)
                 else:
-                    u = np.arange(first, last + 1)
-                    f = ((u <= t) - 1.0 * (u <= 0)) @ _kernel_factors(_fgn_cov, h, len(u))
+                    # The increment axis; an axis [0, 0] keeps one, which its zero row never reads.
+                    u = np.arange(min(lo, 0) + 1, max(hi, 0, min(lo, 0) + 1) + 1)
+                    k = _kernel_factors(_fgn_cov, h, u[0], u[-1])
+                    k[h == 1] = u == u[0]  # gamma = 1 has the exact factor e_0
+                    g = ((u <= t) - 1.0 * (u <= 0)) @ k
+                    f = np.swapaxes(np.linalg.qr(np.swapaxes(g, -1, -2), mode="r"), -1, -2)
                 _factors.append(f)
         self._factors = _factors
 

@@ -188,7 +188,7 @@ def test_simulate_integer_window_far_from_the_origin_exits_3_before_writing(tmp_
     out = tmp_path / "o"
     cfg = sheet_config(tmp_path, H=[[0.7]], window={"lo": [5000], "hi": [5010]})
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
-    assert "increment axis [1, 5010]" in capsys.readouterr().err
+    assert "axis of 5010 sites, [1, 5010], exceeds" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -161,8 +161,8 @@ def _driving_sheet(cfg, r) -> FieldWindow:
     pad = _padded(cfg)
     inc = Window(tuple(l + 1 for l in pad.lo), pad.hi)
     noise = SheetSampler(cfg.mixing, cfg.hurst, inc, "integer", _factors=[
-        _kernel_factors(_fgn_cov, cfg.hurst.H[:, j], size)
-        for j, size in enumerate(inc.shape)]).sample(cfg.seed, r)
+        _kernel_factors(_fgn_cov, h, lo, hi)
+        for h, lo, hi in zip(cfg.hurst.H.T, inc.lo, inc.hi)]).sample(cfg.seed, r)
     g = np.pad(noise.values, [(1, 0)] * inc.N + [(0, 0)])
     for axis in range(inc.N):
         g = np.cumsum(g, axis=axis)
@@ -513,5 +513,5 @@ def test_second_kind_grid_cap_refuses_before_drawing(monkeypatch):
 
     monkeypatch.setattr(gaussian_module, "_streams", no_draws)
     for draw in (fou_batch, fou_field):
-        with pytest.raises(NumericRangeError, match="axis of 10 sites exceeds"):
+        with pytest.raises(NumericRangeError, match=r"axis of 10 sites, \[100, 109\], exceeds"):
             draw(cfg)

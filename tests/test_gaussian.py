@@ -389,22 +389,6 @@ def test_sampler_kron_factors_match_window_gram(hurst, window, clock):
     assert np.abs(draw - ref_draw).max() <= 1e-12 * np.abs(ref_draw).max()
 
 
-@pytest.mark.parametrize("h", [0.05, 0.7, 0.95, 1.0])
-@pytest.mark.parametrize("lo, hi", [(0, 30), (-15, 15)])
-def test_exponential_factors_hold_the_gram_across_the_clock_range(h, lo, hi):
-    # The exponential clock's Gram C(e^t, e^s) spans e^{2h max|t|}, and an
-    # eigendecomposition of it loses the small sites' variances.  The
-    # factor diag(e^{th}) times K's keeps every entry, and every variance
-    # relative to itself, to rounding.
-    w = Window((lo,), (hi,))
-    f = SheetSampler(np.eye(1), HurstSpec([[h]]), w, "exponential")._factors[0][0, 0]
-    pts = sheet_points(w, "exponential")
-    ref = np.array([[fbs_cov(t, s, [h]) for s in pts] for t in pts])
-    got = f @ f.T
-    assert np.abs(np.diag(got) / np.diag(ref) - 1).max() <= 1e-12
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
 def _decimal_gram(lo, hi, h, clock) -> np.ndarray:
     """The sheet's 1-D Gram on [lo, hi] to 50 digits, rounded to floats.
 
@@ -427,20 +411,45 @@ def _decimal_gram(lo, hi, h, clock) -> np.ndarray:
         return gram.astype(float)
 
 
-@pytest.mark.parametrize("h", [0.05, 0.7, 0.95, 1.0])
-@pytest.mark.parametrize("clock, lo, hi", [
-    ("integer", 0, 511), ("integer", -15, 15), ("integer", 1000, 1063),
-    ("exponential", -15, 15), ("exponential", 0, 30),
-])
-def test_sampler_factors_hold_the_decimal_gram_entrywise(clock, lo, hi, h):
-    # Every entry of F F^T lies within 1e-12 sqrt(C_ii C_jj) of the exact
-    # Gram, so a small variance near the origin is held relative to itself,
-    # and a zero-variance row of F is exactly zero.
-    f = SheetSampler(np.eye(1), HurstSpec([[h]]), Window((lo,), (hi,)), clock)._factors[0][0, 0]
-    ref = _decimal_gram(lo, hi, h, clock)
+def _assert_holds_entrywise(f, ref):
+    """Every entry of F F^T lies within 1e-12 sqrt(C_ii C_jj) of the exact
+    Gram C, so a small variance near the origin is held relative to itself,
+    and a zero-variance row of F is exactly zero."""
     sd = np.sqrt(np.diag(ref))
     assert np.all(np.abs(f @ f.T - ref) <= 1e-12 * np.outer(sd, sd))
     assert np.all(f[sd == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.7, 0.95, 1.0])
+@pytest.mark.parametrize("lo, hi", [(0, 30), (-15, 15)])
+def test_exponential_factors_hold_the_gram_across_the_clock_range(h, lo, hi):
+    # The exponential clock's Gram C(e^t, e^s) spans e^{2h max|t|}, and an
+    # eigendecomposition of it loses the small sites' variances.  The
+    # factor diag(e^{th}) times K's keeps every entry to rounding.
+    w = Window((lo,), (hi,))
+    f = SheetSampler(np.eye(1), HurstSpec([[h]]), w, "exponential")._factors[0][0, 0]
+    _assert_holds_entrywise(f, _decimal_gram(lo, hi, h, "exponential"))
+
+
+@pytest.mark.parametrize("h", [0.05, 0.7, 0.95, 1.0])
+@pytest.mark.parametrize("lo, hi", [(0, 511), (-15, 15), (1000, 1063)])
+def test_integer_factors_hold_the_decimal_gram_entrywise(lo, hi, h):
+    # Cumulated fractional Gaussian noise, reduced to the window's length,
+    # keeps every entry to rounding at any axis length; H = 1 is exact.
+    w = Window((lo,), (hi,))
+    f = SheetSampler(np.eye(1), HurstSpec([[h]]), w, "integer")._factors[0][0, 0]
+    assert f.shape[-1] == min(hi - lo + 1, max(hi, 0) - min(lo, 0))
+    _assert_holds_entrywise(f, _decimal_gram(lo, hi, h, "integer"))
+
+
+def test_integer_sampler_draws_the_window_volume_off_the_origin():
+    # Each axis' factor is reduced to the window's own length, so a window
+    # far from the origin draws its volume in normals, not the product of
+    # its increment axes (about 10^9 here).
+    h = HurstSpec([[0.7, 0.3, 0.95], [0.5, 1.0, 0.05]])
+    sampler = SheetSampler(np.eye(2), h, Window((1000,) * 3, (1009,) * 3), "integer")
+    assert sampler._normals == (2, 1000)
+    assert sampler.sample(seed=2).values.shape == (10, 10, 10, 2)
 
 
 def test_sampler_axis_at_the_origin_draws_exact_zeros():
@@ -472,7 +481,7 @@ def test_sampler_grid_cap_per_axis():
     # needs 4,097 of them; [0, 4096] needs 4,096 and runs.
     w = Window((1,), (GRID_CAP + 1,))
     with pytest.raises(NumericRangeError,
-                       match=r"increment axis \[1, 4097\], beyond the factorization cap"):
+                       match=r"axis of 4097 sites, \[1, 4097\], exceeds the factorization cap"):
         SheetSampler(np.eye(1), HurstSpec([[0.5]]), w, "integer")
 
 

@@ -14,8 +14,9 @@ Each case pins three digests:
   group, the last group possibly fewer).  They involve no linear algebra,
   so they are the same on every platform.
 * ``factors``: the per-axis factors, each a map times the factor of a
-  stationary kernel.  They come from LAPACK's ``eigh``, whose last bits
-  depend on the BLAS build and CPU.
+  stationary kernel, on the integer clock reduced to the window's length
+  by a QR factorization.  They come from LAPACK's ``eigh`` and ``geqrf``,
+  whose last bits depend on the BLAS build and CPU.
 * ``values``: the batch values.  These were recorded with numpy 2.4 and
   its bundled OpenBLAS on x86-64; they are checked only where the factors
   match the recorded ones, since a platform that rounds ``eigh``
@@ -91,8 +92,8 @@ CASES = {
 GOLDEN = {
     "sheet-integer": {
         "normals": "1f693f09fc007bedea8dcadc27681432b8a4d57d567da4366a4eab8713087f78",
-        "factors": "3fd461a8608678ded76680ad6910ea4149a01e541f83d87117cdf9a23c7f677a",
-        "values": "1eed053c5f91b6ad814565ceac716e1527cfe93f310d54f68a4ad9cf45903929",
+        "factors": "094c8a7795f12f90be709da77f9fa12cd911025f25af6d2a5253a3beec89377c",
+        "values": "f58b65c4201e2b8a8b791fed7acaf333bc66cb92a8b8bd4f87ef0c2692055ea8",
     },
     "sheet-exponential": {
         "normals": "d0a577ade9c64d7d6b72a86a013c00d66a285e4a5884d1f1959b26719c7af4be",
@@ -224,7 +225,7 @@ STATS_CASES = {
 }
 
 STATS_GOLDEN = {
-    "fidelity": "5b0a0b1763e05a24eb514d678cbdeb2bb6595436ce10a80b357b37b5a0030c1c",
+    "fidelity": "7e9721afcd834de75db5ee2d0dff82a1c2ac4d15b8ec0f7ebb42ed6d02a9b7be",
     "increment-stationarity": "8f280b7979a79ecc994e4449f4e1f6331f57f33fad9986086995a428b426a5b1",
     "moments": "3ff20c4c2f37a9feaeae6e802ea6bcca62c66097e5ef820631d55e2d36d1a7ef",
     "moments-large": "1dd27df35affe13070b4258db5e2c5cc42d20e7c4c4505b144d890c9d61d13a4",
